@@ -318,12 +318,15 @@ def sum_abs_error(true_counts: Mapping, est_counts: Mapping) -> float:
     est_total = sum(est_counts.values())
     if true_total == 0 and est_total == 0:
         return 0.0
-    err = 0.0
-    for key in true_counts.keys() | est_counts.keys():
-        p = true_counts.get(key, 0) / true_total if true_total else 0.0
-        q = est_counts.get(key, 0) / est_total if est_total else 0.0
-        err += abs(p - q)
-    return err
+    # fsum is exact, so the result does not depend on the key iteration
+    # order, which for bytes and tuple keys follows the process hash seed.
+    return math.fsum(
+        abs(
+            (true_counts.get(key, 0) / true_total if true_total else 0.0)
+            - (est_counts.get(key, 0) / est_total if est_total else 0.0)
+        )
+        for key in true_counts.keys() | est_counts.keys()
+    )
 
 
 # --- experiment results -----------------------------------------------------

@@ -1,7 +1,11 @@
 """Harness tests: loaders, metric, baselines, simulation, benchmarks."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,6 +239,28 @@ class TestRunNebula:
         assert a.fingerprint() == b.fingerprint()
         c = run_nebula(ds, params, seed=22)
         assert a.fingerprint() != c.fingerprint()
+
+    def test_fingerprint_independent_of_hash_seed(self):
+        # Reports and errors key by bytes and tuples, whose set order follows
+        # PYTHONHASHSEED; the fingerprint must not.
+        script = (
+            "from nebula import harness\n"
+            "from nebula.params import DpBudget, derive_params\n"
+            "params = derive_params(DpBudget(1.0, 1e-8, 1.0, 1e-8, 1 / 6),\n"
+            "                       overrides={'threshold': 5, 'tsdlap_shift': 4})\n"
+            "ds = harness.synthetic_zipf(5000, 400, seed=3)\n"
+            "print(harness.run_nebula(ds, params, seed=1).fingerprint().hex())\n"
+        )
+        src = str(Path(harness.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("1", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True,
+                text=True, timeout=120, check=True,
+            )
+            outputs.append(proc.stdout.strip())
+        assert outputs[0] == outputs[1]
 
     def test_daemons_transport_byte_identical(self, tmp_path):
         ds = synthetic_zipf(1200, 25, seed=9)
