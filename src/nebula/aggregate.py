@@ -1,5 +1,7 @@
-"""Aggregation pipeline: group by tag, recover threshold-meeting groups.
+"""Aggregation primitives: tag grouping, group recovery, the report and its CSV.
 
+The layer loop that drives them is ``multidim.decode_multidim``; a
+single-attribute multiset is its one-layer case (``decode_submissions``).
 The server sees only tagged submissions.  Grouping by tag partitions them;
 groups with at least ``threshold`` members are decoded by interpolating the
 key shares, deriving the symmetric key from the field secret, and decrypting
@@ -16,14 +18,14 @@ groups never reach the threshold by construction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Literal, Optional
+from dataclasses import dataclass, field
+from typing import Iterable, Literal, Optional, Sequence
 
 from cryptography.exceptions import InvalidTag
 
 from . import sharing
 from .encode import Submission, decrypt_with_key, key_from_field_secret
-from .params import DpParams
+from .params import DpParams, params_to_config
 
 
 @dataclass(frozen=True)
@@ -44,13 +46,13 @@ class GroupRecovery:
 class HistogramReport:
     """Decoded output: revealed values and the sub-threshold multiplicity view.
 
-    Single-attribute decoding keys ``revealed`` by value bytes; the layered
-    decoder reuses this type with attribute-tuple keys (one report per layer).
+    The decoder yields one report per layer keyed by attribute tuples; the
+    single-attribute entry points key ``revealed`` by value bytes instead.
     """
 
-    revealed: dict[bytes | tuple[bytes, ...], int]
-    unrevealed_multiplicities: dict[int, int]
-    malformed_groups: int
+    revealed: dict[bytes | tuple[bytes, ...], int] = field(default_factory=dict)
+    unrevealed_multiplicities: dict[int, int] = field(default_factory=dict)
+    malformed_groups: int = 0
     params_used: Optional[DpParams] = None
     # False for inner layers of the multi-attribute decoding, where no dummy
     # noise protects the multiplicity histogram.
@@ -107,47 +109,41 @@ def recover_group(group: TagGroup, threshold: int) -> GroupRecovery:
     return GroupRecovery(status="recovered", count=count, value=value, key=key)
 
 
-def build_report(
-    groups: Iterable[TagGroup], threshold: int, params: Optional[DpParams] = None
-) -> HistogramReport:
-    """Run recovery over all groups and assemble the histogram report."""
-    revealed: dict[bytes, int] = {}
-    unrevealed: dict[int, int] = {}
-    malformed = 0
-    for group in groups:
-        outcome = recover_group(group, threshold)
-        if outcome.status == "recovered":
-            revealed[outcome.value] = revealed.get(outcome.value, 0) + outcome.count
-        elif outcome.status == "unrevealed":
-            unrevealed[outcome.count] = unrevealed.get(outcome.count, 0) + 1
-        else:
-            malformed += 1
-    return HistogramReport(
-        revealed=revealed,
-        unrevealed_multiplicities=unrevealed,
-        malformed_groups=malformed,
-        params_used=params,
-    )
-
-
 def decode_submissions(
     submissions: Iterable[Submission], threshold: int, params: Optional[DpParams] = None
 ) -> HistogramReport:
-    return build_report(group_by_tag(submissions), threshold, params)
+    """Single-attribute decode: the one-layer case of ``decode_multidim``.
+
+    Revealed keys are value bytes rather than one-element attribute tuples.
+    """
+    from . import multidim
+
+    (report,) = multidim.decode_multidim(
+        (multidim.SuperSubmission(layer1=s, wrapped_layers=()) for s in submissions),
+        threshold,
+        params,
+    )
+    report.revealed = {path[0]: count for path, count in report.revealed.items()}
+    return report
 
 
 # --- CSV serialization ------------------------------------------------------
 #
 # Layout (documented in README.md, stable across transports):
+#   a header line naming the grammar (plain or layered)
 #   one `param,<key>,<value>` line per parameter, sorted by key
+#   per layer: a `layer,<i>` line (layered reports only), then
 #   `section,revealed` / `value,count` header / rows sorted by value field
 #   `section,unrevealed` / `multiplicity,num_tags` header / rows ascending
 #   `section,meta` / malformed + dummy-noise flags
-# Values are percent-encoded so arbitrary bytes survive the CSV.
+# Values are percent-encoded so arbitrary bytes survive the CSV; prefix
+# components of layered reports are '/'-joined.
 
 _SAFE_VALUE_CHARS = frozenset(
     b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-"
 )
+
+_CSV_HEADERS = {False: "nebula-report,v1", True: "nebula-layered-report,v1"}
 
 
 def encode_value_field(value: bytes) -> str:
@@ -172,8 +168,6 @@ def decode_value_field(text: str) -> bytes:
 def _param_lines(report: HistogramReport) -> list[str]:
     if report.params_used is None:
         return []
-    from .params import params_to_config
-
     pairs = []
     for line in params_to_config(report.params_used).splitlines():
         key, _, value = line.partition(" = ")
@@ -181,48 +175,72 @@ def _param_lines(report: HistogramReport) -> list[str]:
     return pairs
 
 
-def report_to_csv(report: HistogramReport) -> str:
-    lines = ["nebula-report,v1"]
-    lines += _param_lines(report)
-    lines.append("section,revealed")
-    lines.append("value,count")
-    for value in sorted(report.revealed):
-        lines.append(f"{encode_value_field(value)},{report.revealed[value]}")
-    lines.append("section,unrevealed")
-    lines.append("multiplicity,num_tags")
-    for mult in sorted(report.unrevealed_multiplicities):
-        lines.append(f"{mult},{report.unrevealed_multiplicities[mult]}")
-    lines.append("section,meta")
-    lines.append(f"malformed_groups,{report.malformed_groups}")
-    lines.append(f"dummy_noise_applied,{int(report.dummy_noise_applied)}")
+def reports_to_csv(reports: Sequence[HistogramReport], layered: bool) -> str:
+    """Write per-layer reports as CSV.
+
+    A plain report is the layer-1 case of the layered grammar: it has the
+    plain header, no ``layer,1`` line, and value bytes as revealed keys
+    where layered reports key by attribute tuples.
+    """
+    lines = [_CSV_HEADERS[layered]]
+    if reports:
+        lines += _param_lines(reports[0])
+    for index, report in enumerate(reports, start=1):
+        if layered:
+            lines.append(f"layer,{index}")
+        lines.append("section,revealed")
+        lines.append("value,count")
+        for key in sorted(report.revealed):
+            path = key if layered else (key,)
+            joined = "/".join(encode_value_field(a) for a in path)
+            lines.append(f"{joined},{report.revealed[key]}")
+        lines.append("section,unrevealed")
+        lines.append("multiplicity,num_tags")
+        for mult in sorted(report.unrevealed_multiplicities):
+            lines.append(f"{mult},{report.unrevealed_multiplicities[mult]}")
+        lines.append("section,meta")
+        lines.append(f"malformed_groups,{report.malformed_groups}")
+        lines.append(f"dummy_noise_applied,{int(report.dummy_noise_applied)}")
     return "\n".join(lines) + "\n"
 
 
-def report_from_csv(text: str) -> HistogramReport:
-    """Parse the plain (single-attribute) report layout back into a report."""
+def reports_from_csv(text: str, layered: bool) -> list[HistogramReport]:
+    """Parse the CSV written by ``reports_to_csv`` with the same ``layered``."""
     lines = text.splitlines()
-    if not lines or lines[0] != "nebula-report,v1":
-        raise ValueError("not a nebula report")
-    report = HistogramReport(
-        revealed={}, unrevealed_multiplicities={}, malformed_groups=0
-    )
+    if not lines or lines[0] != _CSV_HEADERS[layered]:
+        raise ValueError(f"not a {'layered ' if layered else ''}nebula report")
+    reports = [] if layered else [HistogramReport()]
     section = None
     for line in lines[1:]:
         if line.startswith("param,"):
             continue
+        if layered and line.startswith("layer,"):
+            reports.append(HistogramReport())
+            section = None
+            continue
         if line.startswith("section,"):
             section = line.split(",", 1)[1]
             continue
-        if line in ("value,count", "multiplicity,num_tags"):
+        if line in ("value,count", "multiplicity,num_tags") or not reports:
             continue
+        current = reports[-1]
         key, _, raw = line.rpartition(",")
         if section == "revealed":
-            report.revealed[decode_value_field(key)] = int(raw)
+            path = tuple(decode_value_field(part) for part in key.split("/"))
+            current.revealed[path if layered else path[0]] = int(raw)
         elif section == "unrevealed":
-            report.unrevealed_multiplicities[int(key)] = int(raw)
+            current.unrevealed_multiplicities[int(key)] = int(raw)
         elif section == "meta":
             if key == "malformed_groups":
-                report.malformed_groups = int(raw)
+                current.malformed_groups = int(raw)
             elif key == "dummy_noise_applied":
-                report.dummy_noise_applied = bool(int(raw))
-    return report
+                current.dummy_noise_applied = bool(int(raw))
+    return reports
+
+
+def report_to_csv(report: HistogramReport) -> str:
+    return reports_to_csv([report], layered=False)
+
+
+def report_from_csv(text: str) -> HistogramReport:
+    return reports_from_csv(text, layered=False)[0]

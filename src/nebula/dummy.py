@@ -37,10 +37,6 @@ class DummyBatch:
     groups: tuple[DummyGroup, ...]
     submissions: tuple[Submission, ...]
 
-    @property
-    def tag_set(self) -> frozenset[bytes]:
-        return frozenset(g.tag for g in self.groups)
-
 
 def _dummy_ciphertext(rng) -> bytes:
     # Empty value under a fresh key nobody retains; the 32-byte header slot
@@ -99,8 +95,3 @@ def max_batch_size(params: DpParams) -> int:
     """Worst-case total submissions per batch (every draw at its maximum)."""
     t = params.threshold
     return 2 * params.tsdlap_shift * t * (t - 1) // 2
-
-
-def is_dummy_tag(tag: bytes, batch: DummyBatch) -> bool:
-    """Test-only oracle; the aggregation side has no way to compute this."""
-    return tag in batch.tag_set

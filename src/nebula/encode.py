@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
@@ -53,8 +52,6 @@ class SubRandomness:
 class KeyShare:
     x_coord: int
     y_coord: int
-    # Threshold the polynomial was built for; advisory, not serialized.
-    degree_hint: Optional[int] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -107,16 +104,11 @@ def parse_randomness(r: bytes) -> SubRandomness:
 
 def encryption_key(r1: bytes) -> bytes:
     """Symmetric key expanded from the share-field encoding of the key seed."""
-    secret = sharing.secret_from_key_seed(r1)
-    h = hashlib.sha256()
-    h.update(len(DST_PRG_KEY).to_bytes(2, "big"))
-    h.update(DST_PRG_KEY)
-    h.update(sharing.encode_element(secret))
-    return h.digest()
+    return key_from_field_secret(sharing.secret_from_key_seed(r1))
 
 
 def key_from_field_secret(secret: int) -> bytes:
-    """Same key derivation, starting from an interpolated field secret."""
+    """The key derivation, starting from a (possibly interpolated) field secret."""
     h = hashlib.sha256()
     h.update(len(DST_PRG_KEY).to_bytes(2, "big"))
     h.update(DST_PRG_KEY)
@@ -131,8 +123,7 @@ def make_share(r1: bytes, r2: bytes, threshold: int, rng) -> KeyShare:
     """
     coeffs = sharing.polynomial_from_seeds(r1, r2, threshold)
     x = sharing.random_nonzero_element(rng)
-    return KeyShare(x_coord=x, y_coord=sharing.polynomial_eval(coeffs, x),
-                    degree_hint=threshold)
+    return KeyShare(x_coord=x, y_coord=sharing.polynomial_eval(coeffs, x))
 
 
 def encrypt_value(r1: bytes, value: bytes, max_value_size: int = MAX_VALUE_SIZE) -> bytes:

@@ -20,15 +20,16 @@ are unknown to the aggregation side.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import math
 import random
 import socket
 import string
-import struct
 import subprocess
 import sys
+import tempfile
 import time
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
@@ -413,13 +414,17 @@ def run_nebula(
     are canonically flattened); mode="multidim" uses the chained-prefix
     encoding and reports per-prefix errors.  transport="daemons" runs the
     two servers as separate processes and moves everything over the wire.
+    Both transports build the same messages in the same order; they differ
+    only in where randomness comes from and where the multiset is decoded.
     """
     if mode not in ("single", "multidim"):
         raise ValueError("mode must be 'single' or 'multidim'")
     if transport not in ("in_process", "daemons"):
         raise ValueError("transport must be 'in_process' or 'daemons'")
+    chained = mode == "multidim"
 
     part_rng = substream(seed, "participation")
+    blind_rng = substream(seed, "blinding")
     shares_rng = substream(seed, "shares")
     dummy_rng = substream(seed, "dummies")
     delivery_rng = substream(seed, "delivery")
@@ -429,145 +434,68 @@ def run_nebula(
         for record in dataset.records
         if participate(params.sampling_rate, part_rng)
     ]
+    # OPRF inputs per record: every prefix when chained, else the one value.
+    oprf_inputs = [
+        make_prefixes(r).prefixes if chained else (record_value(r),) for r in sampled
+    ]
 
-    if transport == "daemons":
-        return _run_via_daemons(
-            dataset, sampled, params, seed, mode, include_dummies,
-            server_seed, workdir,
-        )
-
-    keypair = oprf.keygen(server_seed)
-    if mode == "single":
-        submissions: list[Submission] = []
-        for record in sampled:
-            value = record_value(record)
-            r = value_randomness(value, keypair)
-            submissions.append(build_submission(value, r, params, shares_rng))
-        if include_dummies and params.threshold >= 2:
-            submissions.extend(dummy.create_dummy_batch(params, dummy_rng).submissions)
-        delivery_rng.shuffle(submissions)
-        report = aggregate.decode_submissions(submissions, params.threshold, params)
-        true_counts = Counter(record_value(r) for r in dataset.records)
-        err = sum_abs_error(true_counts, report.revealed)
-        return ExperimentResult(
-            errors={"nebula": err},
-            seed=seed,
-            params=params,
-            report_csv=aggregate.report_to_csv(report),
-        )
-
-    # multidim
-    supers: list[SuperSubmission] = []
-    for record in sampled:
-        chain = make_prefixes(record)
-        rs = [value_randomness(p, keypair) for p in chain.prefixes]
-        supers.append(encode_multidim(record, rs, params, shares_rng))
-    if include_dummies and params.threshold >= 2:
-        supers.extend(
-            SuperSubmission(layer1=s, wrapped_layers=())
-            for s in dummy.create_dummy_batch(params, dummy_rng).submissions
-        )
-    delivery_rng.shuffle(supers)
-    reports = multidim.decode_multidim(supers, params.threshold, params)
-    per_prefix = _per_prefix_errors(dataset, reports)
-    return ExperimentResult(
-        errors={"nebula": per_prefix[-1]},
-        per_prefix_errors=per_prefix,
-        seed=seed,
-        params=params,
-        report_csv=multidim.layered_reports_to_csv(reports),
-    )
-
-
-def _per_prefix_errors(
-    dataset: Dataset, reports: Sequence[aggregate.HistogramReport]
-) -> list[float]:
-    errors = []
-    for depth in range(1, dataset.num_attributes + 1):
-        true_counts = Counter(rec[:depth] for rec in dataset.records)
-        revealed = reports[depth - 1].revealed if depth <= len(reports) else {}
-        errors.append(sum_abs_error(true_counts, revealed))
-    return errors
-
-
-def _run_via_daemons(
-    dataset: Dataset,
-    sampled: list[tuple[bytes, ...]],
-    params: DpParams,
-    seed: int,
-    mode: str,
-    include_dummies: bool,
-    server_seed: bytes,
-    workdir: Optional[Path],
-) -> ExperimentResult:
-    import tempfile
-
-    shares_rng = substream(seed, "shares")
-    blind_rng = substream(seed, "blinding")
-    dummy_rng = substream(seed, "dummies")
-    delivery_rng = substream(seed, "delivery")
-
-    with tempfile.TemporaryDirectory() as tmp:
-        base = Path(workdir) if workdir is not None else Path(tmp)
-        base.mkdir(parents=True, exist_ok=True)
-        with DaemonPair(params, server_seed, base) as pair:
+    with contextlib.ExitStack() as stack:
+        if transport == "daemons":
+            base = Path(
+                workdir if workdir is not None
+                else stack.enter_context(tempfile.TemporaryDirectory())
+            )
+            base.mkdir(parents=True, exist_ok=True)
+            pair = stack.enter_context(DaemonPair(params, server_seed, base))
+            distinct = sorted({x for xs in oprf_inputs for x in xs})
             with service.ServiceClient("127.0.0.1", pair.randomness_port) as rc:
-                if mode == "single":
-                    values = sorted({record_value(r) for r in sampled})
-                    rand = dict(zip(values, wire_randomness(values, rc, blind_rng)))
-                    payloads = [
-                        build_submission(
-                            record_value(r), rand[record_value(r)], params, shares_rng
-                        ).to_bytes()
-                        for r in sampled
-                    ]
-                    msg_type = wire.MSG_SUBMISSION
-                else:
-                    prefixes = sorted(
-                        {p for r in sampled for p in make_prefixes(r).prefixes}
-                    )
-                    rand = dict(zip(prefixes, wire_randomness(prefixes, rc, blind_rng)))
-                    payloads = []
-                    for r in sampled:
-                        chain = make_prefixes(r)
-                        rs = [rand[p] for p in chain.prefixes]
-                        payloads.append(
-                            encode_multidim(r, rs, params, shares_rng).to_bytes()
-                        )
-                    msg_type = wire.MSG_SUPER_SUBMISSION
-            if include_dummies and params.threshold >= 2:
-                batch = dummy.create_dummy_batch(params, dummy_rng)
-                dummy_type = (
-                    wire.MSG_SUBMISSION if mode == "single" else wire.MSG_SUPER_SUBMISSION
-                )
-                for s in batch.submissions:
-                    if mode == "single":
-                        payloads.append(s.to_bytes())
-                    else:
-                        payloads.append(
-                            SuperSubmission(layer1=s, wrapped_layers=()).to_bytes()
-                        )
-            delivery_rng.shuffle(payloads)
-            frames = [wire.encode_frame(msg_type, p) for p in payloads]
+                randomness = dict(zip(distinct, wire_randomness(distinct, rc, blind_rng)))
+        else:
+            keypair = oprf.keygen(server_seed)
+            randomness = {
+                x: value_randomness(x, keypair) for xs in oprf_inputs for x in xs
+            }
+
+        messages: list = []
+        for record, xs in zip(sampled, oprf_inputs):
+            if chained:
+                rs = [randomness[x] for x in xs]
+                messages.append(encode_multidim(record, rs, params, shares_rng))
+            else:
+                messages.append(build_submission(xs[0], randomness[xs[0]], params, shares_rng))
+        if include_dummies and params.threshold >= 2:
+            for s in dummy.create_dummy_batch(params, dummy_rng).submissions:
+                messages.append(SuperSubmission(layer1=s, wrapped_layers=()) if chained else s)
+        delivery_rng.shuffle(messages)
+
+        if transport == "daemons":
+            msg_type = wire.MSG_SUPER_SUBMISSION if chained else wire.MSG_SUBMISSION
+            frames = [wire.encode_frame(msg_type, m.to_bytes()) for m in messages]
             with service.ServiceClient("127.0.0.1", pair.aggregation_port) as ac:
-                acked, errors = ac.submit_stream(frames)
+                _, errors = ac.submit_stream(frames)
                 if errors:
                     raise RuntimeError(f"{errors} submissions rejected")
                 ac.seal_and_decode()
             csv_text = pair.report_path.read_text()
+        else:
+            singles, supers = ([], messages) if chained else (messages, [])
+            _, csv_text = service.decode_messages(singles, supers, params)
 
-    if mode == "single":
-        report = aggregate.report_from_csv(csv_text)
+    reports = aggregate.reports_from_csv(csv_text, layered=chained)
+    if chained:
+        per_prefix = [
+            sum_abs_error(
+                Counter(rec[:depth] for rec in dataset.records),
+                reports[depth - 1].revealed if depth <= len(reports) else {},
+            )
+            for depth in range(1, dataset.num_attributes + 1)
+        ]
+    else:
         true_counts = Counter(record_value(r) for r in dataset.records)
-        err = sum_abs_error(true_counts, report.revealed)
-        return ExperimentResult(
-            errors={"nebula": err}, seed=seed, params=params, report_csv=csv_text
-        )
-    reports = multidim.layered_reports_from_csv(csv_text)
-    per_prefix = _per_prefix_errors(dataset, reports)
+        per_prefix = [sum_abs_error(true_counts, reports[0].revealed)]
     return ExperimentResult(
         errors={"nebula": per_prefix[-1]},
-        per_prefix_errors=per_prefix,
+        per_prefix_errors=per_prefix if chained else [],
         seed=seed,
         params=params,
         report_csv=csv_text,
@@ -733,7 +661,7 @@ def build_submission_payloads(
     the share point differs per submission.
     """
     from . import sharing
-    from .encode import encrypt_value, parse_randomness
+    from .encode import KeyShare, encrypt_value, parse_randomness
 
     keypair = oprf.keygen(server_seed)
     rng = substream(seed, "bulk-shares")
@@ -752,22 +680,12 @@ def build_submission_payloads(
         ct = encrypt_value(sub.r1, value)
         per_value.append((sub.r3, coeffs, ct))
 
-    prime = sharing.FIELD_PRIME
     payloads = []
-    pack = struct.Struct("<I").pack
     for c in choices:
         tag, coeffs, ct = per_value[c]
         x = sharing.random_nonzero_element(rng)
-        acc = 0
-        for coef in reversed(coeffs):
-            acc = (acc * x + coef) % prime
-        payloads.append(
-            tag
-            + x.to_bytes(16, "big")
-            + acc.to_bytes(16, "big")
-            + pack(len(ct))
-            + ct
-        )
+        share = KeyShare(x_coord=x, y_coord=sharing.polynomial_eval(coeffs, x))
+        payloads.append(Submission(ciphertext=ct, share=share, tag=tag).to_bytes())
     return payloads
 
 
@@ -812,15 +730,13 @@ class DaemonPair:
         seed_file.write_bytes(self.server_seed)
         params_file = self.workdir / "params.cfg"
         params_file.write_text(params_to_config(self.params))
-        env = None
         self._procs.append(
             subprocess.Popen(
                 [
                     sys.executable, "-m", "nebula.cli", "randomness-server",
                     "--listen", f"127.0.0.1:{self.randomness_port}",
                     "--key-seed-file", str(seed_file),
-                ],
-                env=env,
+                ]
             )
         )
         self._procs.append(
@@ -831,8 +747,7 @@ class DaemonPair:
                     "--log", str(self.log_path),
                     "--params", str(params_file),
                     "--report", str(self.report_path),
-                ],
-                env=env,
+                ]
             )
         )
         _wait_listening(self.randomness_port)

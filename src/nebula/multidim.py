@@ -23,7 +23,13 @@ from typing import Iterable, Optional, Sequence
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
-from .aggregate import HistogramReport, group_by_tag, recover_group
+from .aggregate import (
+    HistogramReport,
+    group_by_tag,
+    recover_group,
+    reports_from_csv,
+    reports_to_csv,
+)
 from .encode import Submission, build_submission, encryption_key, parse_randomness
 from .params import DpParams
 
@@ -151,7 +157,7 @@ class _Branch:
     """One recovered parent group: prefix path, key, and member messages."""
 
     path: tuple[bytes, ...]
-    key: bytes
+    key: Optional[bytes]  # None at the root: layer 1 travels in the clear
     members: list[SuperSubmission]
 
 
@@ -165,72 +171,49 @@ def decode_multidim(
     Returns one report per layer (up to the deepest layer present in the
     input).  Layer 1 carries the dummy-noise flag; deeper layers receive no
     dummy noise and are flagged accordingly.  Revealed keys are attribute
-    tuples (the full prefix along the decode path).
+    tuples (the full prefix along the decode path).  A single-attribute
+    multiset is the one-layer case.
     """
     supers = list(super_submissions)
     num_layers = max((s.num_layers for s in supers), default=1)
     reports = [
-        HistogramReport(
-            revealed={},
-            unrevealed_multiplicities={},
-            malformed_groups=0,
-            params_used=params,
-            dummy_noise_applied=(layer == 0),
-        )
-        for layer in range(num_layers)
+        HistogramReport(params_used=params, dummy_noise_applied=(layer == 1))
+        for layer in range(1, num_layers + 1)
     ]
 
-    # Layer 1: ordinary tag grouping over the plaintext-framed submissions.
-    frontier: list[_Branch] = []
-    by_tag: dict[bytes, list[SuperSubmission]] = {}
-    for s in supers:
-        by_tag.setdefault(s.layer1.tag, []).append(s)
-    for tag, members in by_tag.items():
-        group = group_by_tag([m.layer1 for m in members])[0]
-        outcome = recover_group(group, threshold)
-        report = reports[0]
-        if outcome.status == "recovered":
-            path = (outcome.value,)
-            report.revealed[path] = report.revealed.get(path, 0) + outcome.count
-            frontier.append(_Branch(path=path, key=outcome.key, members=members))
-        elif outcome.status == "unrevealed":
-            report.unrevealed_multiplicities[outcome.count] = (
-                report.unrevealed_multiplicities.get(outcome.count, 0) + 1
-            )
-        else:
-            report.malformed_groups += 1
-
-    # Deeper layers: unwrap under the parent key, regroup by inner tag.
-    layer = 2
-    while frontier and layer <= num_layers:
+    # Each layer regroups every recovered branch of the layer above by the
+    # tag of its members' submissions for this layer; the root branch holds
+    # every message.
+    frontier = [_Branch(path=(), key=None, members=supers)]
+    for layer, report in enumerate(reports, start=1):
         next_frontier: list[_Branch] = []
         for branch in frontier:
-            aead = ChaCha20Poly1305(branch.key)
+            aead = None if branch.key is None else ChaCha20Poly1305(branch.key)
             nonce = _wrap_nonce(layer)
-            inner: dict[bytes, tuple[list[Submission], list[SuperSubmission]]] = {}
-            report = reports[layer - 1]
+            layer_subs: list[Submission] = []
+            owners: dict[bytes, list[SuperSubmission]] = {}
             for member in branch.members:
                 if member.num_layers < layer:
                     continue
-                blob = member.wrapped_layers[layer - 2]
-                try:
-                    sub = Submission.from_bytes(aead.decrypt(nonce, blob, None))
-                except (InvalidTag, ValueError):
-                    report.malformed_groups += 1
-                    continue
-                subs, mems = inner.setdefault(sub.tag, ([], []))
-                subs.append(sub)
-                mems.append(member)
-            for tag, (subs, mems) in inner.items():
-                group = group_by_tag(subs)[0]
+                if aead is None:
+                    sub = member.layer1
+                else:
+                    blob = member.wrapped_layers[layer - 2]
+                    try:
+                        sub = Submission.from_bytes(aead.decrypt(nonce, blob, None))
+                    except (InvalidTag, ValueError):
+                        # Counted per member: an unreadable blob has no tag.
+                        report.malformed_groups += 1
+                        continue
+                layer_subs.append(sub)
+                owners.setdefault(sub.tag, []).append(member)
+            for group in group_by_tag(layer_subs):
                 outcome = recover_group(group, threshold)
                 if outcome.status == "recovered":
                     path = branch.path + (outcome.value,)
-                    report.revealed[path] = (
-                        report.revealed.get(path, 0) + outcome.count
-                    )
+                    report.revealed[path] = report.revealed.get(path, 0) + outcome.count
                     next_frontier.append(
-                        _Branch(path=path, key=outcome.key, members=mems)
+                        _Branch(path=path, key=outcome.key, members=owners[group.tag])
                     )
                 elif outcome.status == "unrevealed":
                     report.unrevealed_multiplicities[outcome.count] = (
@@ -239,75 +222,15 @@ def decode_multidim(
                 else:
                     report.malformed_groups += 1
         frontier = next_frontier
-        layer += 1
     return reports
 
 
 def layered_reports_to_csv(reports: Sequence[HistogramReport]) -> str:
-    """CSV for per-layer reports; prefix components are '/'-joined.
-
-    Same row grammar as the single-attribute report, with a ``layer,<i>``
-    line opening each layer's sections (documented in README.md).
-    """
-    from .aggregate import _param_lines, encode_value_field
-
-    lines = ["nebula-layered-report,v1"]
-    if reports:
-        lines += _param_lines(reports[0])
-    for index, report in enumerate(reports, start=1):
-        lines.append(f"layer,{index}")
-        lines.append("section,revealed")
-        lines.append("value,count")
-        for path in sorted(report.revealed):
-            joined = "/".join(encode_value_field(a) for a in path)
-            lines.append(f"{joined},{report.revealed[path]}")
-        lines.append("section,unrevealed")
-        lines.append("multiplicity,num_tags")
-        for mult in sorted(report.unrevealed_multiplicities):
-            lines.append(f"{mult},{report.unrevealed_multiplicities[mult]}")
-        lines.append("section,meta")
-        lines.append(f"malformed_groups,{report.malformed_groups}")
-        lines.append(f"dummy_noise_applied,{int(report.dummy_noise_applied)}")
-    return "\n".join(lines) + "\n"
+    return reports_to_csv(reports, layered=True)
 
 
 def layered_reports_from_csv(text: str) -> list[HistogramReport]:
-    """Parse the layered report layout back into per-layer reports."""
-    from .aggregate import decode_value_field
-
-    lines = text.splitlines()
-    if not lines or lines[0] != "nebula-layered-report,v1":
-        raise ValueError("not a layered nebula report")
-    reports: list[HistogramReport] = []
-    section = None
-    current: Optional[HistogramReport] = None
-    for line in lines[1:]:
-        if line.startswith("param,"):
-            continue
-        if line.startswith("layer,"):
-            current = HistogramReport(
-                revealed={}, unrevealed_multiplicities={}, malformed_groups=0
-            )
-            reports.append(current)
-            section = None
-            continue
-        if line.startswith("section,"):
-            section = line.split(",", 1)[1]
-            continue
-        if line in ("value,count", "multiplicity,num_tags") or current is None:
-            continue
-        key, _, raw = line.rpartition(",")
-        if section == "revealed":
-            path = tuple(decode_value_field(part) for part in key.split("/"))
-            current.revealed[path] = int(raw)
-        elif section == "unrevealed":
-            current.unrevealed_multiplicities[int(key)] = int(raw)
-        elif section == "meta":
-            if key == "malformed_groups":
-                current.malformed_groups = int(raw)
-            elif key == "dummy_noise_applied":
-                current.dummy_noise_applied = bool(int(raw))
-    return reports
+    return reports_from_csv(text, layered=True)
 
 
 # --- geographic coarse-graining --------------------------------------------

@@ -10,8 +10,8 @@ Two clients holding the same value obtain identical randomness without the
 server learning the value, and any deviation by the server from its
 committed key is caught by the proof check.
 
-A batched evaluation (one element per attribute prefix) carries a single
-aggregate proof over a random-weighted combination of the request/response
+Every evaluation is a batch (one element per attribute prefix; a single
+value is a batch of one) and carries a single aggregate proof over a random-weighted combination of the request/response
 pairs; weights are derived from the transcript, so prover and verifier agree
 on them without extra messages.
 """
@@ -77,14 +77,6 @@ class DleqProof:
         if c >= ORDER or s >= ORDER:
             raise DecodeError("non-canonical proof scalar")
         return DleqProof(c, s)
-
-
-@dataclass(frozen=True)
-class Evaluation:
-    """Server response for one blinded element."""
-
-    element: GroupElement
-    proof: DleqProof
 
 
 @dataclass(frozen=True)
@@ -157,12 +149,6 @@ def _verify(mpk: GroupElement, b: GroupElement, z: GroupElement, proof: DleqProo
         raise VerificationError("evaluation proof rejected")
 
 
-def evaluate(b: GroupElement, kp: ServerKeypair) -> Evaluation:
-    """Apply the server key to one blinded element and prove correct key use."""
-    z = b * kp.msk
-    return Evaluation(element=z, proof=_prove(kp, b, z))
-
-
 def _batch_weights(mpk: GroupElement, blinded: Sequence[GroupElement],
                    elements: Sequence[GroupElement]) -> list[int]:
     h = hashlib.sha512()
@@ -206,23 +192,16 @@ def _randomness(w: GroupElement, x: bytes) -> bytes:
     return h.digest()
 
 
-def finalize(x: bytes, state: BlindState, ev: Evaluation, mpk: GroupElement) -> bytes:
-    """Verify the proof, unblind, and derive the 32-byte randomness.
-
-    Raises VerificationError (and yields nothing) on a bad proof.
-    """
-    _verify(mpk, state.blinded, ev.element, ev.proof)
-    w = ev.element * scalar_inverse(state.blind_scalar)
-    return _randomness(w, x)
-
-
 def finalize_batch(
     xs: Sequence[bytes],
     states: Sequence[BlindState],
     ev: BatchEvaluation,
     mpk: GroupElement,
 ) -> list[bytes]:
-    """Batch counterpart of finalize: one proof check, per-element outputs."""
+    """Verify the batch proof, unblind, and derive each 32-byte randomness.
+
+    Raises VerificationError (and yields nothing) on a bad proof.
+    """
     if not (len(xs) == len(states) == len(ev.elements)):
         raise ValueError("batch length mismatch")
     blinded = [st.blinded for st in states]
@@ -239,7 +218,7 @@ def finalize_batch(
 def evaluate_directly(x: bytes, kp: ServerKeypair) -> bytes:
     """Randomness for ``x`` computed with key in hand (test/simulation oracle).
 
-    Equals what any client obtains for ``x`` through blind/evaluate/finalize
+    Equals what any client obtains for ``x`` through blind/evaluate_batch/finalize_batch
     against this keypair; the blinding exponent cancels.
     """
     if not x:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import os
 import socket
 import socketserver
-import struct
 import threading
 from pathlib import Path
 from typing import Optional, Sequence
@@ -186,7 +185,28 @@ class SubmissionLog:
         self.path = Path(path)
         self._lock = threading.Lock()
         self._sealed = self.seal_marker.exists()
+        if not self._sealed and self.path.exists():
+            self._trim_torn_tail()
         self._file = None if self._sealed else open(self.path, "ab")
+
+    def _trim_torn_tail(self) -> None:
+        """Cut a trailing record that a crash left short.
+
+        Records are only ever appended, so a header or payload that runs past
+        the end of the file can only be the last write, cut off mid-way.  A
+        bad header before that is corruption and raises FrameError.
+        """
+        size = self.path.stat().st_size
+        offset = 0
+        with open(self.path, "r+b") as f:
+            while size - offset >= wire.HEADER_SIZE:
+                f.seek(offset)
+                _, length = wire.parse_header(f.read(wire.HEADER_SIZE))
+                if offset + wire.HEADER_SIZE + length > size:
+                    break
+                offset += wire.HEADER_SIZE + length
+            if offset < size:
+                f.truncate(offset)
 
     @property
     def seal_marker(self) -> Path:
@@ -197,7 +217,7 @@ class SubmissionLog:
         return self._sealed
 
     def append(self, msg_type: int, payload: bytes) -> None:
-        record = struct.pack("<BBI", wire.VERSION, msg_type, len(payload)) + payload
+        record = wire.encode_frame(msg_type, payload)
         with self._lock:
             if self._sealed:
                 raise SealedError("submission log is sealed")
@@ -244,24 +264,37 @@ def read_log(path: str | Path) -> tuple[list[Submission], list[SuperSubmission]]
     return singles, supers
 
 
+def decode_messages(
+    singles: Sequence[Submission],
+    supers: Sequence[SuperSubmission],
+    params: DpParams,
+) -> tuple[list[aggregate.HistogramReport], str]:
+    """Decode a submission multiset; returns (reports, csv).
+
+    Every multiset goes through the one layered decoder.  Without chained
+    messages the result is the plain single-attribute report (its
+    one-layer case); any chained message makes the report layered, and
+    plain submissions join it as one-layer messages.
+    """
+    if not supers:
+        report = aggregate.decode_submissions(singles, params.threshold, params)
+        return [report], aggregate.report_to_csv(report)
+    messages = list(supers)
+    messages += (SuperSubmission(layer1=s, wrapped_layers=()) for s in singles)
+    reports = multidim.decode_multidim(messages, params.threshold, params)
+    return reports, multidim.layered_reports_to_csv(reports)
+
+
 def decode_log(
     path: str | Path, params: DpParams
 ) -> tuple[list[aggregate.HistogramReport], str]:
-    """Decode a sealed log; returns (reports, csv).
+    """Decode a sealed log with ``decode_messages``; returns (reports, csv).
 
-    A log holding only single-attribute submissions yields one plain report;
-    any chained submissions switch to layered decoding (plain submissions
-    join as single-layer messages).
+    A log holding only SUBMISSION frames yields one plain report; any
+    SUPER_SUBMISSION frame makes the report layered.
     """
     singles, supers = read_log(path)
-    if supers:
-        all_supers = supers + [
-            SuperSubmission(layer1=s, wrapped_layers=()) for s in singles
-        ]
-        reports = multidim.decode_multidim(all_supers, params.threshold, params)
-        return reports, multidim.layered_reports_to_csv(reports)
-    report = aggregate.decode_submissions(singles, params.threshold, params)
-    return [report], aggregate.report_to_csv(report)
+    return decode_messages(singles, supers, params)
 
 
 class AggregationServer(_BaseServer):
@@ -353,7 +386,7 @@ class ServiceClient:
 
     def read_frame(self) -> wire.WireFrame:
         msg_type, length = wire.parse_header(self._read_exact(wire.HEADER_SIZE))
-        return wire.WireFrame(wire.VERSION, msg_type, self._read_exact(length))
+        return wire.WireFrame(msg_type, self._read_exact(length))
 
     def request(self, msg_type: int, payload: bytes = b"") -> wire.WireFrame:
         self.sock.sendall(wire.encode_frame(msg_type, payload))

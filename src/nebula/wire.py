@@ -61,7 +61,6 @@ class FrameError(ValueError):
 
 @dataclass(frozen=True)
 class WireFrame:
-    version: int
     msg_type: int
     payload: bytes
 
@@ -86,15 +85,6 @@ def parse_header(header: bytes) -> tuple[int, int]:
     if length > MAX_PAYLOAD_SIZE:
         raise FrameError("frame payload too large")
     return msg_type, length
-
-
-def parse_frame(data: bytes) -> tuple[WireFrame, int]:
-    """Parse one frame from the start of ``data``; returns (frame, bytes used)."""
-    msg_type, length = parse_header(data[:HEADER_SIZE])
-    end = HEADER_SIZE + length
-    if len(data) < end:
-        raise FrameError("truncated frame payload")
-    return WireFrame(VERSION, msg_type, bytes(data[HEADER_SIZE:end])), end
 
 
 def pack_randomness_request(blinded: list[bytes]) -> bytes:

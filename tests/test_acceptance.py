@@ -236,21 +236,21 @@ def test_criterion_08_oprf_contract():
     for trial in range(1000):
         x = rng.randbytes(rng.randint(1, 24))
         b, st = oprf.blind(x, rng)
-        ev = oprf.evaluate(b, kp)
-        r = oprf.finalize(x, st, ev, kp.mpk)  # completeness: must verify
+        ev = oprf.evaluate_batch([b], kp)
+        (r,) = oprf.finalize_batch([x], [st], ev, kp.mpk)  # completeness: must verify
         assert r == oprf.evaluate_directly(x, kp)  # determinism
         # single-byte tamper on the wire (element or proof) is rejected
-        blob = bytearray(ev.element.encode() + ev.proof.to_bytes())
+        blob = bytearray(ev.elements[0].encode() + ev.proof.to_bytes())
         blob[rng.randrange(len(blob))] ^= 1 << rng.randrange(8)
         try:
-            tampered = oprf.Evaluation(
-                element=GroupElement.decode(bytes(blob[:32])),
+            tampered = oprf.BatchEvaluation(
+                elements=(GroupElement.decode(bytes(blob[:32])),),
                 proof=oprf.DleqProof.from_bytes(bytes(blob[32:])),
             )
         except Exception:
             continue  # rejected at decode, before verification
         with pytest.raises(oprf.VerificationError):
-            oprf.finalize(x, st, tampered, kp.mpk)
+            oprf.finalize_batch([x], [st], tampered, kp.mpk)
     _report(8, "1000 trials: determinism, completeness, tamper rejection")
 
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from nebula import oprf, sharing
 from nebula.aggregate import (
     HistogramReport,
-    build_report,
     decode_submissions,
     decode_value_field,
     encode_value_field,
@@ -128,7 +127,7 @@ class TestBuildReport:
     def test_threshold_rule(self, randomness_for):
         params = make_params(20)
         subs = make_submissions({b"a": 25, b"b": 5}, params, randomness_for)
-        report = build_report(group_by_tag(subs), 20, params)
+        report = decode_submissions(subs, 20, params)
         assert report.revealed == {b"a": 25}
         assert report.unrevealed_multiplicities == {5: 1}
 

@@ -120,12 +120,12 @@ class TestIsDummyTag:
     def test_membership(self):
         params = make_params(threshold=5, shift=5)
         batch = dummy.create_dummy_batch(params, random.Random(9))
-        assert dummy.is_dummy_tag(batch.groups[0].tag, batch)
+        assert batch.groups[0].tag in {g.tag for g in batch.groups}
 
     def test_fresh_tag_not_member(self):
         params = make_params(threshold=5, shift=5)
         batch = dummy.create_dummy_batch(params, random.Random(10))
-        assert not dummy.is_dummy_tag(random.Random(11).randbytes(32), batch)
+        assert random.Random(11).randbytes(32) not in {g.tag for g in batch.groups}
 
     def test_real_tags_never_collide(self, randomness_for):
         from nebula.encode import parse_randomness
@@ -136,7 +136,7 @@ class TestIsDummyTag:
             parse_randomness(randomness_for(f"v{i}".encode())).r3
             for i in range(10_000)
         }
-        assert not real_tags & batch.tag_set
+        assert not real_tags & {g.tag for g in batch.groups}
 
 
 class TestRevealedUntouched:

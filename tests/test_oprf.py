@@ -54,33 +54,33 @@ class TestBlind:
 
 class TestEvaluate:
     def test_generator_maps_to_public_key(self, kp):
-        ev = oprf.evaluate(GENERATOR, kp)
-        assert ev.element.encode() == kp.mpk.encode()
+        ev = oprf.evaluate_batch([GENERATOR], kp)
+        assert ev.elements[0].encode() == kp.mpk.encode()
 
     def test_proof_verifies(self, kp):
         rng = random.Random(3)
         b, st = oprf.blind(b"value", rng)
-        ev = oprf.evaluate(b, kp)
-        # finalize performs the verification; must not raise
-        oprf.finalize(b"value", st, ev, kp.mpk)
+        ev = oprf.evaluate_batch([b], kp)
+        # finalize_batch performs the verification; must not raise
+        oprf.finalize_batch([b"value"], [st], ev, kp.mpk)
 
     def test_flipped_proof_byte_rejected(self, kp):
         rng = random.Random(4)
         b, st = oprf.blind(b"value", rng)
-        ev = oprf.evaluate(b, kp)
+        ev = oprf.evaluate_batch([b], kp)
         raw = bytearray(ev.proof.to_bytes())
         raw[7] ^= 0x01
-        bad = oprf.Evaluation(ev.element, oprf.DleqProof.from_bytes(bytes(raw)))
+        bad = oprf.BatchEvaluation(ev.elements, oprf.DleqProof.from_bytes(bytes(raw)))
         with pytest.raises(oprf.VerificationError):
-            oprf.finalize(b"value", st, bad, kp.mpk)
+            oprf.finalize_batch([b"value"], [st], bad, kp.mpk)
 
     def test_tampered_element_rejected(self, kp):
         rng = random.Random(5)
         b, st = oprf.blind(b"value", rng)
-        ev = oprf.evaluate(b, kp)
-        bad = oprf.Evaluation(ev.element + GENERATOR, ev.proof)
+        ev = oprf.evaluate_batch([b], kp)
+        bad = oprf.BatchEvaluation((ev.elements[0] + GENERATOR,), ev.proof)
         with pytest.raises(oprf.VerificationError):
-            oprf.finalize(b"value", st, bad, kp.mpk)
+            oprf.finalize_batch([b"value"], [st], bad, kp.mpk)
 
 
 class TestFinalize:
@@ -88,7 +88,7 @@ class TestFinalize:
         rng = random.Random(6)
         x = b"the value"
         b, st = oprf.blind(x, rng)
-        r = oprf.finalize(x, st, oprf.evaluate(b, kp), kp.mpk)
+        (r,) = oprf.finalize_batch([x], [st], oprf.evaluate_batch([b], kp), kp.mpk)
         assert r == oprf.evaluate_directly(x, kp)
         assert len(r) == oprf.RANDOMNESS_SIZE
 
@@ -97,8 +97,8 @@ class TestFinalize:
         x = b"shared"
         b1, st1 = oprf.blind(x, rng1)
         b2, st2 = oprf.blind(x, rng2)
-        r1 = oprf.finalize(x, st1, oprf.evaluate(b1, kp), kp.mpk)
-        r2 = oprf.finalize(x, st2, oprf.evaluate(b2, kp), kp.mpk)
+        (r1,) = oprf.finalize_batch([x], [st1], oprf.evaluate_batch([b1], kp), kp.mpk)
+        (r2,) = oprf.finalize_batch([x], [st2], oprf.evaluate_batch([b2], kp), kp.mpk)
         assert r1 == r2
 
     def test_different_server_keys_different_output(self):

@@ -56,10 +56,8 @@ class TestWireFormat:
     @settings(max_examples=200, deadline=None)
     def test_frame_roundtrip(self, msg_type, payload):
         raw = wire.encode_frame(msg_type, payload)
-        frame, used = wire.parse_frame(raw)
-        assert used == len(raw)
-        assert frame.msg_type == msg_type
-        assert frame.payload == payload
+        assert wire.parse_header(raw[: wire.HEADER_SIZE]) == (msg_type, len(payload))
+        assert raw[wire.HEADER_SIZE :] == payload
 
     def test_unknown_version_rejected_from_header(self):
         raw = bytearray(wire.encode_frame(wire.MSG_ACK))
@@ -233,6 +231,39 @@ class TestLogLifecycle:
         log.seal()
         _, csv_text = decode_log(tmp_path / "log.bin", PARAMS)
         assert csv_text == report_to_csv(decode_submissions(subs, 3, PARAMS))
+
+
+    def test_torn_tail_trimmed_on_reopen(self, tmp_path):
+        # A crash mid-write leaves the last record short; reopening must drop
+        # only that record, so later appends and the decode still work.
+        subs = _make_submissions({b"x": 5, b"w": 1})
+        path = tmp_path / "log.bin"
+        log = SubmissionLog(path)
+        for s in subs[:4]:
+            log.append(wire.MSG_SUBMISSION, s.to_bytes())
+        log.close()
+        with open(path, "r+b") as f:
+            f.truncate(path.stat().st_size - 10)
+        log = SubmissionLog(path)
+        log.append(wire.MSG_SUBMISSION, subs[4].to_bytes())
+        log.seal()
+        singles, supers = read_log(path)
+        assert singles == subs[:3] + subs[4:5] and supers == []
+        _, csv_text = decode_log(path, PARAMS)
+        assert csv_text == report_to_csv(decode_submissions(singles, 3, PARAMS))
+
+    def test_bad_header_mid_log_stays_an_error(self, tmp_path):
+        subs = _make_submissions({b"x": 3})
+        path = tmp_path / "log.bin"
+        log = SubmissionLog(path)
+        for s in subs:
+            log.append(wire.MSG_SUBMISSION, s.to_bytes())
+        log.close()
+        raw = bytearray(path.read_bytes())
+        raw[len(wire.encode_frame(wire.MSG_SUBMISSION, subs[0].to_bytes()))] = 16
+        path.write_bytes(bytes(raw))
+        with pytest.raises(wire.FrameError):
+            SubmissionLog(path)
 
 
 class TestDaemonIsolation:
