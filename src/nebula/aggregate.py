@@ -118,11 +118,7 @@ def decode_submissions(
     """
     from . import multidim
 
-    (report,) = multidim.decode_multidim(
-        (multidim.SuperSubmission(layer1=s, wrapped_layers=()) for s in submissions),
-        threshold,
-        params,
-    )
+    (report,) = multidim.decode_multidim(submissions, threshold, params)
     report.revealed = {path[0]: count for path, count in report.revealed.items()}
     return report
 

@@ -61,6 +61,11 @@ class Submission:
     ciphertext: bytes
     share: KeyShare
     tag: bytes
+    num_layers = 1  # the layered decoder reads a submission as a one-layer chain
+
+    @property
+    def layer1(self) -> "Submission":
+        return self
 
     def to_bytes(self) -> bytes:
         return b"".join(

@@ -456,7 +456,7 @@ def run_nebula(
                 x: value_randomness(x, keypair) for xs in oprf_inputs for x in xs
             }
 
-        messages: list = []
+        messages: list[Submission | SuperSubmission] = []
         for record, xs in zip(sampled, oprf_inputs):
             if chained:
                 rs = [randomness[x] for x in xs]

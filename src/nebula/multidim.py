@@ -158,11 +158,11 @@ class _Branch:
 
     path: tuple[bytes, ...]
     key: Optional[bytes]  # None at the root: layer 1 travels in the clear
-    members: list[SuperSubmission]
+    members: list[SuperSubmission | Submission]
 
 
 def decode_multidim(
-    super_submissions: Iterable[SuperSubmission],
+    messages: Iterable[SuperSubmission | Submission],
     threshold: int,
     params: Optional[DpParams] = None,
 ) -> list[HistogramReport]:
@@ -171,11 +171,12 @@ def decode_multidim(
     Returns one report per layer (up to the deepest layer present in the
     input).  Layer 1 carries the dummy-noise flag; deeper layers receive no
     dummy noise and are flagged accordingly.  Revealed keys are attribute
-    tuples (the full prefix along the decode path).  A single-attribute
-    multiset is the one-layer case.
+    tuples (the full prefix along the decode path).  A plain submission
+    is a one-layer message, so a single-attribute multiset is the
+    one-layer case.
     """
-    supers = list(super_submissions)
-    num_layers = max((s.num_layers for s in supers), default=1)
+    messages = list(messages)
+    num_layers = max((m.num_layers for m in messages), default=1)
     reports = [
         HistogramReport(params_used=params, dummy_noise_applied=(layer == 1))
         for layer in range(1, num_layers + 1)
@@ -184,14 +185,14 @@ def decode_multidim(
     # Each layer regroups every recovered branch of the layer above by the
     # tag of its members' submissions for this layer; the root branch holds
     # every message.
-    frontier = [_Branch(path=(), key=None, members=supers)]
+    frontier = [_Branch(path=(), key=None, members=messages)]
     for layer, report in enumerate(reports, start=1):
         next_frontier: list[_Branch] = []
+        nonce = _wrap_nonce(layer)
         for branch in frontier:
             aead = None if branch.key is None else ChaCha20Poly1305(branch.key)
-            nonce = _wrap_nonce(layer)
             layer_subs: list[Submission] = []
-            owners: dict[bytes, list[SuperSubmission]] = {}
+            owners: dict[bytes, list[SuperSubmission | Submission]] = {}
             for member in branch.members:
                 if member.num_layers < layer:
                     continue

@@ -274,14 +274,12 @@ def decode_messages(
     Every multiset goes through the one layered decoder.  Without chained
     messages the result is the plain single-attribute report (its
     one-layer case); any chained message makes the report layered, and
-    plain submissions join it as one-layer messages.
+    plain submissions join it as one-layer chains.
     """
     if not supers:
         report = aggregate.decode_submissions(singles, params.threshold, params)
         return [report], aggregate.report_to_csv(report)
-    messages = list(supers)
-    messages += (SuperSubmission(layer1=s, wrapped_layers=()) for s in singles)
-    reports = multidim.decode_multidim(messages, params.threshold, params)
+    reports = multidim.decode_multidim([*supers, *singles], params.threshold, params)
     return reports, multidim.layered_reports_to_csv(reports)
 
 
