@@ -38,7 +38,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import aggregate, dummy, multidim, oprf, service, wire
+from . import aggregate, dummy, oprf, service, wire
 from .encode import Submission, build_submission, participate, submission_wire_size
 from .multidim import SuperSubmission, encode_multidim, geo_attributes, make_prefixes
 from .params import DpParams, params_to_config

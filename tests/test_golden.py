@@ -11,7 +11,7 @@ import random
 import pytest
 
 from nebula import wire
-from nebula.encode import build_submission
+from nebula.encode import Submission, build_submission
 from nebula.harness import run_nebula, synthetic_correlated, synthetic_zipf, value_randomness
 from nebula.multidim import (
     SuperSubmission,
@@ -122,7 +122,7 @@ def test_layered_faults_golden(shared_kp):
     foreign = _encode([b"cocoa", b"dark"], shared_kp, rng).layer1
     first = poisoned[0]
     poisoned[0] = SuperSubmission(
-        layer1=type(first.layer1)(
+        layer1=Submission(
             ciphertext=foreign.ciphertext, share=first.layer1.share, tag=first.layer1.tag
         ),
         wrapped_layers=first.wrapped_layers,
