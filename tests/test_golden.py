@@ -2,7 +2,9 @@
 
 A report is a pure function of the submission multiset, so these digests
 pin the decoder, the report CSV codec and the simulation's message build
-across refactors.  Both transports must reproduce the same digests.
+across refactors.  Both transports must reproduce the same digests.  The
+OPRF digests pin evaluated elements, proofs and randomness for a fixed key
+and pinned blinding scalars, so group arithmetic can change underneath them.
 """
 
 import hashlib
@@ -10,8 +12,9 @@ import random
 
 import pytest
 
-from nebula import wire
+from nebula import oprf, wire
 from nebula.encode import Submission, build_submission
+from nebula.group import hash_to_scalar
 from nebula.harness import run_nebula, synthetic_correlated, synthetic_zipf, value_randomness
 from nebula.multidim import (
     SuperSubmission,
@@ -139,3 +142,51 @@ def test_layered_faults_golden(shared_kp):
     assert reports[1].malformed_groups == 2
     assert reports[1].revealed == {(b"tea", b"green"): 6}
     assert sha(layered_reports_to_csv(reports)) == GOLDEN_LAYERED_FAULTS_CSV
+
+
+# --- OPRF bytes --------------------------------------------------------------
+
+OPRF_KEY_SEED = b"\x42" * 32
+OPRF_BATCH_SIZES = (1, 2, 3, 8)
+
+
+def _oprf_batch(n):
+    xs = [f"golden-{n}-{i}".encode() for i in range(n)]
+    scalars = [hash_to_scalar(x, b"golden-blind") for x in xs]
+    return xs, scalars
+
+
+def _oprf_round(n):
+    kp = oprf.keygen(OPRF_KEY_SEED)
+    xs, scalars = _oprf_batch(n)
+    pairs = [oprf.blind(x, None, blind_scalar=r) for x, r in zip(xs, scalars)]
+    ev = oprf.evaluate_batch([b for b, _ in pairs], kp)
+    outs = oprf.finalize_batch(xs, [st for _, st in pairs], ev, kp.mpk)
+    return b"".join(z.encode() for z in ev.elements) + ev.proof.to_bytes() + b"".join(outs)
+
+
+GOLDEN_OPRF_ROUND = {
+    1: "bd7310fafa0d52d4de7262d7d19131c1a438c53297ad67072420a64291727734",
+    2: "eff43fc6ccf67174154385e911d6ae11b65b1b55d0472a31b2ae2e27959d98e9",
+    3: "efec221b80973cb7da4f5c156d7f6083bd42937221de9f1a2ae025ebf0114a7b",
+    8: "158815fb166ada27f0396a03b39fa84f37b1ebea96f7d9b80edf455a665ec93e",
+}
+
+GOLDEN_OPRF_DIRECT = {
+    1: "87fcd461861494ffd968f5ee26bbb66130a9f722189106a19da837b8e2a2ea85",
+    2: "7102d64def11507b0f31ed3c832082ce44ae4798b6db4b33892e7bf68479ebaf",
+    3: "88cffcde8ae1df7785880c5903c6de818cac5a8acee9b6229c1cce863ef53a7b",
+    8: "d505976110889b843faf13498215fa2e1a3988bb8a68713b22676f50843a9aec",
+}
+
+
+@pytest.mark.parametrize("n", OPRF_BATCH_SIZES)
+def test_oprf_round_golden(n):
+    assert sha(_oprf_round(n)) == GOLDEN_OPRF_ROUND[n]
+
+
+@pytest.mark.parametrize("n", OPRF_BATCH_SIZES)
+def test_oprf_direct_golden(n):
+    kp = oprf.keygen(OPRF_KEY_SEED)
+    xs, _ = _oprf_batch(n)
+    assert sha(b"".join(oprf.evaluate_directly(x, kp) for x in xs)) == GOLDEN_OPRF_DIRECT[n]
