@@ -7,15 +7,18 @@ arithmetic modulo the group order.  The one-way map and the square-root
 conventions follow the RFC pseudocode; all curve constants are derived at
 import time rather than hardcoded.
 
-Pure Python on top of native big integers: a variable-base scalar
-multiplication costs ~1.4 ms, which is plenty for desk-scale simulation.
-No constant-time guarantees are attempted (this is a research artifact,
-not a hardened library).
+Pure Python on top of native big integers.  Every variable-base product
+goes through one signed-window multi-scalar multiplication (``_msm``): a
+single scalar multiplication costs about 1.6-2.0 ms on a 2-core x86-64 VM
+under CPython 3.11, and eight pairs together about 5 ms instead of eight
+times that.  No constant-time guarantees are attempted (this is a research
+artifact, not a hardened library).
 """
 
 from __future__ import annotations
 
 import hashlib
+from typing import Sequence
 
 P = 2**255 - 19
 # Group order (prime).
@@ -105,23 +108,51 @@ def _double(p: _Point) -> _Point:
     return (e * f % P, g * h % P, f * g % P, e * h % P)
 
 
-def _scalar_mult(p: _Point, n: int) -> _Point:
-    """Variable-base multiplication with a fixed 4-bit window."""
-    n %= ORDER
-    if n == 0:
+def _msm(pairs) -> _Point:
+    """Sum of n*p over (n, p) pairs: Straus's interleaved multi-exponentiation.
+
+    Each scalar is recoded into signed radix-32 digits in [-16, 16) and each
+    point gets a table of 1*p .. 16*p; a negative digit adds the negated
+    entry (-X, Y, Z, -T).  All pairs share one run of five doublings per
+    digit, and only the last doubling of a run computes T, because only the
+    following addition reads it.
+    """
+    rows = []
+    for n, p in pairs:
+        n %= ORDER
+        digits = []
+        while n:
+            d = n & 31
+            n >>= 5
+            if d > 15:
+                d -= 32
+                n += 1
+            digits.append(d)
+        if digits:
+            table = [p, _double(p)]
+            for _ in range(14):
+                table.append(_add(table[-1], p))
+            # Index by digit: entries 1..16 are positive, 17..32 are -16..-1.
+            lookup = [None] + table + [(P - x, y, z, P - t) for x, y, z, t in reversed(table)]
+            rows.append([lookup[d] for d in digits])
+    if not rows:
         return _IDENTITY
-    table = [_IDENTITY, p]
-    for _ in range(14):
-        table.append(_add(table[-1], p))
-    acc = _IDENTITY
-    started = False
-    for shift in range(252, -4, -4):
-        if started:
-            acc = _double(_double(_double(_double(acc))))
-        window = (n >> shift) & 15
-        if window:
-            acc = _add(acc, table[window]) if started else table[window]
-            started = True
+    acc = None
+    for i in range(max(map(len, rows)) - 1, -1, -1):
+        if acc is not None:
+            x, y, z, _ = acc
+            for _ in range(4):
+                a = x * x % P
+                b = y * y % P
+                h = a + b
+                g = a - b
+                e = (h - (x + y) * (x + y)) % P
+                f = 2 * z * z % P + g
+                x, y, z = e * f % P, g * h % P, f * g % P
+            acc = _double((x, y, z, 0))
+        for row in rows:
+            if i < len(row) and row[i] is not None:
+                acc = row[i] if acc is None else _add(acc, row[i])
     return acc
 
 
@@ -227,7 +258,7 @@ class GroupElement:
         return GroupElement(_add(self._pt, other._pt))
 
     def __mul__(self, scalar: int) -> "GroupElement":
-        return GroupElement(_scalar_mult(self._pt, scalar))
+        return GroupElement(_msm([(scalar, self._pt)]))
 
     __rmul__ = __mul__
 
@@ -275,7 +306,11 @@ def _build_base_tables() -> None:
 
 
 def base_mult(scalar: int) -> GroupElement:
-    """GENERATOR * scalar using precomputed windows (~4x faster)."""
+    """GENERATOR * scalar from precomputed 4-bit window tables, no doublings.
+
+    About 4x faster than ``GENERATOR * scalar``; it shares no code with
+    ``_msm``, so tests use it as an independent oracle for that path.
+    """
     if not _BASE_TABLES:
         _build_base_tables()
     n = scalar % ORDER
@@ -290,27 +325,13 @@ def base_mult(scalar: int) -> GroupElement:
 
 
 def double_mult(a: int, p: GroupElement, b: int, q: GroupElement) -> GroupElement:
-    """p*a + q*b with shared doublings (interleaved 2-bit windows)."""
-    a %= ORDER
-    b %= ORDER
-    tp = [_IDENTITY, p._pt, _double(p._pt)]
-    tp.append(_add(tp[2], p._pt))
-    tq = [_IDENTITY, q._pt, _double(q._pt)]
-    tq.append(_add(tq[2], q._pt))
-    acc = _IDENTITY
-    started = False
-    for shift in range(252, -2, -2):
-        if started:
-            acc = _double(_double(acc))
-        wa = (a >> shift) & 3
-        wb = (b >> shift) & 3
-        if wa:
-            acc = _add(acc, tp[wa]) if started else tp[wa]
-            started = True
-        if wb:
-            acc = _add(acc, tq[wb]) if started else tq[wb]
-            started = True
-    return GroupElement(acc)
+    """p*a + q*b with shared doublings (the two-pair case of ``multi_mult``)."""
+    return GroupElement(_msm([(a, p._pt), (b, q._pt)]))
+
+
+def multi_mult(scalars: Sequence[int], points: Sequence[GroupElement]) -> GroupElement:
+    """Sum of scalars[i] * points[i], all pairs sharing one run of doublings."""
+    return GroupElement(_msm(list(zip(scalars, (q._pt for q in points), strict=True))))
 
 
 # --- hashing and scalar helpers --------------------------------------------
@@ -346,7 +367,7 @@ def scalar_inverse(s: int) -> int:
     s %= ORDER
     if s == 0:
         raise ValueError("zero scalar has no inverse")
-    return pow(s, ORDER - 2, ORDER)
+    return pow(s, -1, ORDER)
 
 
 def encode_scalar(s: int) -> bytes:

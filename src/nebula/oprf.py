@@ -11,9 +11,14 @@ server learning the value, and any deviation by the server from its
 committed key is caught by the proof check.
 
 Every evaluation is a batch (one element per attribute prefix; a single
-value is a batch of one) and carries a single aggregate proof over a random-weighted combination of the request/response
-pairs; weights are derived from the transcript, so prover and verifier agree
-on them without extra messages.
+value is a batch of one) and carries a single aggregate proof over a
+random-weighted combination of the request/response pairs; weights are
+derived from the transcript, so prover and verifier agree on them without
+extra messages.  The client computes both weighted composites with one
+multi-scalar multiplication each; the server, which knows its key, derives
+the second as ``k * M`` (ComputeCompositesFast, RFC 9497 section 2.2.1).
+Neither side accepts the identity as an element, as RFC 9497 section 2.1
+requires of deserialization.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .group import (
     encode_scalar,
     hash_to_group,
     hash_to_scalar,
+    multi_mult,
     random_scalar,
     scalar_inverse,
 )
@@ -165,21 +171,16 @@ def _batch_weights(mpk: GroupElement, blinded: Sequence[GroupElement],
     ]
 
 
-def _composite(weights: Sequence[int], points: Sequence[GroupElement]) -> GroupElement:
-    acc = points[0] * weights[0]
-    for w, p in zip(weights[1:], points[1:]):
-        acc = acc + p * w
-    return acc
-
-
 def evaluate_batch(blinded: Sequence[GroupElement], kp: ServerKeypair) -> BatchEvaluation:
     """Evaluate several blinded elements under one aggregate proof."""
     if not blinded:
         raise ValueError("empty batch")
     elements = tuple(b * kp.msk for b in blinded)
     weights = _batch_weights(kp.mpk, blinded, elements)
-    m = _composite(weights, blinded)
-    zc = _composite(weights, elements)
+    m = multi_mult(weights, blinded)
+    # ComputeCompositesFast (RFC 9497, section 2.2.1): only the key holder
+    # may take this shortcut; the client computes both composites.
+    zc = m * kp.msk
     return BatchEvaluation(elements=elements, proof=_prove(kp, m, zc))
 
 
@@ -204,10 +205,12 @@ def finalize_batch(
     """
     if not (len(xs) == len(states) == len(ev.elements)):
         raise ValueError("batch length mismatch")
+    if any(z.is_identity() for z in ev.elements):
+        raise VerificationError("evaluated element is the identity")
     blinded = [st.blinded for st in states]
     weights = _batch_weights(mpk, blinded, ev.elements)
-    m = _composite(weights, blinded)
-    zc = _composite(weights, ev.elements)
+    m = multi_mult(weights, blinded)
+    zc = multi_mult(weights, ev.elements)
     _verify(mpk, m, zc, ev.proof)
     return [
         _randomness(z * scalar_inverse(st.blind_scalar), x)

@@ -161,6 +161,8 @@ class RandomnessServer(_BaseServer):
                 elements = [GroupElement.decode(e) for e in encodings]
             except DecodeError as exc:
                 raise wire.FrameError(f"bad group element: {exc}") from exc
+            if any(e.is_identity() for e in elements):
+                raise wire.FrameError("bad group element: identity")
             ev = oprf.evaluate_batch(elements, self.keypair)
             return wire.encode_frame(
                 wire.MSG_RANDOMNESS_RESPONSE,

@@ -230,6 +230,7 @@ def test_criterion_07_threshold_hiding():
     )
 
 
+@pytest.mark.slow
 def test_criterion_08_oprf_contract():
     kp = oprf.keygen(b"\x61" * 32)
     rng = random.Random(20241212)
@@ -254,6 +255,7 @@ def test_criterion_08_oprf_contract():
     _report(8, "1000 trials: determinism, completeness, tamper rejection")
 
 
+@pytest.mark.slow
 def test_criterion_09_utility_ordering(corpus_dataset):
     dataset, is_real = corpus_dataset
     params = reference_params()
@@ -277,6 +279,7 @@ def test_criterion_09_utility_ordering(corpus_dataset):
     )
 
 
+@pytest.mark.slow
 def test_criterion_10_bin_count_trend(corpus_dataset):
     dataset, is_real = corpus_dataset
     params = reference_params()
@@ -299,6 +302,7 @@ def test_criterion_10_bin_count_trend(corpus_dataset):
     _report(10, f"{label}; non-decreasing and below local at every b: " + " ".join(lines))
 
 
+@pytest.mark.slow
 def test_criterion_11_multidim_trend(shared_kp):
     params = reference_params()
     dataset = harness.synthetic_correlated(30_000, (4, 3, 3, 3, 3), skew=1.2, seed=0)
@@ -359,6 +363,7 @@ def test_criterion_12_wire_sizes(shared_kp, randomness_for):
     )
 
 
+@pytest.mark.slow
 def test_criterion_13_scale_smoke():
     params = reference_params()
     n = 1_000_000

@@ -127,6 +127,7 @@ class TestIsDummyTag:
         batch = dummy.create_dummy_batch(params, random.Random(10))
         assert random.Random(11).randbytes(32) not in {g.tag for g in batch.groups}
 
+    @pytest.mark.slow
     def test_real_tags_never_collide(self, randomness_for):
         from nebula.encode import parse_randomness
 

@@ -4,6 +4,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nebula import group
 
@@ -59,6 +61,61 @@ def test_double_mult_matches_separate():
         a = rng.getrandbits(253) % group.ORDER
         b = rng.getrandbits(253) % group.ORDER
         assert group.double_mult(a, p, b, q) == p * a + q * b
+        assert group.double_mult(a, p, b, q).encode() == (
+            group.base_mult((7 * a + 11 * b) % group.ORDER).encode()
+        )
+
+
+# Multi-scalar multiplication against the fixed-base path, which shares no
+# code with it: with P_i = k_i * G, sum a_i * P_i must equal (sum a_i k_i) * G.
+EDGE_SCALARS = [
+    0, 1, 16, 17, group.ORDER - 1, group.ORDER, group.ORDER + 5, 2**256 - 1,
+]
+
+
+def _assert_msm_matches_base(scalars, ks):
+    points = [group.base_mult(k) for k in ks]
+    expected = group.base_mult(sum(a * k for a, k in zip(scalars, ks)) % group.ORDER)
+    assert group.multi_mult(scalars, points).encode() == expected.encode()
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_multi_mult_matches_base_mult(n):
+    rng = random.Random(100 + n)
+    ks = [rng.getrandbits(256) % group.ORDER for _ in range(n)]
+    scalars = [EDGE_SCALARS[(n + i) % len(EDGE_SCALARS)] for i in range(n)]
+    _assert_msm_matches_base(scalars, ks)
+    _assert_msm_matches_base([rng.getrandbits(256) for _ in range(n)], ks)
+
+
+@pytest.mark.parametrize("a", EDGE_SCALARS)
+def test_multi_mult_edge_scalars(a):
+    k = 0x1234567890ABCDEF
+    _assert_msm_matches_base([a], [k])
+    _assert_msm_matches_base([a, a + 3], [k, 77])
+    assert (group.base_mult(k) * a).encode() == group.base_mult(a * k % group.ORDER).encode()
+
+
+def test_multi_mult_cancelling_pair_is_identity():
+    p = group.base_mult(987654321)
+    assert group.multi_mult([5, 5], [p, p * (group.ORDER - 1)]).is_identity()
+    assert group.double_mult(5, p, group.ORDER - 5, p).is_identity()
+
+
+def test_multi_mult_identity_input_point():
+    p = group.base_mult(31337)
+    for a in EDGE_SCALARS:
+        assert (group.IDENTITY * a).is_identity()
+        assert group.multi_mult([a, 9], [group.IDENTITY, p]).encode() == (
+            group.base_mult(9 * 31337).encode()
+        )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2**256 - 1), st.integers(0, group.ORDER - 1)),
+                max_size=8))
+def test_multi_mult_property(pairs):
+    _assert_msm_matches_base([a for a, _ in pairs], [k for _, k in pairs])
 
 
 def test_decode_encode_roundtrip():

@@ -127,12 +127,29 @@ class TestBatch:
         with pytest.raises(oprf.VerificationError):
             oprf.finalize_batch(xs, [st for _, st in pairs], swapped, kp.mpk)
 
+    def test_identity_element_rejected(self, kp):
+        # The identity is its own evaluation under any key, so a batch that
+        # holds it carries a valid proof; finalize_batch must still refuse
+        # it (RFC 9497 section 2.1), as it refuses a substituted identity.
+        rng = random.Random(12)
+        b, st = oprf.blind(b"a", rng)
+        identity = GroupElement.decode(bytes(32))
+        assert identity.is_identity()
+        ev = oprf.evaluate_batch([b, identity], kp)
+        states = [st, oprf.BlindState(blind_scalar=1, blinded=identity)]
+        with pytest.raises(oprf.VerificationError):
+            oprf.finalize_batch([b"a", b"b"], states, ev, kp.mpk)
+        substituted = oprf.BatchEvaluation((identity, ev.elements[1]), ev.proof)
+        with pytest.raises(oprf.VerificationError):
+            oprf.finalize_batch([b"a", b"b"], states, substituted, kp.mpk)
+
     def test_empty_batch_rejected(self, kp):
         with pytest.raises(ValueError):
             oprf.evaluate_batch([], kp)
 
 
 class TestObliviousness:
+    @pytest.mark.slow
     def test_blinding_transcripts_never_repeat(self, kp):
         # Server-visible transcripts of the same value must look fresh every
         # time: 10^4 blindings of one value produce 10^4 distinct encodings.

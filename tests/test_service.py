@@ -135,6 +135,22 @@ class TestRandomnessEndpoint:
                     wire.pack_randomness_request([b"\x01" + b"\x00" * 31]),
                 )
 
+    def test_identity_element_rejected_connection_reusable(self, randomness_server):
+        # RFC 9497 section 2.1: deserialization rejects the identity, so a
+        # request carrying it is malformed, alone or inside a batch.
+        rng = random.Random(4)
+        b, _ = oprf.blind(b"value", rng)
+        identity = bytes(32)
+        with ServiceClient("127.0.0.1", randomness_server.port) as client:
+            for batch in ([identity], [b.encode(), identity]):
+                with pytest.raises(ServiceError) as err:
+                    client.request(
+                        wire.MSG_RANDOMNESS_REQUEST, wire.pack_randomness_request(batch)
+                    )
+                assert err.value.code == wire.ERR_MALFORMED
+            ev = client.evaluate_blinded([b])
+        assert len(ev.elements) == 1 and not ev.elements[0].is_identity()
+
     def test_submission_to_wrong_daemon_rejected(self, randomness_server):
         with ServiceClient("127.0.0.1", randomness_server.port) as client:
             with pytest.raises(ServiceError):
