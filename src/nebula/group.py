@@ -331,7 +331,7 @@ def double_mult(a: int, p: GroupElement, b: int, q: GroupElement) -> GroupElemen
 
 def multi_mult(scalars: Sequence[int], points: Sequence[GroupElement]) -> GroupElement:
     """Sum of scalars[i] * points[i], all pairs sharing one run of doublings."""
-    return GroupElement(_msm(list(zip(scalars, (q._pt for q in points), strict=True))))
+    return GroupElement(_msm(zip(scalars, (q._pt for q in points), strict=True)))
 
 
 # --- hashing and scalar helpers --------------------------------------------
