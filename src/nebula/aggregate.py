@@ -25,7 +25,7 @@ from cryptography.exceptions import InvalidTag
 
 from . import sharing
 from .encode import Submission, decrypt_with_key, key_from_field_secret
-from .params import DpParams, params_to_config
+from .params import DpParams, config_items
 
 
 @dataclass(frozen=True)
@@ -161,16 +161,6 @@ def decode_value_field(text: str) -> bytes:
     return bytes(out)
 
 
-def _param_lines(report: HistogramReport) -> list[str]:
-    if report.params_used is None:
-        return []
-    pairs = []
-    for line in params_to_config(report.params_used).splitlines():
-        key, _, value = line.partition(" = ")
-        pairs.append(f"param,{key},{value}")
-    return pairs
-
-
 def reports_to_csv(reports: Sequence[HistogramReport], layered: bool) -> str:
     """Write per-layer reports as CSV.
 
@@ -179,8 +169,8 @@ def reports_to_csv(reports: Sequence[HistogramReport], layered: bool) -> str:
     where layered reports key by attribute tuples.
     """
     lines = [_CSV_HEADERS[layered]]
-    if reports:
-        lines += _param_lines(reports[0])
+    if reports and reports[0].params_used is not None:
+        lines += [f"param,{k},{text}" for k, text in config_items(reports[0].params_used)]
     for index, report in enumerate(reports, start=1):
         if layered:
             lines.append(f"layer,{index}")

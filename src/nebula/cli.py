@@ -40,15 +40,19 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--bench", action="store_true",
                      help="also emit bench.csv (timings and byte counts)")
 
+    # Daemon flags fall back to their NEBULA_* environment variables.
+    env = os.environ.get
     rnd = sub.add_parser("randomness-server", help="run the OPRF daemon")
-    rnd.add_argument("--listen")
-    rnd.add_argument("--key-seed-file")
+    rnd.add_argument("--listen", default=env("NEBULA_LISTEN", "127.0.0.1:4560"),
+                     help="host:port; port 0 binds a free port, printed at start-up")
+    rnd.add_argument("--key-seed-file", default=env("NEBULA_KEY_SEED_FILE"))
 
     agg = sub.add_parser("aggregation-server", help="run the ingestion daemon")
-    agg.add_argument("--listen")
-    agg.add_argument("--log")
-    agg.add_argument("--params")
-    agg.add_argument("--report")
+    agg.add_argument("--listen", default=env("NEBULA_LISTEN", "127.0.0.1:4570"),
+                     help="host:port; port 0 binds a free port, printed at start-up")
+    agg.add_argument("--log", default=env("NEBULA_LOG_PATH"))
+    agg.add_argument("--params", default=env("NEBULA_PARAMS"))
+    agg.add_argument("--report", default=env("NEBULA_REPORT"))
     agg.add_argument("--seal-and-decode", action="store_true",
                      help="seal the existing log, decode it, write the report, exit")
     return parser
@@ -121,23 +125,17 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "randomness-server":
-        listen = service.opt(args.listen, "NEBULA_LISTEN", "127.0.0.1:4560")
-        seed_file = service.opt(args.key_seed_file, "NEBULA_KEY_SEED_FILE")
-        if seed_file is None:
+        if args.key_seed_file is None:
             print("--key-seed-file (or NEBULA_KEY_SEED_FILE) required", file=sys.stderr)
             return 2
-        service.run_randomness_server(listen, seed_file)
+        service.run_randomness_server(args.listen, args.key_seed_file)
         return 0
     if args.command == "aggregation-server":
-        listen = service.opt(args.listen, "NEBULA_LISTEN", "127.0.0.1:4570")
-        log_path = service.opt(args.log, "NEBULA_LOG_PATH")
-        params_path = service.opt(args.params, "NEBULA_PARAMS")
-        report = service.opt(args.report, "NEBULA_REPORT")
-        if log_path is None or params_path is None:
+        if args.log is None or args.params is None:
             print("--log and --params (or env equivalents) required", file=sys.stderr)
             return 2
         service.run_aggregation_server(
-            listen, log_path, params_path, report, args.seal_and_decode
+            args.listen, args.log, args.params, args.report, args.seal_and_decode
         )
         return 0
     return 2

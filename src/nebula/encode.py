@@ -94,6 +94,17 @@ class Submission:
         return Submission(ciphertext=bytes(body), share=KeyShare(x, y), tag=bytes(tag))
 
 
+def submission_size_at(data: bytes, offset: int) -> int:
+    """Size of the serialized submission at ``offset``, checked against ``data``."""
+    if offset + _FIXED_PREFIX > len(data):
+        raise ValueError("truncated submission")
+    (ct_len,) = struct.unpack_from("<I", data, offset + _FIXED_PREFIX - 4)
+    size = _FIXED_PREFIX + ct_len
+    if offset + size > len(data):
+        raise ValueError("truncated submission")
+    return size
+
+
 def parse_randomness(r: bytes) -> SubRandomness:
     """Split the oblivious randomness into three domain-separated values."""
     parts = []
@@ -131,14 +142,14 @@ def make_share(r1: bytes, r2: bytes, threshold: int, rng) -> KeyShare:
     return KeyShare(x_coord=x, y_coord=sharing.polynomial_eval(coeffs, x))
 
 
-def encrypt_value(r1: bytes, value: bytes, max_value_size: int = MAX_VALUE_SIZE) -> bytes:
+def encrypt_value(r1: bytes, value: bytes) -> bytes:
     """Authenticated encryption of (key-seed header, value) under the derived key.
 
     The all-zero nonce is safe here: a given key only ever encrypts this one
     plaintext (same r1 implies same value by construction).
     """
-    if len(value) > max_value_size:
-        raise ValueError(f"value exceeds {max_value_size} bytes")
+    if len(value) > MAX_VALUE_SIZE:
+        raise ValueError(f"value exceeds {MAX_VALUE_SIZE} bytes")
     aead = ChaCha20Poly1305(encryption_key(r1))
     return aead.encrypt(ZERO_NONCE, r1 + value, None)
 

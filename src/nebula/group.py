@@ -57,10 +57,6 @@ def _is_negative(x: int) -> bool:
     return bool(x & 1)
 
 
-def _abs(x: int) -> int:
-    return P - x if x & 1 else x
-
-
 def _sqrt_ratio_m1(u: int, v: int) -> tuple[bool, int]:
     """Return (was_square, r) with r = sqrt(u/v) or sqrt(SQRT_M1*u/v)."""
     v3 = v * v % P * v % P
@@ -73,7 +69,7 @@ def _sqrt_ratio_m1(u: int, v: int) -> tuple[bool, int]:
     flipped_sign_i = check == u_neg * SQRT_M1 % P
     if flipped_sign or flipped_sign_i:
         r = r * SQRT_M1 % P
-    return correct_sign or flipped_sign, _abs(r)
+    return correct_sign or flipped_sign, _even_root(r)
 
 
 # Extended coordinates (X, Y, Z, T) with x = X/Z, y = Y/Z, T = X*Y/Z.
@@ -172,7 +168,7 @@ def _encode(p: _Point) -> bytes:
         den_inv = den2
     if _is_negative(x * z_inv % P):
         y = (P - y) % P
-    s = _abs(den_inv * (z0 - y) % P)
+    s = _even_root(den_inv * (z0 - y) % P)
     return s.to_bytes(32, "little")
 
 
@@ -190,7 +186,7 @@ def _decode(data: bytes) -> _Point:
     was_square, invsqrt = _sqrt_ratio_m1(1, v * u2_sqr % P)
     den_x = invsqrt * u2 % P
     den_y = invsqrt * den_x % P * v % P
-    x = _abs(2 * s * den_x % P)
+    x = _even_root(2 * s * den_x % P)
     y = u1 * den_y % P
     t = x * y % P
     if not was_square or _is_negative(t) or y == 0:
@@ -205,7 +201,7 @@ def _map_to_curve(t: int) -> _Point:
     v = (-1 - r * D) % P * (r + D) % P
     was_square, s = _sqrt_ratio_m1(u, v)
     if not was_square:
-        s = (P - _abs(s * t % P)) % P
+        s = (P - _even_root(s * t % P)) % P
         c = r
     else:
         c = P - 1

@@ -25,7 +25,7 @@ import csv
 import hashlib
 import math
 import random
-import socket
+import select
 import string
 import subprocess
 import sys
@@ -39,7 +39,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from . import aggregate, dummy, oprf, service, wire
-from .encode import Submission, build_submission, participate, submission_wire_size
+from .encode import Submission, build_submission, participate
 from .multidim import SuperSubmission, encode_multidim, geo_attributes, make_prefixes
 from .params import DpParams, params_to_config
 
@@ -384,17 +384,6 @@ def value_randomness(value: bytes, keypair: oprf.ServerKeypair) -> bytes:
     return r
 
 
-def wire_randomness(
-    values: Sequence[bytes], client: service.ServiceClient, rng
-) -> list[bytes]:
-    """Interactive randomness for distinct values, batched over the wire."""
-    out = []
-    for start in range(0, len(values), wire.MAX_BATCH):
-        chunk = list(values[start : start + wire.MAX_BATCH])
-        out.extend(client.oblivious_randomness(chunk, rng))
-    return out
-
-
 # --- the main simulation ----------------------------------------------------
 
 
@@ -405,7 +394,6 @@ def run_nebula(
     mode: str = "single",
     transport: str = "in_process",
     include_dummies: bool = True,
-    server_seed: bytes = DEFAULT_SERVER_SEED,
     workdir: Optional[Path] = None,
 ) -> ExperimentResult:
     """Simulate the full population once and decode.
@@ -446,12 +434,12 @@ def run_nebula(
                 else stack.enter_context(tempfile.TemporaryDirectory())
             )
             base.mkdir(parents=True, exist_ok=True)
-            pair = stack.enter_context(DaemonPair(params, server_seed, base))
+            pair = stack.enter_context(DaemonPair(params, DEFAULT_SERVER_SEED, base))
             distinct = sorted({x for xs in oprf_inputs for x in xs})
             with service.ServiceClient("127.0.0.1", pair.randomness_port) as rc:
-                randomness = dict(zip(distinct, wire_randomness(distinct, rc, blind_rng)))
+                randomness = dict(zip(distinct, rc.oblivious_randomness(distinct, blind_rng)))
         else:
-            keypair = oprf.keygen(server_seed)
+            keypair = oprf.keygen(DEFAULT_SERVER_SEED)
             randomness = {
                 x: value_randomness(x, keypair) for xs in oprf_inputs for x in xs
             }
@@ -560,7 +548,6 @@ def benchmark(
     params: DpParams,
     attribute_counts: Sequence[int] = tuple(range(1, 9)),
     reps: int = 50,
-    server_seed: bytes = DEFAULT_SERVER_SEED,
 ) -> list[dict]:
     """Per-attribute-count timing and byte measurements.
 
@@ -568,7 +555,7 @@ def benchmark(
     proof verification), server evaluation time, decode throughput, and the
     serialized sizes of every interaction.
     """
-    keypair = oprf.keygen(server_seed)
+    keypair = oprf.keygen(DEFAULT_SERVER_SEED)
     rng = random.Random(20240101)
     rows = []
     for n_attrs in attribute_counts:
@@ -632,10 +619,9 @@ def decode_throughput(
     n_values: int,
     params: DpParams,
     seed: int = 0,
-    server_seed: bytes = DEFAULT_SERVER_SEED,
 ) -> dict:
     """Build a synthetic submission batch and time the decode path."""
-    frames = build_submission_payloads(n_submissions, n_values, params, seed, server_seed)
+    frames = build_submission_payloads(n_submissions, n_values, params, seed)
     subs = [Submission.from_bytes(p) for p in frames]
     t0 = time.perf_counter()
     report = aggregate.decode_submissions(subs, params.threshold, params)
@@ -652,7 +638,6 @@ def build_submission_payloads(
     n_values: int,
     params: DpParams,
     seed: int = 0,
-    server_seed: bytes = DEFAULT_SERVER_SEED,
 ) -> list[bytes]:
     """Serialized submissions over a Zipf-ish value mix, built at bulk speed.
 
@@ -663,7 +648,7 @@ def build_submission_payloads(
     from . import sharing
     from .encode import KeyShare, encrypt_value, parse_randomness
 
-    keypair = oprf.keygen(server_seed)
+    keypair = oprf.keygen(DEFAULT_SERVER_SEED)
     rng = substream(seed, "bulk-shares")
     pick_rng = np_substream(seed, "bulk-values")
     ranks = np.arange(1, n_values + 1, dtype=np.float64)
@@ -692,34 +677,18 @@ def build_submission_payloads(
 # --- daemon management ------------------------------------------------------
 
 
-def _free_port() -> int:
-    s = socket.socket()
-    s.bind(("127.0.0.1", 0))
-    port = s.getsockname()[1]
-    s.close()
-    return port
-
-
-def _wait_listening(port: int, timeout: float = 10.0) -> None:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        try:
-            with socket.create_connection(("127.0.0.1", port), timeout=0.5):
-                return
-        except OSError:
-            time.sleep(0.05)
-    raise TimeoutError(f"daemon on port {port} did not come up")
-
-
 class DaemonPair:
-    """Both daemons as separate OS processes sharing nothing."""
+    """Both daemons as separate OS processes sharing nothing.
+
+    Each daemon binds a port the OS picks (``--listen 127.0.0.1:0``) and
+    prints it on its one start-up line, which is read back here.
+    """
 
     def __init__(self, params: DpParams, server_seed: bytes, workdir: Path):
         self.workdir = Path(workdir)
         self.params = params
         self.server_seed = server_seed
-        self.randomness_port = _free_port()
-        self.aggregation_port = _free_port()
+        self.randomness_port = self.aggregation_port = 0
         self.log_path = self.workdir / "submissions.log"
         self.report_path = self.workdir / "report.csv"
         self._procs: list[subprocess.Popen] = []
@@ -730,28 +699,27 @@ class DaemonPair:
         seed_file.write_bytes(self.server_seed)
         params_file = self.workdir / "params.cfg"
         params_file.write_text(params_to_config(self.params))
-        self._procs.append(
-            subprocess.Popen(
-                [
-                    sys.executable, "-m", "nebula.cli", "randomness-server",
-                    "--listen", f"127.0.0.1:{self.randomness_port}",
-                    "--key-seed-file", str(seed_file),
-                ]
+        for args in (
+            ["randomness-server", "--key-seed-file", str(seed_file)],
+            [
+                "aggregation-server", "--log", str(self.log_path),
+                "--params", str(params_file), "--report", str(self.report_path),
+            ],
+        ):
+            self._procs.append(
+                subprocess.Popen(
+                    [sys.executable, "-m", "nebula.cli", *args, "--listen", "127.0.0.1:0"],
+                    stdout=subprocess.PIPE,
+                )
             )
-        )
-        self._procs.append(
-            subprocess.Popen(
-                [
-                    sys.executable, "-m", "nebula.cli", "aggregation-server",
-                    "--listen", f"127.0.0.1:{self.aggregation_port}",
-                    "--log", str(self.log_path),
-                    "--params", str(params_file),
-                    "--report", str(self.report_path),
-                ]
+        try:
+            deadline = time.monotonic() + 10.0
+            self.randomness_port, self.aggregation_port = (
+                _bound_port(proc, deadline) for proc in self._procs
             )
-        )
-        _wait_listening(self.randomness_port)
-        _wait_listening(self.aggregation_port)
+        except BaseException:
+            self.__exit__()
+            raise
         return self
 
     def __exit__(self, *exc) -> None:
@@ -762,6 +730,18 @@ class DaemonPair:
                 proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
                 proc.kill()
+            proc.stdout.close()
+
+
+def _bound_port(proc: subprocess.Popen, deadline: float) -> int:
+    """The port in a daemon's ``... listening on host:port`` start-up line."""
+    ready, _, _ = select.select([proc.stdout], [], [], max(0.0, deadline - time.monotonic()))
+    if not ready:
+        raise TimeoutError("daemon did not report its port in time")
+    line = proc.stdout.readline()
+    if not line:
+        raise RuntimeError("daemon exited during start-up")
+    return int(line.rsplit(b":", 1)[1])
 
 
 # --- CSV / plot-data emitters -----------------------------------------------

@@ -30,7 +30,13 @@ from .aggregate import (
     reports_from_csv,
     reports_to_csv,
 )
-from .encode import Submission, build_submission, encryption_key, parse_randomness
+from .encode import (
+    Submission,
+    build_submission,
+    encryption_key,
+    parse_randomness,
+    submission_size_at,
+)
 from .params import DpParams
 
 MAX_ATTRIBUTES = 8
@@ -70,7 +76,7 @@ class SuperSubmission:
         if not 1 <= num_layers <= MAX_ATTRIBUTES:
             raise ValueError("bad layer count")
         offset = 1
-        layer1_size = _submission_size_at(data, offset)
+        layer1_size = submission_size_at(data, offset)
         layer1 = Submission.from_bytes(data[offset : offset + layer1_size])
         offset += layer1_size
         blobs = []
@@ -86,18 +92,6 @@ class SuperSubmission:
         if offset != len(data):
             raise ValueError("trailing bytes after super-submission")
         return SuperSubmission(layer1=layer1, wrapped_layers=tuple(blobs))
-
-
-def _submission_size_at(data: bytes, offset: int) -> int:
-    from .encode import _FIXED_PREFIX  # fixed part: tag + share + length prefix
-
-    if offset + _FIXED_PREFIX > len(data):
-        raise ValueError("truncated submission")
-    (ct_len,) = struct.unpack_from("<I", data, offset + _FIXED_PREFIX - 4)
-    size = _FIXED_PREFIX + ct_len
-    if offset + size > len(data):
-        raise ValueError("truncated submission")
-    return size
 
 
 def make_prefixes(attributes: Sequence[bytes]) -> PrefixChain:

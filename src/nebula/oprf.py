@@ -33,6 +33,7 @@ from .group import (
     DecodeError,
     GroupElement,
     base_mult,
+    decode_scalar,
     double_mult,
     encode_scalar,
     hash_to_group,
@@ -78,11 +79,7 @@ class DleqProof:
     def from_bytes(data: bytes) -> "DleqProof":
         if len(data) != PROOF_SIZE:
             raise DecodeError("proof must be 64 bytes")
-        c = int.from_bytes(data[:32], "little")
-        s = int.from_bytes(data[32:], "little")
-        if c >= ORDER or s >= ORDER:
-            raise DecodeError("non-canonical proof scalar")
-        return DleqProof(c, s)
+        return DleqProof(decode_scalar(data[:32]), decode_scalar(data[32:]))
 
 
 @dataclass(frozen=True)

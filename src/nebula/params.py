@@ -274,22 +274,19 @@ _CONFIG_FIELDS = (
 )
 
 
+def config_items(params: DpParams) -> list[tuple[str, str]]:
+    """``(key, text)`` of every config field in file order, then ``overridden``."""
+    items = []
+    for name, _ in _CONFIG_FIELDS:
+        owner = params.budget if hasattr(params.budget, name) else params
+        items.append((name, repr(getattr(owner, name))))
+    items.append(("overridden", ",".join(params.overridden)))
+    return items
+
+
 def params_to_config(params: DpParams) -> str:
     """Serialize to ``key = value`` lines, recording which fields were pinned."""
-    b = params.budget
-    lines = [
-        f"eps_revealed = {b.eps_revealed!r}",
-        f"delta_revealed = {b.delta_revealed!r}",
-        f"eps_unrevealed = {b.eps_unrevealed!r}",
-        f"delta_unrevealed = {b.delta_unrevealed!r}",
-        f"alpha = {b.alpha!r}",
-        f"sampling_rate = {params.sampling_rate!r}",
-        f"threshold = {params.threshold!r}",
-        f"tsdlap_scale = {params.tsdlap_scale!r}",
-        f"tsdlap_shift = {params.tsdlap_shift!r}",
-        f"overridden = {','.join(params.overridden)}",
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {text}\n" for key, text in config_items(params))
 
 
 def params_from_config(text: str) -> DpParams:

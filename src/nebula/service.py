@@ -10,11 +10,16 @@ The ingestion front models an anonymizing proxy: peer addresses are never
 recorded anywhere, and the stored log contains only the submission payloads
 (which themselves carry no client identifiers).
 
-Framing is processed from a manual receive buffer so acknowledgements can be
-batched: pending responses are flushed exactly when the socket would block,
-which gives per-message latency for interactive clients and large write
-batches for bulk streams (a million-submission ingest is a few syscalls per
-64 KiB, not per frame).
+Every frame stream (a server connection, a client connection, the log) is
+walked by ``wire.iter_frames``.  Acknowledgements are batched: pending
+responses are flushed exactly when the socket would block, which gives
+per-message latency for interactive clients and large write batches for bulk
+streams (a million-submission ingest is a few syscalls per 64 KiB, not per
+frame).
+
+Each daemon prints one line once it listens, ``<name> listening on
+host:port`` with the port it bound, so ``--listen host:0`` lets the OS pick
+a free port and the launcher reads it back.
 """
 
 from __future__ import annotations
@@ -37,12 +42,10 @@ from .params import DpParams, params_from_config
 
 
 class _FrameConnection:
-    """Receive loop over a socket with lazy-flushed response batching."""
+    """Frames received on a socket, with lazily flushed response batching."""
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
-        self.buf = bytearray()
-        self.pos = 0
         self.pending: list[bytes] = []
 
     def queue(self, frame: bytes) -> None:
@@ -53,35 +56,26 @@ class _FrameConnection:
             self.sock.sendall(b"".join(self.pending))
             self.pending.clear()
 
-    def _fill(self) -> bool:
-        # About to block on the socket: deliver everything queued so far.
-        self.flush()
-        chunk = self.sock.recv(1 << 16)
-        if not chunk:
-            return False
-        if self.pos > (1 << 20):
-            del self.buf[: self.pos]
-            self.pos = 0
-        self.buf.extend(chunk)
-        return True
-
     def frames(self):
-        """Yield (msg_type, payload) until EOF; raises FrameError on bad input."""
+        """Yield (msg_type, payload) until EOF; raises FrameError on bad input.
+
+        EOF inside a header ends the stream quietly; inside a payload it is
+        an error.
+        """
+        buf = b""
         while True:
-            while len(self.buf) - self.pos < wire.HEADER_SIZE:
-                if not self._fill():
-                    self.flush()
-                    return
-            header = bytes(self.buf[self.pos : self.pos + wire.HEADER_SIZE])
-            msg_type, length = wire.parse_header(header)
-            # _fill may compact the buffer, so track sizes relative to pos.
-            while len(self.buf) - self.pos < wire.HEADER_SIZE + length:
-                if not self._fill():
+            end = 0
+            for msg_type, payload, end in wire.iter_frames(buf):
+                yield msg_type, payload
+            buf = buf[end:]
+            # About to block on the socket: deliver everything queued so far.
+            self.flush()
+            chunk = self.sock.recv(1 << 16)
+            if not chunk:
+                if len(buf) >= wire.HEADER_SIZE:
                     raise wire.FrameError("connection closed mid-frame")
-            start = self.pos + wire.HEADER_SIZE
-            payload = bytes(self.buf[start : start + length])
-            self.pos = start + length
-            yield msg_type, payload
+                return
+            buf += chunk
 
 
 class _Handler(socketserver.BaseRequestHandler):
@@ -93,21 +87,13 @@ class _Handler(socketserver.BaseRequestHandler):
                 try:
                     response = server.dispatch(msg_type, payload)
                 except wire.FrameError as exc:
-                    response = wire.encode_frame(
-                        wire.MSG_ERROR, wire.pack_error(wire.ERR_MALFORMED, str(exc))
-                    )
+                    response = wire.error_frame(wire.ERR_MALFORMED, str(exc))
                 except Exception as exc:  # never crash the daemon
-                    response = wire.encode_frame(
-                        wire.MSG_ERROR, wire.pack_error(wire.ERR_INTERNAL, str(exc))
-                    )
+                    response = wire.error_frame(wire.ERR_INTERNAL, str(exc))
                 conn.queue(response)
         except wire.FrameError:
             # Unrecoverable framing breakage: report and drop the connection.
-            conn.queue(
-                wire.encode_frame(
-                    wire.MSG_ERROR, wire.pack_error(wire.ERR_MALFORMED, "bad frame")
-                )
-            )
+            conn.queue(wire.error_frame(wire.ERR_MALFORMED, "bad frame"))
         try:
             conn.flush()
         except OSError:
@@ -198,17 +184,12 @@ class SubmissionLog:
         the end of the file can only be the last write, cut off mid-way.  A
         bad header before that is corruption and raises FrameError.
         """
-        size = self.path.stat().st_size
-        offset = 0
-        with open(self.path, "r+b") as f:
-            while size - offset >= wire.HEADER_SIZE:
-                f.seek(offset)
-                _, length = wire.parse_header(f.read(wire.HEADER_SIZE))
-                if offset + wire.HEADER_SIZE + length > size:
-                    break
-                offset += wire.HEADER_SIZE + length
-            if offset < size:
-                f.truncate(offset)
+        data = self.path.read_bytes()
+        end = 0
+        for _, _, end in wire.iter_frames(memoryview(data)):
+            pass
+        if end < len(data):
+            os.truncate(self.path, end)
 
     @property
     def seal_marker(self) -> Path:
@@ -243,27 +224,27 @@ class SubmissionLog:
                 self._file = None
 
 
+# The payload class of each submission frame type, for ingest and for the
+# log.  ``from_bytes`` is looked up on the class at each call.
+_SUBMISSION_CLASSES = {
+    wire.MSG_SUBMISSION: Submission,
+    wire.MSG_SUPER_SUBMISSION: SuperSubmission,
+}
+
+
 def read_log(path: str | Path) -> tuple[list[Submission], list[SuperSubmission]]:
     """Parse a (sealed) log back into submissions."""
     data = Path(path).read_bytes()
-    singles: list[Submission] = []
-    supers: list[SuperSubmission] = []
-    offset = 0
-    total = len(data)
-    while offset < total:
-        msg_type, length = wire.parse_header(data[offset : offset + wire.HEADER_SIZE])
-        start = offset + wire.HEADER_SIZE
-        if start + length > total:
-            raise wire.FrameError("truncated log record")
-        payload = data[start : start + length]
-        offset = start + length
-        if msg_type == wire.MSG_SUBMISSION:
-            singles.append(Submission.from_bytes(payload))
-        elif msg_type == wire.MSG_SUPER_SUBMISSION:
-            supers.append(SuperSubmission.from_bytes(payload))
-        else:
+    parsed: dict[type, list] = {Submission: [], SuperSubmission: []}
+    end = 0
+    for msg_type, payload, end in wire.iter_frames(data):
+        cls = _SUBMISSION_CLASSES.get(msg_type)
+        if cls is None:
             raise wire.FrameError(f"unexpected record type {msg_type} in log")
-    return singles, supers
+        parsed[cls].append(cls.from_bytes(payload))
+    if end != len(data):
+        raise wire.FrameError("truncated log record")
+    return parsed[Submission], parsed[SuperSubmission]
 
 
 def decode_messages(
@@ -288,13 +269,24 @@ def decode_messages(
 def decode_log(
     path: str | Path, params: DpParams
 ) -> tuple[list[aggregate.HistogramReport], str]:
-    """Decode a sealed log with ``decode_messages``; returns (reports, csv).
-
-    A log holding only SUBMISSION frames yields one plain report; any
-    SUPER_SUBMISSION frame makes the report layered.
-    """
+    """Decode a sealed log with ``decode_messages``; returns (reports, csv)."""
     singles, supers = read_log(path)
     return decode_messages(singles, supers, params)
+
+
+def seal_and_report(
+    log: SubmissionLog, params: DpParams, report_path: str | Path | None = None
+) -> tuple[list[aggregate.HistogramReport], Path]:
+    """Seal ``log``, decode it and write the report CSV; returns (reports, path).
+
+    The report goes next to the log as ``<log>.report.csv`` unless
+    ``report_path`` is given.
+    """
+    log.seal()
+    reports, csv_text = decode_log(log.path, params)
+    out = Path(report_path or log.path.with_suffix(".report.csv"))
+    out.write_text(csv_text)
+    return reports, out
 
 
 class AggregationServer(_BaseServer):
@@ -310,33 +302,23 @@ class AggregationServer(_BaseServer):
         super().__init__(address)
         self.log = SubmissionLog(log_path)
         self.params = params
-        self.report_path = Path(
-            report_path
-            if report_path is not None
-            else Path(log_path).with_suffix(".report.csv")
-        )
+        self.report_path = report_path
 
     def dispatch(self, msg_type: int, payload: bytes) -> bytes:
-        if msg_type in (wire.MSG_SUBMISSION, wire.MSG_SUPER_SUBMISSION):
+        cls = _SUBMISSION_CLASSES.get(msg_type)
+        if cls is not None:
             # Validate before persisting so the log never holds garbage.
             try:
-                if msg_type == wire.MSG_SUBMISSION:
-                    Submission.from_bytes(payload)
-                else:
-                    SuperSubmission.from_bytes(payload)
+                cls.from_bytes(payload)
             except ValueError as exc:
                 raise wire.FrameError(f"bad submission: {exc}") from exc
             try:
                 self.log.append(msg_type, payload)
             except SealedError:
-                return wire.encode_frame(
-                    wire.MSG_ERROR, wire.pack_error(wire.ERR_SEALED, "log sealed")
-                )
+                return wire.error_frame(wire.ERR_SEALED, "log sealed")
             return wire.encode_frame(wire.MSG_ACK)
         if msg_type == wire.MSG_SEAL_DECODE:
-            self.log.seal()
-            reports, csv_text = decode_log(self.log.path, self.params)
-            self.report_path.write_text(csv_text)
+            reports, _ = seal_and_report(self.log, self.params, self.report_path)
             first = reports[0]
             summary = (
                 f"revealed={len(first.revealed)}"
@@ -364,7 +346,7 @@ class ServiceClient:
 
     def __init__(self, host: str, port: int, timeout: float = 30.0):
         self.sock = socket.create_connection((host, port), timeout=timeout)
-        self._rbuf = b""
+        self._frames = _FrameConnection(self.sock).frames()
 
     def close(self) -> None:
         self.sock.close()
@@ -375,18 +357,11 @@ class ServiceClient:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _read_exact(self, n: int) -> bytes:
-        while len(self._rbuf) < n:
-            chunk = self.sock.recv(1 << 16)
-            if not chunk:
-                raise ConnectionError("server closed connection")
-            self._rbuf += chunk
-        out, self._rbuf = self._rbuf[:n], self._rbuf[n:]
-        return out
-
     def read_frame(self) -> wire.WireFrame:
-        msg_type, length = wire.parse_header(self._read_exact(wire.HEADER_SIZE))
-        return wire.WireFrame(msg_type, self._read_exact(length))
+        frame = next(self._frames, None)
+        if frame is None:
+            raise ConnectionError("server closed connection")
+        return wire.WireFrame(*frame)
 
     def request(self, msg_type: int, payload: bytes = b"") -> wire.WireFrame:
         self.sock.sendall(wire.encode_frame(msg_type, payload))
@@ -412,17 +387,19 @@ class ServiceClient:
             proof=oprf.DleqProof.from_bytes(proof),
         )
 
-    def oblivious_randomness(self, values: list[bytes], rng) -> list[bytes]:
-        """Full client side: blind, request evaluation, verify, finalize."""
+    def oblivious_randomness(self, values: Sequence[bytes], rng) -> list[bytes]:
+        """Full client side: blind, request evaluation, verify, finalize.
+
+        The key is fetched once; values go out in batches of ``wire.MAX_BATCH``.
+        """
         mpk = self.fetch_public_key()
-        states = []
-        blinded = []
-        for v in values:
-            b, st = oprf.blind(v, rng)
-            blinded.append(b)
-            states.append(st)
-        ev = self.evaluate_blinded(blinded)
-        return oprf.finalize_batch(values, states, ev, mpk)
+        out: list[bytes] = []
+        for start in range(0, len(values), wire.MAX_BATCH):
+            batch = list(values[start : start + wire.MAX_BATCH])
+            blinded, states = zip(*(oprf.blind(v, rng) for v in batch))
+            ev = self.evaluate_blinded(list(blinded))
+            out.extend(oprf.finalize_batch(batch, list(states), ev, mpk))
+        return out
 
     # aggregation-server calls
 
@@ -478,18 +455,15 @@ def parse_listen(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def opt(flag_value: Optional[str], env_name: str, default: Optional[str] = None) -> Optional[str]:
-    """Flag wins, then environment variable, then default."""
-    if flag_value is not None:
-        return flag_value
-    return os.environ.get(env_name, default)
+def _serve(name: str, server: _BaseServer) -> None:  # pragma: no cover
+    host, port = server.server_address[:2]
+    print(f"{name} listening on {host}:{port}", flush=True)
+    server.serve_forever()
 
 
 def run_randomness_server(listen: str, key_seed_file: str) -> None:  # pragma: no cover
     seed = Path(key_seed_file).read_bytes()
-    server = RandomnessServer(parse_listen(listen), seed)
-    print(f"randomness server listening on {listen}")
-    server.serve_forever()
+    _serve("randomness server", RandomnessServer(parse_listen(listen), seed))
 
 
 def run_aggregation_server(
@@ -501,13 +475,10 @@ def run_aggregation_server(
 ) -> None:  # pragma: no cover
     params = params_from_config(Path(params_path).read_text())
     if seal_and_decode:
-        log = SubmissionLog(log_path)
-        log.seal()
-        _, csv_text = decode_log(log_path, params)
-        out = Path(report_path or Path(log_path).with_suffix(".report.csv"))
-        out.write_text(csv_text)
+        _, out = seal_and_report(SubmissionLog(log_path), params, report_path)
         print(f"report written to {out}")
         return
-    server = AggregationServer(parse_listen(listen), log_path, params, report_path)
-    print(f"aggregation server listening on {listen}")
-    server.serve_forever()
+    _serve(
+        "aggregation server",
+        AggregationServer(parse_listen(listen), log_path, params, report_path),
+    )

@@ -9,7 +9,8 @@ Frame layout (all integers little-endian):
 
 Unknown version or type, or an oversized length, is rejected from the
 6-byte header alone, before any payload is read.  Total frame size is
-capped at 64 KiB.
+capped at 64 KiB.  ``iter_frames`` is the one walker over this layout: the
+daemons' receive loops, the client and the submission log all use it.
 
 Payload layouts:
 
@@ -87,6 +88,24 @@ def parse_header(header: bytes) -> tuple[int, int]:
     return msg_type, length
 
 
+def iter_frames(buf, start: int = 0):
+    """Yield ``(msg_type, payload, end)`` for each whole frame of ``buf``.
+
+    Walks from ``start``; ``end`` is the offset just past the frame.  Stops
+    before an incomplete frame, so the caller decides what a short tail
+    means.  A bad header raises FrameError when it is reached, after every
+    frame before it was yielded.
+    """
+    total = len(buf)
+    while total - start >= HEADER_SIZE:
+        msg_type, length = parse_header(buf[start : start + HEADER_SIZE])
+        end = start + HEADER_SIZE + length
+        if end > total:
+            return
+        yield msg_type, buf[start + HEADER_SIZE : end], end
+        start = end
+
+
 def pack_randomness_request(blinded: list[bytes]) -> bytes:
     if not 1 <= len(blinded) <= MAX_BATCH:
         raise FrameError(f"batch size must be 1..{MAX_BATCH}")
@@ -126,8 +145,8 @@ def unpack_randomness_response(payload: bytes) -> tuple[list[bytes], bytes]:
     return [body[i * ELEMENT_SIZE : (i + 1) * ELEMENT_SIZE] for i in range(n)], proof
 
 
-def pack_error(code: int, message: str) -> bytes:
-    return bytes([code]) + message.encode()
+def error_frame(code: int, message: str) -> bytes:
+    return encode_frame(MSG_ERROR, bytes([code]) + message.encode())
 
 
 def unpack_error(payload: bytes) -> tuple[int, str]:

@@ -59,8 +59,8 @@ def test_run_multidim_with_bench(tmp_path):
     assert report.startswith("nebula-layered-report,v1")
 
 
-def test_offline_seal_and_decode(tmp_path):
-    # Prepare a log without a daemon, then decode it via the CLI flag.
+def _write_log(tmp_path):
+    """A params file and an unsealed log of four ``cli-value`` submissions."""
     from nebula import oprf
     from nebula.encode import build_submission
     from nebula.harness import value_randomness
@@ -82,6 +82,12 @@ def test_offline_seal_and_decode(tmp_path):
             wire.MSG_SUBMISSION, build_submission(b"cli-value", r, params, rng).to_bytes()
         )
     log.close()
+    return cfg, log_path
+
+
+def test_offline_seal_and_decode(tmp_path):
+    # Prepare a log without a daemon, then decode it via the CLI flag.
+    cfg, log_path = _write_log(tmp_path)
     rc = main(
         [
             "aggregation-server",
@@ -94,6 +100,39 @@ def test_offline_seal_and_decode(tmp_path):
     assert rc == 0
     text = (tmp_path / "report.csv").read_text()
     assert "cli-value,4" in text
+
+
+def test_seal_and_decode_reads_environment(tmp_path, monkeypatch):
+    cfg, log_path = _write_log(tmp_path)
+    monkeypatch.setenv("NEBULA_LOG_PATH", str(log_path))
+    monkeypatch.setenv("NEBULA_PARAMS", str(cfg))
+    monkeypatch.setenv("NEBULA_REPORT", str(tmp_path / "env-report.csv"))
+    assert main(["aggregation-server", "--seal-and-decode"]) == 0
+    assert "cli-value,4" in (tmp_path / "env-report.csv").read_text()
+
+
+def test_flag_beats_environment(tmp_path, monkeypatch):
+    cfg, log_path = _write_log(tmp_path)
+    monkeypatch.setenv("NEBULA_LOG_PATH", str(tmp_path / "missing.log"))
+    monkeypatch.setenv("NEBULA_PARAMS", str(cfg))
+    monkeypatch.setenv("NEBULA_REPORT", str(tmp_path / "env-report.csv"))
+    flag_report = tmp_path / "flag-report.csv"
+    rc = main(
+        [
+            "aggregation-server", "--log", str(log_path),
+            "--report", str(flag_report), "--seal-and-decode",
+        ]
+    )
+    assert rc == 0
+    assert "cli-value,4" in flag_report.read_text()
+    assert not (tmp_path / "env-report.csv").exists()
+    assert not (tmp_path / "missing.log").exists()
+
+
+def test_missing_log_and_params_rejected(monkeypatch):
+    monkeypatch.delenv("NEBULA_LOG_PATH", raising=False)
+    monkeypatch.delenv("NEBULA_PARAMS", raising=False)
+    assert main(["aggregation-server", "--seal-and-decode"]) == 2
 
 
 def test_bad_geo_columns_rejected(tmp_path):

@@ -88,6 +88,37 @@ class TestWireFormat:
             wire.pack_randomness_request([b"\x00" * 32] * 9)
 
 
+class TestIterFrames:
+    A = wire.encode_frame(wire.MSG_SUBMISSION, b"first")
+    B = wire.encode_frame(wire.MSG_ACK)
+
+    def test_empty_input(self):
+        assert list(wire.iter_frames(b"")) == []
+
+    def test_partial_header_stops(self):
+        buf = self.A + self.B[:3]
+        assert list(wire.iter_frames(buf)) == [(wire.MSG_SUBMISSION, b"first", len(self.A))]
+
+    def test_partial_payload_stops(self):
+        buf = self.B + self.A[:-1]
+        assert list(wire.iter_frames(buf)) == [(wire.MSG_ACK, b"", len(self.B))]
+
+    def test_bad_header_after_two_good_frames(self):
+        bad = bytes([9, wire.MSG_ACK, 0, 0, 0, 0])
+        frames = wire.iter_frames(self.A + self.B + bad + self.B)
+        assert next(frames) == (wire.MSG_SUBMISSION, b"first", len(self.A))
+        assert next(frames) == (wire.MSG_ACK, b"", len(self.A) + len(self.B))
+        with pytest.raises(wire.FrameError):
+            next(frames)
+
+    def test_nonzero_start(self):
+        buf = self.B + self.A + self.B
+        assert list(wire.iter_frames(buf, start=len(self.B))) == [
+            (wire.MSG_SUBMISSION, b"first", len(self.B) + len(self.A)),
+            (wire.MSG_ACK, b"", len(buf)),
+        ]
+
+
 class TestRandomnessEndpoint:
     def test_single_element_sizes(self, randomness_server):
         # Request payload is exactly 1 + 32 bytes; the response element
@@ -118,6 +149,21 @@ class TestRandomnessEndpoint:
             oprf.evaluate_directly(b"x", kp),
             oprf.evaluate_directly(b"y", kp),
         ]
+
+    def test_oblivious_randomness_batches_past_max_batch(self, randomness_server):
+        # 11 values need two RANDOMNESS_REQUEST frames of at most 8 each.
+        values = [f"batched-{i}".encode() for i in range(wire.MAX_BATCH + 3)]
+        kp = oprf.keygen(b"\x2f" * 32)
+        with ServiceClient("127.0.0.1", randomness_server.port) as client:
+            outs = client.oblivious_randomness(values, random.Random(5))
+        assert outs == [oprf.evaluate_directly(v, kp) for v in values]
+
+    def test_server_close_is_connection_error(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        with listener, ServiceClient("127.0.0.1", listener.getsockname()[1]) as client:
+            listener.accept()[0].close()
+            with pytest.raises(ConnectionError):
+                client.read_frame()
 
     def test_garbage_payload_error_connection_reusable(self, randomness_server):
         with ServiceClient("127.0.0.1", randomness_server.port) as client:
@@ -302,6 +348,23 @@ class TestDaemonIsolation:
                 summary = ac.seal_and_decode()
             assert "revealed=1" in summary
             assert pair.report_path.exists()
+
+    def test_two_pairs_get_four_distinct_ports(self, tmp_path):
+        # Each daemon binds port 0 and reports the port it got, so pairs
+        # started side by side cannot collide.
+        from nebula.harness import DaemonPair
+
+        with DaemonPair(PARAMS, b"\x55" * 32, tmp_path / "a") as a, DaemonPair(
+            PARAMS, b"\x55" * 32, tmp_path / "b"
+        ) as b:
+            ports = {p.randomness_port for p in (a, b)} | {p.aggregation_port for p in (a, b)}
+            assert len(ports) == 4 and 0 not in ports
+            for port in (a.randomness_port, b.randomness_port):
+                with ServiceClient("127.0.0.1", port) as rc:
+                    assert len(rc.fetch_public_key().encode()) == 32
+            for port in (a.aggregation_port, b.aggregation_port):
+                with ServiceClient("127.0.0.1", port) as ac:
+                    assert "revealed=0" in ac.seal_and_decode()
 
     def test_parse_listen(self):
         assert parse_listen("127.0.0.1:9000") == ("127.0.0.1", 9000)
