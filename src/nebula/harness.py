@@ -38,8 +38,11 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import aggregate, dummy, oprf, service, wire
-from .encode import Submission, build_submission, participate
+from . import aggregate, dummy, oprf, service, sharing, wire
+from .encode import (
+    KeyShare, Submission, build_submission, encrypt_value, parse_randomness, participate,
+)
+from .group import scalar_inverse
 from .multidim import SuperSubmission, encode_multidim, geo_attributes, make_prefixes
 from .params import DpParams, params_to_config
 
@@ -586,8 +589,6 @@ def benchmark(
             oprf.finalize_batch(list(chain.prefixes), states, ev, keypair.mpk)
         finalize_verify_ms = (time.perf_counter() - t0) / reps * 1e3
 
-        from .group import scalar_inverse
-
         t0 = time.perf_counter()
         for _ in range(reps):
             for p, st, z in zip(chain.prefixes, states, ev.elements):
@@ -614,12 +615,7 @@ def benchmark(
     return rows
 
 
-def decode_throughput(
-    n_submissions: int,
-    n_values: int,
-    params: DpParams,
-    seed: int = 0,
-) -> dict:
+def decode_throughput(n_submissions: int, n_values: int, params: DpParams, seed: int = 0) -> dict:
     """Build a synthetic submission batch and time the decode path."""
     frames = build_submission_payloads(n_submissions, n_values, params, seed)
     subs = [Submission.from_bytes(p) for p in frames]
@@ -634,10 +630,7 @@ def decode_throughput(
 
 
 def build_submission_payloads(
-    n_submissions: int,
-    n_values: int,
-    params: DpParams,
-    seed: int = 0,
+    n_submissions: int, n_values: int, params: DpParams, seed: int = 0
 ) -> list[bytes]:
     """Serialized submissions over a Zipf-ish value mix, built at bulk speed.
 
@@ -645,9 +638,6 @@ def build_submission_payloads(
     cached, matching what identical-value clients would produce anyway; only
     the share point differs per submission.
     """
-    from . import sharing
-    from .encode import KeyShare, encrypt_value, parse_randomness
-
     keypair = oprf.keygen(DEFAULT_SERVER_SEED)
     rng = substream(seed, "bulk-shares")
     pick_rng = np_substream(seed, "bulk-values")
@@ -751,33 +741,22 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def write_errors_csv(path: str | Path, results: Sequence[ExperimentResult]) -> None:
-    rows = []
-    for res in results:
-        for mechanism in sorted(res.errors):
-            rows.append([mechanism, res.seed, repr(res.errors[mechanism])])
+    rows = [[m, res.seed, repr(res.errors[m])] for res in results for m in sorted(res.errors)]
     write_csv(path, ["mechanism", "seed", "error"], rows)
 
 
 def write_bench_csv(path: str | Path, rows: Sequence[dict]) -> None:
-    if not rows:
-        write_csv(path, ["attributes"], [])
-        return
-    header = list(rows[0].keys())
+    header = list(rows[0].keys()) if rows else ["attributes"]
     write_csv(path, header, [[row[k] for k in header] for row in rows])
 
 
 def write_plot_data(path: str | Path, series_rows: Sequence[tuple[str, float, float]]) -> None:
     """Generic x/y plot data: one (series, x, y) row per point."""
-    write_csv(
-        path,
-        ["series", "x", "y"],
-        [[s, repr(x), repr(y)] for s, x, y in series_rows],
-    )
+    write_csv(path, ["series", "x", "y"], [[s, repr(x), repr(y)] for s, x, y in series_rows])
 
 
 def linear_fit_r2(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -184,11 +184,16 @@ class SubmissionLog:
         the end of the file can only be the last write, cut off mid-way.  A
         bad header before that is corruption and raises FrameError.
         """
-        data = self.path.read_bytes()
-        end = 0
-        for _, _, end in wire.iter_frames(memoryview(data)):
-            pass
-        if end < len(data):
+        end, buf = 0, b""  # file offset of ``buf``: just past the last whole frame
+        with open(self.path, "rb") as f:
+            # Walk in chunks so a restart on a large log stays small in memory.
+            while chunk := f.read(1 << 20):
+                buf += chunk
+                done = 0
+                for _, _, done in wire.iter_frames(buf):
+                    pass
+                end, buf = end + done, buf[done:]
+        if buf:
             os.truncate(self.path, end)
 
     @property
@@ -275,12 +280,12 @@ def decode_log(
 
 
 def seal_and_report(
-    log: SubmissionLog, params: DpParams, report_path: str | Path | None = None
+    log: SubmissionLog, params: DpParams, report_path: str | Path | None
 ) -> tuple[list[aggregate.HistogramReport], Path]:
     """Seal ``log``, decode it and write the report CSV; returns (reports, path).
 
-    The report goes next to the log as ``<log>.report.csv`` unless
-    ``report_path`` is given.
+    A ``report_path`` of None puts the report next to the log as
+    ``<log>.report.csv``.
     """
     log.seal()
     reports, csv_text = decode_log(log.path, params)
@@ -342,11 +347,17 @@ class ServiceError(Exception):
 
 
 class ServiceClient:
-    """Blocking request/response client for either daemon."""
+    """Blocking request/response client for either daemon.
+
+    A receive error (a timeout, a bad frame) leaves the stream at an unknown
+    offset, so it closes the client: later calls raise ConnectionError naming
+    that first error.
+    """
 
     def __init__(self, host: str, port: int, timeout: float = 30.0):
         self.sock = socket.create_connection((host, port), timeout=timeout)
         self._frames = _FrameConnection(self.sock).frames()
+        self._failure: Optional[Exception] = None
 
     def close(self) -> None:
         self.sock.close()
@@ -357,13 +368,24 @@ class ServiceClient:
     def __exit__(self, *exc) -> None:
         self.close()
 
+    def _check_usable(self) -> None:
+        if self._failure is not None:
+            raise ConnectionError(f"connection unusable after {self._failure!r}")
+
     def read_frame(self) -> wire.WireFrame:
-        frame = next(self._frames, None)
+        self._check_usable()
+        try:
+            frame = next(self._frames, None)
+        except Exception as exc:
+            self._failure = exc
+            self.close()
+            raise
         if frame is None:
             raise ConnectionError("server closed connection")
         return wire.WireFrame(*frame)
 
     def request(self, msg_type: int, payload: bytes = b"") -> wire.WireFrame:
+        self._check_usable()
         self.sock.sendall(wire.encode_frame(msg_type, payload))
         frame = self.read_frame()
         if frame.msg_type == wire.MSG_ERROR:
@@ -414,6 +436,7 @@ class ServiceClient:
         A reader thread drains exactly ``count`` responses while the writer
         streams, so neither side's socket buffer can deadlock the connection.
         """
+        self._check_usable()
         result = {"acks": 0, "errors": 0}
         fail: list[Exception] = []
 

@@ -88,15 +88,15 @@ def parse_header(header: bytes) -> tuple[int, int]:
     return msg_type, length
 
 
-def iter_frames(buf, start: int = 0):
+def iter_frames(buf):
     """Yield ``(msg_type, payload, end)`` for each whole frame of ``buf``.
 
-    Walks from ``start``; ``end`` is the offset just past the frame.  Stops
-    before an incomplete frame, so the caller decides what a short tail
-    means.  A bad header raises FrameError when it is reached, after every
-    frame before it was yielded.
+    ``end`` is the offset just past the frame.  Stops before an incomplete
+    frame, so the caller decides what a short tail means.  A bad header
+    raises FrameError when it is reached, after every frame before it was
+    yielded.
     """
-    total = len(buf)
+    start, total = 0, len(buf)
     while total - start >= HEADER_SIZE:
         msg_type, length = parse_header(buf[start : start + HEADER_SIZE])
         end = start + HEADER_SIZE + length

@@ -111,13 +111,6 @@ class TestIterFrames:
         with pytest.raises(wire.FrameError):
             next(frames)
 
-    def test_nonzero_start(self):
-        buf = self.B + self.A + self.B
-        assert list(wire.iter_frames(buf, start=len(self.B))) == [
-            (wire.MSG_SUBMISSION, b"first", len(self.B) + len(self.A)),
-            (wire.MSG_ACK, b"", len(buf)),
-        ]
-
 
 class TestRandomnessEndpoint:
     def test_single_element_sizes(self, randomness_server):
@@ -163,6 +156,18 @@ class TestRandomnessEndpoint:
         with listener, ServiceClient("127.0.0.1", listener.getsockname()[1]) as client:
             listener.accept()[0].close()
             with pytest.raises(ConnectionError):
+                client.read_frame()
+
+    def test_timeout_leaves_client_unusable(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+        with listener, ServiceClient("127.0.0.1", port, timeout=0.2) as client:
+            with pytest.raises(TimeoutError):
+                client.fetch_public_key()
+            # The cause is named, not reported as a closed server.
+            with pytest.raises(ConnectionError, match="unusable after TimeoutError"):
+                client.fetch_public_key()
+            with pytest.raises(ConnectionError, match="unusable after TimeoutError"):
                 client.read_frame()
 
     def test_garbage_payload_error_connection_reusable(self, randomness_server):
