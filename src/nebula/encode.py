@@ -79,30 +79,64 @@ class Submission:
         )
 
     @staticmethod
-    def from_bytes(data: bytes) -> "Submission":
+    def validate(data: bytes) -> None:
+        """Raise ValueError for any payload ``from_bytes`` would refuse.
+
+        Works on the raw bytes and builds nothing, so ingest can afford it
+        per frame.
+        """
         if len(data) < _FIXED_PREFIX:
             raise ValueError("submission too short")
-        tag = data[:TAG_SIZE]
-        x = sharing.decode_element(data[TAG_SIZE : TAG_SIZE + sharing.FIELD_BYTES])
-        y = sharing.decode_element(
-            data[TAG_SIZE + sharing.FIELD_BYTES : TAG_SIZE + 2 * sharing.FIELD_BYTES]
-        )
-        (ct_len,) = struct.unpack_from("<I", data, TAG_SIZE + 2 * sharing.FIELD_BYTES)
-        body = data[_FIXED_PREFIX:]
-        if len(body) != ct_len:
+        if submission_size_at(data, 0) != len(data):
             raise ValueError("submission ciphertext length mismatch")
-        return Submission(ciphertext=bytes(body), share=KeyShare(x, y), tag=bytes(tag))
+
+    @staticmethod
+    def from_bytes(data: bytes) -> "Submission":
+        Submission.validate(data)
+        return submission_at(data, 0, len(data))
+
+
+# Big-endian bytes of the field prime: a 16-byte coordinate is canonical
+# exactly when it compares below these.
+_PRIME_BYTES = sharing.encode_element(sharing.FIELD_PRIME)
+_ZERO_ELEMENT = bytes(sharing.FIELD_BYTES)
 
 
 def submission_size_at(data: bytes, offset: int) -> int:
-    """Size of the serialized submission at ``offset``, checked against ``data``."""
+    """Declared size of the serialized submission at ``offset``.
+
+    The rules every submission obeys, checked on the raw bytes: the fixed
+    prefix fits in ``data``, both share coordinates are canonical field
+    elements and x is nonzero.  The caller checks that the declared size
+    fits what it holds.
+    """
     if offset + _FIXED_PREFIX > len(data):
         raise ValueError("truncated submission")
+    x_at = offset + TAG_SIZE
+    y_at = x_at + sharing.FIELD_BYTES
+    x = data[x_at:y_at]
+    if x >= _PRIME_BYTES or data[y_at : y_at + sharing.FIELD_BYTES] >= _PRIME_BYTES:
+        raise ValueError("non-canonical field element")
+    if x == _ZERO_ELEMENT:
+        raise ValueError("zero x-coordinate")
     (ct_len,) = struct.unpack_from("<I", data, offset + _FIXED_PREFIX - 4)
-    size = _FIXED_PREFIX + ct_len
-    if offset + size > len(data):
-        raise ValueError("truncated submission")
-    return size
+    return _FIXED_PREFIX + ct_len
+
+
+def submission_at(data: bytes, offset: int, end: int) -> Submission:
+    """The submission in ``data[offset:end]``, already checked by
+    ``submission_size_at``; only slices and decodes integers."""
+    x_at = offset + TAG_SIZE
+    y_at = x_at + sharing.FIELD_BYTES
+    share = KeyShare(
+        int.from_bytes(data[x_at:y_at], "big"),
+        int.from_bytes(data[y_at : y_at + sharing.FIELD_BYTES], "big"),
+    )
+    return Submission(
+        ciphertext=bytes(data[offset + _FIXED_PREFIX : end]),
+        share=share,
+        tag=bytes(data[offset:x_at]),
+    )
 
 
 def parse_randomness(r: bytes) -> SubRandomness:

@@ -35,6 +35,7 @@ from .encode import (
     build_submission,
     encryption_key,
     parse_randomness,
+    submission_at,
     submission_size_at,
 )
 from .params import DpParams
@@ -69,29 +70,42 @@ class SuperSubmission:
         return b"".join(parts)
 
     @staticmethod
-    def from_bytes(data: bytes) -> "SuperSubmission":
+    def validate(data: bytes) -> list[tuple[int, int]]:
+        """Check the whole layout on the raw bytes and build nothing.
+
+        Raises ValueError for any payload ``from_bytes`` would refuse;
+        returns the ``(start, end)`` offsets of the layer-1 submission and
+        of each wrapped blob, in order.
+        """
         if not data:
             raise ValueError("empty super-submission")
         num_layers = data[0]
         if not 1 <= num_layers <= MAX_ATTRIBUTES:
             raise ValueError("bad layer count")
-        offset = 1
-        layer1_size = submission_size_at(data, offset)
-        layer1 = Submission.from_bytes(data[offset : offset + layer1_size])
-        offset += layer1_size
-        blobs = []
+        end = 1 + submission_size_at(data, 1)
+        if end > len(data):
+            raise ValueError("truncated submission")
+        spans = [(1, end)]
         for _ in range(num_layers - 1):
-            if offset + 4 > len(data):
+            start = end + 4
+            if start > len(data):
                 raise ValueError("truncated wrapped layer")
-            (blob_len,) = struct.unpack_from("<I", data, offset)
-            offset += 4
-            if offset + blob_len > len(data):
+            (blob_len,) = struct.unpack_from("<I", data, end)
+            end = start + blob_len
+            if end > len(data):
                 raise ValueError("truncated wrapped layer")
-            blobs.append(bytes(data[offset : offset + blob_len]))
-            offset += blob_len
-        if offset != len(data):
+            spans.append((start, end))
+        if end != len(data):
             raise ValueError("trailing bytes after super-submission")
-        return SuperSubmission(layer1=layer1, wrapped_layers=tuple(blobs))
+        return spans
+
+    @staticmethod
+    def from_bytes(data: bytes) -> "SuperSubmission":
+        layer1, *blobs = SuperSubmission.validate(data)
+        return SuperSubmission(
+            layer1=submission_at(data, *layer1),
+            wrapped_layers=tuple(bytes(data[start:end]) for start, end in blobs),
+        )
 
 
 def make_prefixes(attributes: Sequence[bytes]) -> PrefixChain:

@@ -15,7 +15,9 @@ walked by ``wire.iter_frames``.  Acknowledgements are batched: pending
 responses are flushed exactly when the socket would block, which gives
 per-message latency for interactive clients and large write batches for bulk
 streams (a million-submission ingest is a few syscalls per 64 KiB, not per
-frame).
+frame).  The aggregation server flushes its log to the OS before each such
+batch, so an acknowledged submission survives the daemon being killed; the
+seal fsyncs it.
 
 Each daemon prints one line once it listens, ``<name> listening on
 host:port`` with the port it bound, so ``--listen host:0`` lets the OS pick
@@ -29,7 +31,7 @@ import socket
 import socketserver
 import threading
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import aggregate, multidim, oprf, wire
 from .encode import Submission
@@ -42,10 +44,15 @@ from .params import DpParams, params_from_config
 
 
 class _FrameConnection:
-    """Frames received on a socket, with lazily flushed response batching."""
+    """Frames received on a socket, with lazily flushed response batching.
 
-    def __init__(self, sock: socket.socket):
+    ``before_send`` runs before each batch of responses leaves, so a server
+    can make what the batch acknowledges survive its own death first.
+    """
+
+    def __init__(self, sock: socket.socket, before_send: Callable[[], None] = lambda: None):
         self.sock = sock
+        self.before_send = before_send
         self.pending: list[bytes] = []
 
     def queue(self, frame: bytes) -> None:
@@ -53,6 +60,7 @@ class _FrameConnection:
 
     def flush(self) -> None:
         if self.pending:
+            self.before_send()
             self.sock.sendall(b"".join(self.pending))
             self.pending.clear()
 
@@ -80,8 +88,8 @@ class _FrameConnection:
 
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self) -> None:  # pragma: no cover - exercised via integration
-        conn = _FrameConnection(self.request)
         server: _BaseServer = self.server  # type: ignore[assignment]
+        conn = _FrameConnection(self.request, server.before_reply)
         try:
             for msg_type, payload in conn.frames():
                 try:
@@ -110,6 +118,9 @@ class _BaseServer(socketserver.ThreadingTCPServer):
 
     def dispatch(self, msg_type: int, payload: bytes) -> bytes:
         raise NotImplementedError
+
+    def before_reply(self) -> None:
+        """Runs before each batch of responses is sent; nothing by default."""
 
     @property
     def port(self) -> int:
@@ -211,6 +222,13 @@ class SubmissionLog:
                 raise SealedError("submission log is sealed")
             self._file.write(record)
 
+    def flush(self) -> None:
+        """Hand appended records to the OS (no fsync): they then survive the
+        process being killed, though not the host losing power."""
+        with self._lock:
+            if self._file is not None:
+                self._file.flush()
+
     def seal(self) -> None:
         with self._lock:
             if self._sealed:
@@ -229,8 +247,9 @@ class SubmissionLog:
                 self._file = None
 
 
-# The payload class of each submission frame type, for ingest and for the
-# log.  ``from_bytes`` is looked up on the class at each call.
+# The payload class of each submission frame type: ingest checks a payload
+# with its ``validate`` and the log is read back with its ``from_bytes``,
+# both looked up on the class at each call.
 _SUBMISSION_CLASSES = {
     wire.MSG_SUBMISSION: Submission,
     wire.MSG_SUPER_SUBMISSION: SuperSubmission,
@@ -294,6 +313,9 @@ def seal_and_report(
     return reports, out
 
 
+_ACK = wire.encode_frame(wire.MSG_ACK)
+
+
 class AggregationServer(_BaseServer):
     """Ingestion daemon: log submissions, seal, decode, persist the report."""
 
@@ -309,19 +331,23 @@ class AggregationServer(_BaseServer):
         self.params = params
         self.report_path = report_path
 
+    def before_reply(self) -> None:
+        # An ACK promises the submission survives a daemon crash.
+        self.log.flush()
+
     def dispatch(self, msg_type: int, payload: bytes) -> bytes:
         cls = _SUBMISSION_CLASSES.get(msg_type)
         if cls is not None:
             # Validate before persisting so the log never holds garbage.
             try:
-                cls.from_bytes(payload)
+                cls.validate(payload)
             except ValueError as exc:
                 raise wire.FrameError(f"bad submission: {exc}") from exc
             try:
                 self.log.append(msg_type, payload)
             except SealedError:
                 return wire.error_frame(wire.ERR_SEALED, "log sealed")
-            return wire.encode_frame(wire.MSG_ACK)
+            return _ACK
         if msg_type == wire.MSG_SEAL_DECODE:
             reports, _ = seal_and_report(self.log, self.params, self.report_path)
             first = reports[0]

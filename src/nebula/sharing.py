@@ -61,7 +61,10 @@ def random_nonzero_element(rng) -> int:
 def interpolate_at_zero(points: list[tuple[int, int]]) -> int:
     """Lagrange interpolation of the constant term.
 
-    Requires pairwise-distinct nonzero x-coordinates.
+    Requires pairwise-distinct nonzero x-coordinates.  The constant term is
+    (prod of all x) * sum of y_i / d_i with d_i = x_i * prod_{j != i} (x_j - x_i);
+    the sum is accumulated as one fraction, so the whole interpolation takes
+    a single modular inversion.
     """
     p = FIELD_PRIME
     xs = [x for x, _ in points]
@@ -69,27 +72,18 @@ def interpolate_at_zero(points: list[tuple[int, int]]) -> int:
         raise ValueError("duplicate x-coordinates")
     if any(x % p == 0 for x in xs):
         raise ValueError("zero x-coordinate")
-    acc = 0
-    for i, (xi, yi) in enumerate(points):
-        num = 1
-        den = 1
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            num = num * xj % p
-            den = den * (xj - xi) % p
-        acc = (acc + yi * num % p * pow(den, p - 2, p)) % p
-    return acc
+    num, den, prod = 0, 1, 1
+    for xi, yi in points:
+        d = xi
+        for xj in xs:
+            if xj != xi:
+                d = d * (xj - xi) % p
+        num = (num * d + yi * den) % p
+        den = den * d % p
+        prod = prod * xi % p
+    return prod * num * pow(den, -1, p) % p
 
 
 def encode_element(v: int) -> bytes:
     return v.to_bytes(FIELD_BYTES, "big")
 
-
-def decode_element(data: bytes) -> int:
-    if len(data) != FIELD_BYTES:
-        raise ValueError("field element encoding must be 16 bytes")
-    v = int.from_bytes(data, "big")
-    if v >= FIELD_PRIME:
-        raise ValueError("non-canonical field element")
-    return v

@@ -4,6 +4,8 @@ import random
 
 import pytest
 from cryptography.exceptions import InvalidTag
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nebula import oprf, sharing
 from nebula.encode import (
@@ -93,6 +95,32 @@ class TestMakeShare:
         rng = random.Random(5)
         for _ in range(200):
             assert make_share(b"\x07" * 32, b"\x08" * 32, 3, rng).x_coord != 0
+
+
+class TestInterpolateAtZero:
+    @given(data=st.data(), t=st.integers(min_value=1, max_value=32))
+    @settings(max_examples=100, deadline=None)
+    def test_recovers_constant_term_in_any_order(self, data, t):
+        p = sharing.FIELD_PRIME
+        coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=t, max_size=t))
+        xs = data.draw(st.lists(st.integers(1, p - 1), min_size=t, max_size=t, unique=True))
+        points = data.draw(st.permutations([(x, _poly_eval(coeffs, x)) for x in xs]))
+        assert sharing.interpolate_at_zero(points) == coeffs[0]
+
+    @given(
+        xs=st.lists(
+            st.integers(1, sharing.FIELD_PRIME - 1), min_size=1, max_size=31, unique=True
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_duplicate_or_zero_x_raises(self, xs, data):
+        points = [(x, x + 1) for x in xs]
+        dup = data.draw(st.sampled_from(points))
+        with pytest.raises(ValueError, match="duplicate"):
+            sharing.interpolate_at_zero(data.draw(st.permutations(points + [dup])))
+        with pytest.raises(ValueError, match="zero"):
+            sharing.interpolate_at_zero(data.draw(st.permutations(points + [(0, 5)])))
 
 
 def _poly_through(points):

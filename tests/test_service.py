@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nebula import oprf, wire
+from nebula import oprf, sharing, wire
 from nebula.aggregate import decode_submissions, report_to_csv
-from nebula.encode import Submission, build_submission
+from nebula.encode import KeyShare, Submission, build_submission
 from nebula.harness import value_randomness
+from nebula.multidim import SuperSubmission, encode_multidim, make_prefixes
 from nebula.params import DpBudget, derive_params
 from nebula.service import (
     AggregationServer,
@@ -269,6 +270,113 @@ class TestAggregationEndpoint:
             assert (acked, errors) == (80, 0)
             client.seal_and_decode()
 
+    def test_zero_x_share_refused_report_survives(self, aggregation_server, tmp_path):
+        # A share at x = 0 cannot be interpolated; accepting it would make
+        # its whole group, and so the seal, fail for good.
+        subs = _make_submissions({b"zero": 4})
+        forged = Submission(
+            ciphertext=subs[0].ciphertext,
+            share=KeyShare(0, subs[0].share.y_coord),
+            tag=subs[0].tag,
+        )
+        with ServiceClient("127.0.0.1", aggregation_server.port) as client:
+            for s in subs:
+                client.submit(s.to_bytes())
+            with pytest.raises(ServiceError) as err:
+                client.submit(forged.to_bytes())
+            assert err.value.code == wire.ERR_MALFORMED
+            assert "revealed=1" in client.seal_and_decode()
+        assert read_log(aggregation_server.log.path) == (subs, [])
+        expected = report_to_csv(decode_submissions(subs, 3, PARAMS))
+        assert (tmp_path / "report.csv").read_text() == expected
+
+
+def _ingest_payloads():
+    """A plain submission and 1- and 3-layer chained ones, as (type, bytes)."""
+    kp = oprf.keygen(b"\x77" * 32)
+    rng = random.Random(5)
+    out = [(wire.MSG_SUBMISSION, _make_submissions({b"plain": 1})[0].to_bytes())]
+    for attrs in ([b"one"], [b"a", b"bb", b"ccc"]):
+        rs = [value_randomness(p, kp) for p in make_prefixes(attrs).prefixes]
+        out.append(
+            (wire.MSG_SUPER_SUBMISSION, encode_multidim(attrs, rs, PARAMS, rng).to_bytes())
+        )
+    return out
+
+
+@pytest.fixture(scope="module")
+def ingest_case(tmp_path_factory):
+    server = AggregationServer(
+        ("127.0.0.1", 0), tmp_path_factory.mktemp("ingest") / "log.bin", PARAMS
+    )
+    yield server, _ingest_payloads()
+    server.server_close()
+    server.log.close()
+
+
+# Mutations that no reading of the layout can accept.  A ciphertext or blob
+# length off by one inside a longer chain shifts every later field, so only
+# agreement is required there.
+_ALWAYS_BAD = {"truncate", "extra", "x", "y", "layers"}
+
+
+def _mutate(payload: bytes, chained: bool, data) -> tuple[str, bytes]:
+    at = 1 if chained else 0  # offset of the (layer-1) submission
+    kinds = ["truncate", "extra", "x", "y", "ct_len", "flip"]
+    if chained:
+        kinds += ["layers"] + (["blob_len"] if payload[0] > 1 else [])
+    kind = data.draw(st.sampled_from(kinds))
+    out = bytearray(payload)
+    if kind == "truncate":
+        del out[len(out) - data.draw(st.integers(1, len(out))) :]
+    elif kind == "extra":
+        out.append(data.draw(st.integers(0, 255)))
+    elif kind in ("x", "y"):
+        bad = [sharing.FIELD_PRIME, 2**128 - 1] + ([0] if kind == "x" else [])
+        start = at + 32 + (16 if kind == "y" else 0)
+        out[start : start + 16] = data.draw(st.sampled_from(bad)).to_bytes(16, "big")
+    elif kind == "ct_len":
+        ct_len = int.from_bytes(out[at + 64 : at + 68], "little")
+        out[at + 64 : at + 68] = (ct_len + data.draw(st.sampled_from([1, -1]))).to_bytes(
+            4, "little"
+        )
+    elif kind == "layers":
+        out[0] = data.draw(st.sampled_from([0, 9]))
+    elif kind == "blob_len":
+        start = at + 68 + int.from_bytes(out[at + 64 : at + 68], "little")
+        blob_len = int.from_bytes(out[start : start + 4], "little")
+        out[start : start + 4] = (blob_len - 1).to_bytes(4, "little")
+    else:
+        out[data.draw(st.integers(0, len(out) - 1))] ^= data.draw(st.integers(1, 255))
+    return kind, bytes(out)
+
+
+class TestIngestValidation:
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_ingest_rejects_exactly_what_from_bytes_rejects(self, ingest_case, data):
+        server, payloads = ingest_case
+        msg_type, payload = data.draw(st.sampled_from(payloads))
+        chained = msg_type == wire.MSG_SUPER_SUBMISSION
+        kind, mutated = _mutate(payload, chained, data)
+        try:
+            (SuperSubmission if chained else Submission).from_bytes(mutated)
+            parsed = True
+        except ValueError:
+            parsed = False
+        try:
+            ingested = server.dispatch(msg_type, mutated) == wire.encode_frame(wire.MSG_ACK)
+        except wire.FrameError:
+            ingested = False
+        assert ingested == parsed
+        if kind in _ALWAYS_BAD or (kind == "ct_len" and not chained):
+            assert not parsed
+
+    def test_unmutated_payloads_ingested(self, ingest_case):
+        server, payloads = ingest_case
+        for msg_type, payload in payloads:
+            assert server.dispatch(msg_type, payload) == wire.encode_frame(wire.MSG_ACK)
+
 
 class TestLogLifecycle:
     def test_empty_log_empty_report(self, tmp_path):
@@ -318,6 +426,31 @@ class TestLogLifecycle:
         assert singles == subs[:3] + subs[4:5] and supers == []
         _, csv_text = decode_log(path, PARAMS)
         assert csv_text == report_to_csv(decode_submissions(singles, 3, PARAMS))
+
+    def test_acked_submissions_survive_sigkill(self, tmp_path):
+        # An ACK means the record reached the OS: killing the daemon right
+        # after must lose none of them, and a restart on the log seals them.
+        from nebula.harness import DaemonPair
+
+        subs = _make_submissions({b"kept": 4, b"also": 1})
+        with DaemonPair(PARAMS, b"\x55" * 32, tmp_path) as pair:
+            with ServiceClient("127.0.0.1", pair.aggregation_port) as client:
+                for s in subs:
+                    client.submit(s.to_bytes())
+            pair._procs[1].kill()
+            pair._procs[1].wait(timeout=5)
+        restarted = AggregationServer(
+            ("127.0.0.1", 0), pair.log_path, PARAMS, tmp_path / "after.csv"
+        )
+        restarted.start_background()
+        try:
+            with ServiceClient("127.0.0.1", restarted.port) as client:
+                assert "revealed=1" in client.seal_and_decode()
+        finally:
+            restarted.stop()
+        assert read_log(pair.log_path) == (subs, [])
+        expected = report_to_csv(decode_submissions(subs, 3, PARAMS))
+        assert (tmp_path / "after.csv").read_text() == expected
 
     def test_bad_header_mid_log_stays_an_error(self, tmp_path):
         subs = _make_submissions({b"x": 3})
