@@ -37,8 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True)
     run.add_argument("--baselines", action="store_true",
                      help="also run the central/local baselines")
-    run.add_argument("--bench", action="store_true",
-                     help="also emit bench.csv (timings and byte counts)")
 
     # Daemon flags fall back to their NEBULA_* environment variables.
     env = os.environ.get
@@ -108,11 +106,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         for mechanism, err in sorted(res.errors.items()):
             plot_rows.append((mechanism, float(args.bin_bits or 0), err))
     harness.write_plot_data(out / "plotdata.csv", plot_rows)
-
-    if args.bench:
-        max_attrs = dataset.num_attributes if args.multidim else 1
-        rows = harness.benchmark(params, attribute_counts=range(1, max_attrs + 1))
-        harness.write_bench_csv(out / "bench.csv", rows)
 
     for res in results:
         for mechanism, err in sorted(res.errors.items()):

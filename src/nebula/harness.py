@@ -1,16 +1,17 @@
-"""Experiment driver: datasets, population simulation, baselines, benchmarks.
+"""Experiment driver: datasets, population simulation, baselines.
 
-Reproduces the protocol's utility and cost measurements at desk scale:
-loaders for a whitespace-tokenized corpus and attribute CSVs (plus synthetic
-stand-ins with matching shapes), a full client-population simulation of the
-sampling/encoding/dummy/decoding pipeline, central- and local-model
-differential-privacy baselines, and timing/byte-count benchmarks.
+Reproduces the protocol's utility measurements at desk scale: loaders for a
+whitespace-tokenized corpus and attribute CSVs (plus synthetic stand-ins
+with matching shapes), a full client-population simulation of the
+sampling/encoding/dummy/decoding pipeline, and central- and local-model
+differential-privacy baselines.  Both transports of the simulation decode
+the same frame bytes through ``service.decode_log``.  Timings live in
+``bench/run.py``.
 
 All randomness flows from one experiment seed through named sub-streams
 (participation, blinding, shares, dummies, delivery, baselines), so each
 component is independently reproducible.  Identical (dataset, params, seed)
-give identical results; wall-clock timings are kept out of the deterministic
-result fields and only appear in benchmark output.
+give identical results.
 
 The error metric throughout is the sum-absolute difference between
 normalized estimated and true frequencies, in [0, 2].  Estimated
@@ -42,7 +43,6 @@ from . import aggregate, dummy, oprf, service, sharing, wire
 from .encode import (
     KeyShare, Submission, build_submission, encrypt_value, parse_randomness, participate,
 )
-from .group import scalar_inverse
 from .multidim import SuperSubmission, encode_multidim, geo_attributes, make_prefixes
 from .params import DpParams, params_to_config
 
@@ -342,8 +342,6 @@ class ExperimentResult:
 
     errors: dict[str, float] = dc_field(default_factory=dict)
     per_prefix_errors: list[float] = dc_field(default_factory=list)
-    timings: dict[str, float] = dc_field(default_factory=dict)
-    byte_counts: dict[str, int] = dc_field(default_factory=dict)
     seed: int = 0
     params: Optional[DpParams] = None
     report_csv: str = ""
@@ -354,13 +352,11 @@ class ExperimentResult:
                 raise ValueError(f"{name} error {err} outside [0, 2]")
 
     def fingerprint(self) -> bytes:
-        """Digest of the deterministic fields (timings excluded)."""
+        """Digest of the deterministic fields."""
         h = hashlib.sha256()
         for name in sorted(self.errors):
             h.update(f"{name}={self.errors[name]!r};".encode())
         h.update(repr(self.per_prefix_errors).encode())
-        for name in sorted(self.byte_counts):
-            h.update(f"{name}={self.byte_counts[name]!r};".encode())
         h.update(str(self.seed).encode())
         h.update(self.report_csv.encode())
         return h.digest()
@@ -396,7 +392,6 @@ def run_nebula(
     seed: int,
     mode: str = "single",
     transport: str = "in_process",
-    include_dummies: bool = True,
     workdir: Optional[Path] = None,
 ) -> ExperimentResult:
     """Simulate the full population once and decode.
@@ -405,8 +400,10 @@ def run_nebula(
     are canonically flattened); mode="multidim" uses the chained-prefix
     encoding and reports per-prefix errors.  transport="daemons" runs the
     two servers as separate processes and moves everything over the wire.
-    Both transports build the same messages in the same order; they differ
-    only in where randomness comes from and where the multiset is decoded.
+    Both transports build the same frames in the same order and decode
+    those frame bytes with ``service.decode_log``: in-process as an
+    in-memory log, or in the aggregation daemon from its sealed log.  They
+    differ only in where randomness comes from.
     """
     if mode not in ("single", "multidim"):
         raise ValueError("mode must be 'single' or 'multidim'")
@@ -454,14 +451,14 @@ def run_nebula(
                 messages.append(encode_multidim(record, rs, params, shares_rng))
             else:
                 messages.append(build_submission(xs[0], randomness[xs[0]], params, shares_rng))
-        if include_dummies and params.threshold >= 2:
+        if params.threshold >= 2:
             for s in dummy.create_dummy_batch(params, dummy_rng).submissions:
                 messages.append(SuperSubmission(layer1=s, wrapped_layers=()) if chained else s)
         delivery_rng.shuffle(messages)
+        msg_type = wire.MSG_SUPER_SUBMISSION if chained else wire.MSG_SUBMISSION
+        frames = [wire.encode_frame(msg_type, m.to_bytes()) for m in messages]
 
         if transport == "daemons":
-            msg_type = wire.MSG_SUPER_SUBMISSION if chained else wire.MSG_SUBMISSION
-            frames = [wire.encode_frame(msg_type, m.to_bytes()) for m in messages]
             with service.ServiceClient("127.0.0.1", pair.aggregation_port) as ac:
                 _, errors = ac.submit_stream(frames)
                 if errors:
@@ -469,8 +466,7 @@ def run_nebula(
                 ac.seal_and_decode()
             csv_text = pair.report_path.read_text()
         else:
-            singles, supers = ([], messages) if chained else (messages, [])
-            _, csv_text = service.decode_messages(singles, supers, params)
+            _, csv_text = service.decode_log(b"".join(frames), params)
 
     reports = aggregate.reports_from_csv(csv_text, layered=chained)
     if chained:
@@ -544,89 +540,7 @@ def _vector_error(true_counts: np.ndarray, est_counts: np.ndarray) -> float:
     return float(np.abs(p - q).sum())
 
 
-# --- benchmarks -------------------------------------------------------------
-
-
-def benchmark(
-    params: DpParams,
-    attribute_counts: Sequence[int] = tuple(range(1, 9)),
-    reps: int = 50,
-) -> list[dict]:
-    """Per-attribute-count timing and byte measurements.
-
-    Covers client encode time, client randomness time (with and without
-    proof verification), server evaluation time, decode throughput, and the
-    serialized sizes of every interaction.
-    """
-    keypair = oprf.keygen(DEFAULT_SERVER_SEED)
-    rng = random.Random(20240101)
-    rows = []
-    for n_attrs in attribute_counts:
-        attrs = [f"attr{i:02d}-payload".encode() for i in range(n_attrs)]
-        chain = make_prefixes(attrs)
-        rs = [oprf.evaluate_directly(p, keypair) for p in chain.prefixes]
-
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            super_sub = encode_multidim(attrs, rs, params, rng)
-        encode_ms = (time.perf_counter() - t0) / reps * 1e3
-
-        blinded_states = []
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            blinded_states = [oprf.blind(p, rng) for p in chain.prefixes]
-        blind_ms = (time.perf_counter() - t0) / reps * 1e3
-
-        blinded = [b for b, _ in blinded_states]
-        states = [st for _, st in blinded_states]
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            ev = oprf.evaluate_batch(blinded, keypair)
-        server_eval_ms = (time.perf_counter() - t0) / reps * 1e3
-
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            oprf.finalize_batch(list(chain.prefixes), states, ev, keypair.mpk)
-        finalize_verify_ms = (time.perf_counter() - t0) / reps * 1e3
-
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            for p, st, z in zip(chain.prefixes, states, ev.elements):
-                oprf._randomness(z * scalar_inverse(st.blind_scalar), p)
-        finalize_noverify_ms = (time.perf_counter() - t0) / reps * 1e3
-
-        payload = super_sub.to_bytes()
-        rows.append(
-            {
-                "attributes": n_attrs,
-                "encode_ms": round(encode_ms, 4),
-                "randomness_client_ms": round(blind_ms + finalize_verify_ms, 4),
-                "randomness_client_noverify_ms": round(
-                    blind_ms + finalize_noverify_ms, 4
-                ),
-                "server_eval_ms": round(server_eval_ms, 4),
-                "randomness_request_bytes": 1 + 32 * n_attrs,
-                "randomness_request_element_bytes": 32 * n_attrs,
-                "randomness_response_element_bytes": 32 * n_attrs,
-                "randomness_response_bytes": 32 * n_attrs + 64,
-                "submission_bytes": len(payload),
-            }
-        )
-    return rows
-
-
-def decode_throughput(n_submissions: int, n_values: int, params: DpParams, seed: int = 0) -> dict:
-    """Build a synthetic submission batch and time the decode path."""
-    frames = build_submission_payloads(n_submissions, n_values, params, seed)
-    subs = [Submission.from_bytes(p) for p in frames]
-    t0 = time.perf_counter()
-    report = aggregate.decode_submissions(subs, params.threshold, params)
-    decode_s = time.perf_counter() - t0
-    return {
-        "submissions": n_submissions,
-        "decode_seconds": decode_s,
-        "revealed": len(report.revealed),
-    }
+# --- bulk submissions -------------------------------------------------------
 
 
 def build_submission_payloads(
@@ -749,24 +663,7 @@ def write_errors_csv(path: str | Path, results: Sequence[ExperimentResult]) -> N
     write_csv(path, ["mechanism", "seed", "error"], rows)
 
 
-def write_bench_csv(path: str | Path, rows: Sequence[dict]) -> None:
-    header = list(rows[0].keys()) if rows else ["attributes"]
-    write_csv(path, header, [[row[k] for k in header] for row in rows])
-
-
 def write_plot_data(path: str | Path, series_rows: Sequence[tuple[str, float, float]]) -> None:
     """Generic x/y plot data: one (series, x, y) row per point."""
     write_csv(path, ["series", "x", "y"], [[s, repr(x), repr(y)] for s, x, y in series_rows])
 
-
-def linear_fit_r2(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Coefficient of determination of the least-squares line through (x, y)."""
-    x = np.asarray(xs, dtype=np.float64)
-    y = np.asarray(ys, dtype=np.float64)
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(((y - pred) ** 2).sum())
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    if ss_tot == 0:
-        return 1.0
-    return 1.0 - ss_res / ss_tot

@@ -256,46 +256,36 @@ _SUBMISSION_CLASSES = {
 }
 
 
-def read_log(path: str | Path) -> tuple[list[Submission], list[SuperSubmission]]:
-    """Parse a (sealed) log back into submissions."""
-    data = Path(path).read_bytes()
-    parsed: dict[type, list] = {Submission: [], SuperSubmission: []}
+def read_log(data: bytes) -> list[Submission | SuperSubmission]:
+    """Parse the bytes of a submission log back into submissions, in log order."""
+    messages = []
     end = 0
     for msg_type, payload, end in wire.iter_frames(data):
         cls = _SUBMISSION_CLASSES.get(msg_type)
         if cls is None:
             raise wire.FrameError(f"unexpected record type {msg_type} in log")
-        parsed[cls].append(cls.from_bytes(payload))
+        messages.append(cls.from_bytes(payload))
     if end != len(data):
         raise wire.FrameError("truncated log record")
-    return parsed[Submission], parsed[SuperSubmission]
+    return messages
 
 
-def decode_messages(
-    singles: Sequence[Submission],
-    supers: Sequence[SuperSubmission],
-    params: DpParams,
-) -> tuple[list[aggregate.HistogramReport], str]:
-    """Decode a submission multiset; returns (reports, csv).
+def decode_log(data: bytes, params: DpParams) -> tuple[list[aggregate.HistogramReport], str]:
+    """Decode the bytes of a submission log; returns (reports, csv).
 
-    Every multiset goes through the one layered decoder.  Without chained
-    messages the result is the plain single-attribute report (its
-    one-layer case); any chained message makes the report layered, and
-    plain submissions join it as one-layer chains.
+    The one decode entry for both transports: the daemon passes its sealed
+    log, the in-process simulation the frames it would have sent.  Without
+    SUPER_SUBMISSION records the result is the plain single-attribute report
+    (the one-layer case of the layered decoder); any SUPER_SUBMISSION makes
+    the report layered, and plain submissions join it as one-layer chains.
     """
-    if not supers:
-        report = aggregate.decode_submissions(singles, params.threshold, params)
+    messages = read_log(data)
+    del data  # the parsed records replace the bytes; hold one copy at a time
+    if not any(isinstance(m, SuperSubmission) for m in messages):
+        report = aggregate.decode_submissions(messages, params.threshold, params)
         return [report], aggregate.report_to_csv(report)
-    reports = multidim.decode_multidim([*supers, *singles], params.threshold, params)
+    reports = multidim.decode_multidim(messages, params.threshold, params)
     return reports, multidim.layered_reports_to_csv(reports)
-
-
-def decode_log(
-    path: str | Path, params: DpParams
-) -> tuple[list[aggregate.HistogramReport], str]:
-    """Decode a sealed log with ``decode_messages``; returns (reports, csv)."""
-    singles, supers = read_log(path)
-    return decode_messages(singles, supers, params)
 
 
 def seal_and_report(
@@ -304,11 +294,12 @@ def seal_and_report(
     """Seal ``log``, decode it and write the report CSV; returns (reports, path).
 
     A ``report_path`` of None puts the report next to the log as
-    ``<log>.report.csv``.
+    ``<log>.report.csv``, appended to the log's full name as the seal
+    marker is.
     """
     log.seal()
-    reports, csv_text = decode_log(log.path, params)
-    out = Path(report_path or log.path.with_suffix(".report.csv"))
+    reports, csv_text = decode_log(log.path.read_bytes(), params)
+    out = Path(report_path or log.path.with_suffix(log.path.suffix + ".report.csv"))
     out.write_text(csv_text)
     return reports, out
 

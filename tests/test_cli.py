@@ -36,7 +36,7 @@ def test_run_writes_outputs(tmp_path):
     assert "nebula" in errors and "central" in errors and "local" in errors
 
 
-def test_run_multidim_with_bench(tmp_path):
+def test_run_multidim(tmp_path):
     out = tmp_path / "out"
     rc = main(
         [
@@ -48,11 +48,9 @@ def test_run_multidim_with_bench(tmp_path):
             "--multidim",
             "--seed", "1",
             "--out", str(out),
-            "--bench",
         ]
     )
     assert rc == 0
-    assert (out / "bench.csv").exists()
     plot = (out / "plotdata.csv").read_text()
     assert "prefix_error" in plot
     report = (out / "report.csv").read_text()
@@ -100,6 +98,18 @@ def test_offline_seal_and_decode(tmp_path):
     assert rc == 0
     text = (tmp_path / "report.csv").read_text()
     assert "cli-value,4" in text
+
+
+def test_default_report_path_appends_to_log_name(tmp_path, monkeypatch):
+    # Without --report the report lands at <log>.report.csv, named as the
+    # <log>.sealed marker is: log.bin gives log.bin.report.csv.
+    monkeypatch.delenv("NEBULA_REPORT", raising=False)
+    cfg, log_path = _write_log(tmp_path)
+    rc = main(["aggregation-server", "--log", str(log_path), "--params", str(cfg),
+               "--seal-and-decode"])
+    assert rc == 0
+    assert "cli-value,4" in (tmp_path / "log.bin.report.csv").read_text()
+    assert (tmp_path / "log.bin.sealed").exists()
 
 
 def test_seal_and_decode_reads_environment(tmp_path, monkeypatch):

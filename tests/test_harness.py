@@ -1,22 +1,22 @@
-"""Harness tests: loaders, metric, baselines, simulation, benchmarks."""
+"""Harness tests: loaders, metric, baselines, simulation, bulk submissions."""
 
 import math
 import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nebula import harness
+from nebula import harness, service, wire
 from nebula.harness import (
     CapacityError,
     Dataset,
     SchemaError,
     hash_bin_dataset,
-    linear_fit_r2,
     load_corpus,
     load_csv_attributes,
     load_dataset,
@@ -87,7 +87,7 @@ class TestLoaders:
         ds = load_csv_attributes(f, ["a"])
         assert len(ds) == 0
         params = make_params(threshold=3, tsdlap_shift=4)
-        res = run_nebula(ds, params, seed=0, include_dummies=False)
+        res = run_nebula(ds, params, seed=0)
         assert res.errors["nebula"] == 0.0
 
     def test_unequal_arity_rejected(self):
@@ -228,7 +228,7 @@ class TestRunNebula:
     def test_lossless_regime_zero_error(self):
         ds = synthetic_zipf(500, 12, seed=7)
         params = make_params(threshold=1, sampling_rate=1.0)
-        res = run_nebula(ds, params, seed=0, include_dummies=False)
+        res = run_nebula(ds, params, seed=0)
         assert res.errors["nebula"] == 0.0
 
     def test_determinism_fingerprint(self):
@@ -285,31 +285,49 @@ class TestRunNebula:
         assert "nebula" in res.errors
 
 
-class TestBenchmark:
-    def test_rows_and_linearity(self):
-        params = make_params(tsdlap_shift=15)
-        rows = harness.benchmark(params, attribute_counts=(1, 2, 3, 4), reps=3)
-        assert [r["attributes"] for r in rows] == [1, 2, 3, 4]
-        for row in rows:
-            assert row["randomness_request_element_bytes"] == 32 * row["attributes"]
-            assert row["randomness_response_element_bytes"] == 32 * row["attributes"]
-            assert row["submission_bytes"] <= 300 * row["attributes"]
-            assert row["encode_ms"] < 10.0
-        r2 = linear_fit_r2(
-            [r["attributes"] for r in rows], [r["submission_bytes"] for r in rows]
-        )
-        assert r2 > 0.99
+@pytest.mark.parametrize(
+    "arity",
+    [
+        pytest.param(a, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError, reason="ROADMAP open item 6"))
+        for a in range(1, 9)
+    ],
+)
+def test_dummies_look_like_real_records(arity, monkeypatch):
+    # The aggregation server must not tell dummies from real records by
+    # their bytes.  Every value here has the same length, so every payload
+    # in the log must have one length, and a chained one (arity >= 2) one
+    # layer count.  Today a dummy is one empty-valued layer (116 B plain,
+    # 117 B chained with layer count 1), so each case fails.
+    logs = []
+    decode_log = service.decode_log
+    monkeypatch.setattr(
+        service, "decode_log", lambda data, params: logs.append(data) or decode_log(data, params)
+    )
+    params = make_params(threshold=4, tsdlap_shift=4, sampling_rate=1.0)
+    if arity == 1:
+        run_nebula(synthetic_zipf(300, 20, seed=12), params, seed=4)
+    else:
+        ds = synthetic_correlated(300, (2,) * arity, seed=12)
+        run_nebula(ds, params, seed=4, mode="multidim")
+    payloads = [p for _, p, _ in wire.iter_frames(logs[0])]
+    assert len(payloads) > 300  # the dummies are in the log
+    assert len({len(p) for p in payloads}) == 1
+    if arity > 1:
+        assert {p[0] for p in payloads} == {arity}
 
+
+class TestBenchmark:
     def test_decode_throughput_scaled(self):
         params = make_params(tsdlap_shift=15)
-        stats = harness.decode_throughput(50_000, 500, params, seed=1)
+        payloads = harness.build_submission_payloads(50_000, 500, params, seed=1)
+        log = b"".join(wire.encode_frame(wire.MSG_SUBMISSION, p) for p in payloads)
+        t0 = time.perf_counter()
+        service.decode_log(log, params)
+        decode_s = time.perf_counter() - t0
         # Table-scale anchor: a full-size host decodes 33.3M in 345 s; demand
         # no worse than ~4x that rate per submission at desk scale.
-        assert stats["decode_seconds"] < 50_000 * (345 / 33_263_633) * 4
-
-    def test_linear_fit_r2(self):
-        assert linear_fit_r2([1, 2, 3], [2.0, 4.0, 6.0]) == pytest.approx(1.0)
-        assert linear_fit_r2([1, 2, 3], [1.0, 9.0, 2.0]) < 0.9
+        assert decode_s < 50_000 * (345 / 33_263_633) * 4
 
 
 class TestResultBookkeeping:
@@ -325,5 +343,3 @@ class TestResultBookkeeping:
         assert "nebula,3,0.25" in text
         harness.write_plot_data(tmp_path / "plot.csv", [("s", 1.0, 0.5)])
         assert "series,x,y" in (tmp_path / "plot.csv").read_text()
-        harness.write_bench_csv(tmp_path / "bench.csv", [{"attributes": 1, "x": 2}])
-        assert "attributes,x" in (tmp_path / "bench.csv").read_text()

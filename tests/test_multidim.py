@@ -1,10 +1,12 @@
 """Chained-prefix encoding and layered decoding tests."""
 
 import random
+import time
 
 import pytest
 
 from nebula import oprf
+from nebula.encode import submission_wire_size
 from nebula.harness import value_randomness
 from nebula.multidim import (
     MAX_ATTRIBUTES,
@@ -67,6 +69,32 @@ class TestEncodeMultidim:
         single = encode_record(attrs[:1], params, shared_kp, rng)
         assert len(super_sub.to_bytes()) <= 8 * 300
         assert len(super_sub.to_bytes()) <= 8 * (len(single.to_bytes()) + 64)
+
+    def test_each_attribute_adds_one_wrapped_layer(self, shared_kp):
+        # Attribute k adds exactly a 4-byte length and the AEAD (16-byte tag)
+        # of its own layer's submission, and a record stays <= 300 B per
+        # attribute, for 1..8 attributes.
+        params = make_params(20)
+        rng = random.Random(6)
+        attrs = [f"attr{i}".encode() * (i + 1) for i in range(8)]
+        size = 1 + submission_wire_size(len(attrs[0]))
+        for k in range(1, 9):
+            payload = encode_record(attrs[:k], params, shared_kp, rng).to_bytes()
+            if k > 1:
+                size += 4 + submission_wire_size(len(attrs[k - 1])) + 16
+            assert len(payload) == size
+            assert len(payload) <= 300 * k
+
+    def test_encode_under_ten_ms(self, shared_kp):
+        params = make_params(20)
+        rng = random.Random(7)
+        for k in range(1, 9):
+            attrs = [f"attr{i:02d}-payload".encode() for i in range(k)]
+            rs = [value_randomness(p, shared_kp) for p in make_prefixes(attrs).prefixes]
+            t0 = time.perf_counter()
+            for _ in range(3):
+                encode_multidim(attrs, rs, params, rng)
+            assert (time.perf_counter() - t0) / 3 < 0.010
 
     def test_shared_first_attribute_shares_layer1_tag(self, shared_kp):
         params = make_params(20)

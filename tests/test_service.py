@@ -11,7 +11,9 @@ from nebula import oprf, sharing, wire
 from nebula.aggregate import decode_submissions, report_to_csv
 from nebula.encode import KeyShare, Submission, build_submission
 from nebula.harness import value_randomness
-from nebula.multidim import SuperSubmission, encode_multidim, make_prefixes
+from nebula.multidim import (
+    SuperSubmission, decode_multidim, encode_multidim, layered_reports_to_csv, make_prefixes,
+)
 from nebula.params import DpBudget, derive_params
 from nebula.service import (
     AggregationServer,
@@ -245,8 +247,7 @@ class TestAggregationEndpoint:
             with pytest.raises(ServiceError):
                 client.request(wire.MSG_SUBMISSION, b"short")
             client.seal_and_decode()
-        singles, supers = read_log(aggregation_server.log.path)
-        assert singles == [] and supers == []
+        assert read_log(aggregation_server.log.path.read_bytes()) == []
 
     def test_log_stores_only_submission_bytes(self, aggregation_server):
         # Unlinkability: the stored log is exactly the submission payloads
@@ -286,7 +287,7 @@ class TestAggregationEndpoint:
                 client.submit(forged.to_bytes())
             assert err.value.code == wire.ERR_MALFORMED
             assert "revealed=1" in client.seal_and_decode()
-        assert read_log(aggregation_server.log.path) == (subs, [])
+        assert read_log(aggregation_server.log.path.read_bytes()) == subs
         expected = report_to_csv(decode_submissions(subs, 3, PARAMS))
         assert (tmp_path / "report.csv").read_text() == expected
 
@@ -382,7 +383,7 @@ class TestLogLifecycle:
     def test_empty_log_empty_report(self, tmp_path):
         log = SubmissionLog(tmp_path / "log.bin")
         log.seal()
-        reports, csv_text = decode_log(tmp_path / "log.bin", PARAMS)
+        reports, csv_text = decode_log((tmp_path / "log.bin").read_bytes(), PARAMS)
         assert reports[0].revealed == {}
         assert "section,revealed" in csv_text
 
@@ -404,9 +405,20 @@ class TestLogLifecycle:
         for s in subs:
             log.append(wire.MSG_SUBMISSION, s.to_bytes())
         log.seal()
-        _, csv_text = decode_log(tmp_path / "log.bin", PARAMS)
+        _, csv_text = decode_log((tmp_path / "log.bin").read_bytes(), PARAMS)
         assert csv_text == report_to_csv(decode_submissions(subs, 3, PARAMS))
 
+    def test_mixed_log_read_in_order_and_decoded_layered(self):
+        # One list in log order; a single SUPER_SUBMISSION anywhere selects
+        # the layered grammar and the plain submissions join as one layer.
+        payloads = _ingest_payloads()
+        data = b"".join(wire.encode_frame(t, p) for t, p in reversed(payloads))
+        parsed = read_log(data)
+        assert [m.to_bytes() for m in parsed] == [p for _, p in reversed(payloads)]
+        assert [type(m) for m in parsed] == [SuperSubmission, SuperSubmission, Submission]
+        reports, csv_text = decode_log(data, PARAMS)
+        assert csv_text == layered_reports_to_csv(decode_multidim(parsed, 3, PARAMS))
+        assert csv_text.startswith("nebula-layered-report,v1\n") and len(reports) == 3
 
     def test_torn_tail_trimmed_on_reopen(self, tmp_path):
         # A crash mid-write leaves the last record short; reopening must drop
@@ -422,10 +434,9 @@ class TestLogLifecycle:
         log = SubmissionLog(path)
         log.append(wire.MSG_SUBMISSION, subs[4].to_bytes())
         log.seal()
-        singles, supers = read_log(path)
-        assert singles == subs[:3] + subs[4:5] and supers == []
-        _, csv_text = decode_log(path, PARAMS)
-        assert csv_text == report_to_csv(decode_submissions(singles, 3, PARAMS))
+        assert read_log(path.read_bytes()) == subs[:3] + subs[4:5]
+        _, csv_text = decode_log(path.read_bytes(), PARAMS)
+        assert csv_text == report_to_csv(decode_submissions(subs[:3] + subs[4:5], 3, PARAMS))
 
     def test_acked_submissions_survive_sigkill(self, tmp_path):
         # An ACK means the record reached the OS: killing the daemon right
@@ -448,7 +459,7 @@ class TestLogLifecycle:
                 assert "revealed=1" in client.seal_and_decode()
         finally:
             restarted.stop()
-        assert read_log(pair.log_path) == (subs, [])
+        assert read_log(pair.log_path.read_bytes()) == subs
         expected = report_to_csv(decode_submissions(subs, 3, PARAMS))
         assert (tmp_path / "after.csv").read_text() == expected
 
