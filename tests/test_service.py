@@ -1,11 +1,18 @@
 """Daemon and wire tests: framing, endpoints, log lifecycle, isolation."""
 
+import functools
 import random
+import shutil
 import socket
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine, initialize, invariant, precondition, rule,
+)
 
 from nebula import oprf, sharing, wire
 from nebula.aggregate import decode_submissions, report_to_csv
@@ -519,3 +526,135 @@ class TestDaemonIsolation:
         assert parse_listen("127.0.0.1:9000") == ("127.0.0.1", 9000)
         with pytest.raises(ValueError):
             parse_listen("no-port")
+
+
+# --- a stateful model of the aggregation daemon ------------------------------
+
+
+@functools.cache
+def _model_payloads() -> tuple[tuple[int, bytes], ...]:
+    """Valid (type, payload) pairs: groups at, above and below the threshold,
+    as plain submissions and as 1-, 2- and 3-layer chains."""
+    kp = oprf.keygen(b"\x77" * 32)
+    rng = random.Random(11)
+    out = [(wire.MSG_SUBMISSION, s.to_bytes()) for s in _make_submissions({b"a": 4, b"b": 2})]
+    for attrs, copies in (([b"a", b"bb", b"ccc"], 4), ([b"a", b"xy"], 3), ([b"one"], 1)):
+        rs = [value_randomness(p, kp) for p in make_prefixes(attrs).prefixes]
+        out += [
+            (wire.MSG_SUPER_SUBMISSION, encode_multidim(attrs, rs, PARAMS, rng).to_bytes())
+            for _ in range(copies)
+        ]
+    return tuple(out)
+
+
+_RECORDS = st.deferred(lambda: st.sampled_from(_model_payloads()))
+
+
+def _frames(records) -> bytes:
+    return b"".join(wire.encode_frame(t, p) for t, p in records)
+
+
+class AggregationDaemonModel(RuleBasedStateMachine):
+    """Drives an in-process aggregation daemon against a model: the list of
+    ACKed payloads, and whether the log is sealed.
+
+    The submit rules keep running after the seal, where every submission
+    that passes validation must get ERR_SEALED and reach no log.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.dir = Path(tempfile.mkdtemp())
+        self.log_path = self.dir / "log.bin"
+        self.report_path = self.dir / "report.csv"
+        self.acked: list[tuple[int, bytes]] = []
+        self.sealed = False
+        self._start()
+
+    def _start(self) -> None:
+        self.server = AggregationServer(
+            ("127.0.0.1", 0), self.log_path, PARAMS, self.report_path
+        )
+        self.server.start_background()
+        self.client = ServiceClient("127.0.0.1", self.server.port)
+
+    def _stop(self) -> None:
+        self.client.close()
+        self.server.stop()
+        self.server.log.close()
+
+    def _submit(self, msg_type: int, payload: bytes, valid: bool) -> None:
+        """Send one payload; ``valid`` says whether ``from_bytes`` accepts it."""
+        try:
+            self.client.request(msg_type, payload)
+        except ServiceError as exc:
+            expected = wire.ERR_SEALED if valid else wire.ERR_MALFORMED
+            assert exc.code == expected
+            assert self.sealed or not valid
+        else:
+            assert valid and not self.sealed
+            self.acked.append((msg_type, payload))
+
+    # Start from a few valid records, so that most seals decode a group.
+    @initialize(records=st.lists(_RECORDS, min_size=3, max_size=8))
+    def submit_first(self, records):
+        self.submit_valid(records)
+
+    @rule(records=st.lists(_RECORDS, min_size=1, max_size=8))
+    def submit_valid(self, records):
+        for record in records:
+            self._submit(*record, valid=True)
+
+    @rule(record=_RECORDS, data=st.data())
+    def submit_mutated(self, record, data):
+        msg_type, payload = record
+        chained = msg_type == wire.MSG_SUPER_SUBMISSION
+        _, mutated = _mutate(payload, chained, data)
+        try:
+            (SuperSubmission if chained else Submission).from_bytes(mutated)
+            valid = True
+        except ValueError:
+            valid = False
+        self._submit(msg_type, mutated, valid)
+
+    @rule(record=_RECORDS, data=st.data())
+    def drop_mid_frame(self, record, data):
+        frame = wire.encode_frame(*record)
+        cut = data.draw(st.integers(1, len(frame) - 1))
+        with socket.create_connection(("127.0.0.1", self.server.port), timeout=5) as sock:
+            sock.sendall(frame[:cut])
+
+    @rule(record=_RECORDS, data=st.data())
+    def restart(self, record, data):
+        self._stop()
+        if not self.sealed:
+            # What a crash mid-write leaves: the head of one more frame.
+            frame = wire.encode_frame(*record)
+            with open(self.log_path, "ab") as f:
+                f.write(frame[: data.draw(st.integers(0, len(frame) - 1))])
+        self._start()
+
+    @precondition(lambda self: not self.sealed)
+    @rule()
+    def seal(self):
+        self.client.seal_and_decode()
+        self.sealed = True
+        # A pure function of the multiset: decode the model in another order.
+        _, expected = decode_log(_frames(sorted(self.acked)), PARAMS)
+        assert self.report_path.read_text() == expected
+
+    @invariant()
+    def log_holds_exactly_the_acked_payloads(self):
+        # Every reply is sent after the log is flushed, so the file is
+        # current whenever a rule returns.
+        assert self.log_path.read_bytes() == _frames(self.acked)
+
+    def teardown(self):
+        self._stop()
+        shutil.rmtree(self.dir, ignore_errors=True)
+
+
+TestAggregationDaemonModel = AggregationDaemonModel.TestCase
+TestAggregationDaemonModel.settings = settings(
+    max_examples=16, stateful_step_count=12, deadline=None
+)
