@@ -19,7 +19,8 @@ groups never reach the threshold by construction).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Optional, Sequence
+from typing import Iterable, Literal, Optional, Sequence, TypeVar
+from urllib.parse import unquote_to_bytes
 
 from cryptography.exceptions import InvalidTag
 
@@ -27,11 +28,7 @@ from . import sharing
 from .encode import Submission, decrypt_with_key, key_from_field_secret
 from .params import DpParams, config_items
 
-
-@dataclass(frozen=True)
-class TagGroup:
-    tag: bytes
-    submissions: tuple[Submission, ...]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -59,36 +56,35 @@ class HistogramReport:
     dummy_noise_applied: bool = True
 
 
-def group_by_tag(submissions: Iterable[Submission]) -> list[TagGroup]:
-    """Partition submissions into per-tag groups (input order is irrelevant).
+def group_by_tag(pairs: Iterable[tuple[Submission, T]]) -> list[list[tuple[Submission, T]]]:
+    """Partition ``(submission, owner)`` pairs by the submission's tag.
 
-    Members keep arrival order here; recovery canonicalizes its own view, so
-    reports are a pure function of the submission multiset.
+    The owner is whatever the caller needs back for a group's members, such
+    as the chained message a submission was unwrapped from.  Members keep
+    arrival order here; recovery canonicalizes its own view, so reports are
+    a pure function of the submission multiset.
     """
-    buckets: dict[bytes, list[Submission]] = {}
-    for sub in submissions:
-        buckets.setdefault(sub.tag, []).append(sub)
-    return [
-        TagGroup(tag=tag, submissions=tuple(members))
-        for tag, members in buckets.items()
-    ]
+    groups: dict[bytes, list[tuple[Submission, T]]] = {}
+    for pair in pairs:
+        groups.setdefault(pair[0].tag, []).append(pair)
+    return list(groups.values())
 
 
-def recover_group(group: TagGroup, threshold: int) -> GroupRecovery:
+def recover_group(submissions: Sequence[Submission], threshold: int) -> GroupRecovery:
     """Decode one tag group if it has at least ``threshold`` members."""
-    count = len(group.submissions)
+    count = len(submissions)
     if count < threshold:
         return GroupRecovery(status="unrevealed", count=count)
 
-    first_ct = group.submissions[0].ciphertext
-    if any(sub.ciphertext != first_ct for sub in group.submissions[1:]):
+    first_ct = submissions[0].ciphertext
+    if any(sub.ciphertext != first_ct for sub in submissions[1:]):
         return GroupRecovery(status="malformed", count=count)
 
     # First `threshold` shares with pairwise-distinct x, taken in canonical
     # (share byte-order) sorting so recovery is order-independent.
     points: list[tuple[int, int]] = []
     seen: set[int] = set()
-    for sub in sorted(group.submissions, key=lambda s: (s.share.x_coord, s.share.y_coord)):
+    for sub in sorted(submissions, key=lambda s: (s.share.x_coord, s.share.y_coord)):
         if sub.share.x_coord in seen:
             continue
         seen.add(sub.share.x_coord)
@@ -148,19 +144,6 @@ def encode_value_field(value: bytes) -> str:
     )
 
 
-def decode_value_field(text: str) -> bytes:
-    out = bytearray()
-    i = 0
-    while i < len(text):
-        if text[i] == "%":
-            out.append(int(text[i + 1 : i + 3], 16))
-            i += 3
-        else:
-            out.append(ord(text[i]))
-            i += 1
-    return bytes(out)
-
-
 def reports_to_csv(reports: Sequence[HistogramReport], layered: bool) -> str:
     """Write per-layer reports as CSV.
 
@@ -212,7 +195,7 @@ def reports_from_csv(text: str, layered: bool) -> list[HistogramReport]:
         current = reports[-1]
         key, _, raw = line.rpartition(",")
         if section == "revealed":
-            path = tuple(decode_value_field(part) for part in key.split("/"))
+            path = tuple(unquote_to_bytes(part) for part in key.split("/"))
             current.revealed[path if layered else path[0]] = int(raw)
         elif section == "unrevealed":
             current.unrevealed_multiplicities[int(key)] = int(raw)

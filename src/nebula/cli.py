@@ -127,6 +127,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.log is None or args.params is None:
             print("--log and --params (or env equivalents) required", file=sys.stderr)
             return 2
+        # Sealing is permanent, so a mistyped path must not seal a new log.
+        if args.seal_and_decode and not Path(args.log).is_file():
+            print(f"--seal-and-decode: no log at {args.log}", file=sys.stderr)
+            return 2
         service.run_aggregation_server(
             args.listen, args.log, args.params, args.report, args.seal_and_decode
         )

@@ -116,7 +116,7 @@ def normalize_token(token: str) -> str:
     return token.strip(_PUNCT).lower()
 
 
-def load_corpus(path: str | Path, bin_bits: Optional[int] = None) -> Dataset:
+def load_corpus(path: str | Path) -> Dataset:
     """One single-attribute record per whitespace token of a text file."""
     text = Path(path).read_text(encoding="utf-8", errors="replace")
     records = []
@@ -124,10 +124,7 @@ def load_corpus(path: str | Path, bin_bits: Optional[int] = None) -> Dataset:
         norm = normalize_token(token)
         if norm:
             records.append((norm.encode(),))
-    ds = Dataset(records=tuple(records), schema=("token",), source=str(path))
-    if bin_bits is not None:
-        ds = hash_bin_dataset(ds, bin_bits)
-    return ds
+    return Dataset(records=tuple(records), schema=("token",), source=str(path))
 
 
 def hash_bin_dataset(dataset: Dataset, bits: int) -> Dataset:
@@ -300,17 +297,20 @@ def load_dataset(
     geo_columns: Optional[tuple[str, str, str]] = None,
     bin_bits: Optional[int] = None,
 ) -> Dataset:
-    """Dispatch on a CLI dataset argument: synthetic spec, .csv, or corpus."""
+    """Dispatch on a CLI dataset argument: synthetic spec, .csv, or corpus.
+
+    ``bin_bits`` hash-bins the loaded dataset whatever its source; a
+    multi-attribute dataset cannot be binned and raises ValueError.
+    """
     if spec.startswith("synthetic:"):
         ds = parse_dataset_spec(spec)
-        if bin_bits is not None:
-            ds = hash_bin_dataset(ds, bin_bits)
-        return ds
-    if spec.endswith(".csv"):
+    elif spec.endswith(".csv"):
         if columns is None and geo_columns is None:
             raise SchemaError("CSV datasets need --columns or --geo-columns")
-        return load_csv_attributes(spec, columns or (), geo_columns)
-    return load_corpus(spec, bin_bits)
+        ds = load_csv_attributes(spec, columns or (), geo_columns)
+    else:
+        ds = load_corpus(spec)
+    return ds if bin_bits is None else hash_bin_dataset(ds, bin_bits)
 
 
 # --- error metric -----------------------------------------------------------

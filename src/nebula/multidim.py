@@ -160,15 +160,6 @@ def encode_multidim(
     return SuperSubmission(layer1=layer_subs[0], wrapped_layers=tuple(wrapped))
 
 
-@dataclass
-class _Branch:
-    """One recovered parent group: prefix path, key, and member messages."""
-
-    path: tuple[bytes, ...]
-    key: Optional[bytes]  # None at the root: layer 1 travels in the clear
-    members: list[SuperSubmission | Submission]
-
-
 def decode_multidim(
     messages: Iterable[SuperSubmission | Submission],
     threshold: int,
@@ -191,17 +182,17 @@ def decode_multidim(
     ]
 
     # Each layer regroups every recovered branch of the layer above by the
-    # tag of its members' submissions for this layer; the root branch holds
-    # every message.
-    frontier = [_Branch(path=(), key=None, members=messages)]
+    # tag of its members' submissions for this layer.  A branch is a
+    # (prefix path, key, member messages) tuple; the root branch holds every
+    # message and no key, as layer 1 travels in the clear.
+    frontier = [((), None, messages)]
     for layer, report in enumerate(reports, start=1):
-        next_frontier: list[_Branch] = []
+        next_frontier = []
         nonce = _wrap_nonce(layer)
-        for branch in frontier:
-            aead = None if branch.key is None else ChaCha20Poly1305(branch.key)
-            layer_subs: list[Submission] = []
-            owners: dict[bytes, list[SuperSubmission | Submission]] = {}
-            for member in branch.members:
+        for path, key, members in frontier:
+            aead = None if key is None else ChaCha20Poly1305(key)
+            pairs: list[tuple[Submission, SuperSubmission | Submission]] = []
+            for member in members:
                 if member.num_layers < layer:
                     continue
                 if aead is None:
@@ -214,16 +205,14 @@ def decode_multidim(
                         # Counted per member: an unreadable blob has no tag.
                         report.malformed_groups += 1
                         continue
-                layer_subs.append(sub)
-                owners.setdefault(sub.tag, []).append(member)
-            for group in group_by_tag(layer_subs):
-                outcome = recover_group(group, threshold)
+                pairs.append((sub, member))
+            for group in group_by_tag(pairs):
+                subs, owners = zip(*group)
+                outcome = recover_group(subs, threshold)
                 if outcome.status == "recovered":
-                    path = branch.path + (outcome.value,)
-                    report.revealed[path] = report.revealed.get(path, 0) + outcome.count
-                    next_frontier.append(
-                        _Branch(path=path, key=outcome.key, members=owners[group.tag])
-                    )
+                    child = path + (outcome.value,)
+                    report.revealed[child] = report.revealed.get(child, 0) + outcome.count
+                    next_frontier.append((child, outcome.key, owners))
                 elif outcome.status == "unrevealed":
                     report.unrevealed_multiplicities[outcome.count] = (
                         report.unrevealed_multiplicities.get(outcome.count, 0) + 1

@@ -40,9 +40,9 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 # L1 sensitivity of the sub-threshold multiplicity histogram under removal of
 # one record (two adjacent entries change by one each).
@@ -163,16 +163,16 @@ class DpParams:
         if not (isinstance(self.tsdlap_shift, int) and self.tsdlap_shift >= 0):
             raise ParameterError("tsdlap_shift must be a non-negative integer")
 
-    @property
-    def overall_epsilon(self) -> float:
-        return self.budget.overall_epsilon
 
-    @property
-    def overall_delta(self) -> float:
-        return self.budget.overall_delta
-
-
-_DERIVABLE = ("sampling_rate", "threshold", "tsdlap_scale", "tsdlap_shift")
+# Each mechanism field of ``DpParams``, in config-file order: its type, and
+# its derivation from the budget.  A derivation runs only for a field that
+# is not pinned, since some budgets (alpha near 1) admit no derived threshold.
+_DERIVATIONS: dict[str, tuple[type, Callable[[DpBudget], float | int]]] = {
+    "sampling_rate": (float, lambda b: sampling_rate(b.eps_revealed, b.alpha)),
+    "threshold": (int, lambda b: derive_threshold(b.delta_revealed, b.alpha)),
+    "tsdlap_scale": (float, lambda b: derive_noise_scale(b.eps_unrevealed)),
+    "tsdlap_shift": (int, lambda b: derive_noise_shift(b.eps_unrevealed, b.delta_unrevealed)),
+}
 
 
 def derive_params(
@@ -180,43 +180,19 @@ def derive_params(
 ) -> DpParams:
     """Derive all mechanism parameters from a budget.
 
-    ``overrides`` may pin any of sampling_rate, threshold, tsdlap_scale,
-    tsdlap_shift to an explicit value; pinned fields are recorded in
+    ``overrides`` may pin any mechanism field to an explicit value; a
+    pinned field skips its derivation and is recorded in
     ``DpParams.overridden``.
     """
     overrides = dict(overrides or {})
-    unknown = set(overrides) - set(_DERIVABLE)
+    unknown = set(overrides) - set(_DERIVATIONS)
     if unknown:
         raise ParameterError(f"unknown override fields: {sorted(unknown)}")
-
-    values: dict[str, float | int] = {}
-    if "sampling_rate" in overrides:
-        values["sampling_rate"] = float(overrides["sampling_rate"])
-    else:
-        values["sampling_rate"] = sampling_rate(budget.eps_revealed, budget.alpha)
-    if "threshold" in overrides:
-        values["threshold"] = int(overrides["threshold"])
-    else:
-        values["threshold"] = derive_threshold(budget.delta_revealed, budget.alpha)
-    if "tsdlap_scale" in overrides:
-        values["tsdlap_scale"] = float(overrides["tsdlap_scale"])
-    else:
-        values["tsdlap_scale"] = derive_noise_scale(budget.eps_unrevealed)
-    if "tsdlap_shift" in overrides:
-        values["tsdlap_shift"] = int(overrides["tsdlap_shift"])
-    else:
-        values["tsdlap_shift"] = derive_noise_shift(
-            budget.eps_unrevealed, budget.delta_unrevealed
-        )
-
-    return DpParams(
-        budget=budget,
-        sampling_rate=values["sampling_rate"],
-        threshold=values["threshold"],
-        tsdlap_scale=values["tsdlap_scale"],
-        tsdlap_shift=values["tsdlap_shift"],
-        overridden=tuple(sorted(overrides)),
-    )
+    values = {
+        name: conv(overrides[name]) if name in overrides else derive(budget)
+        for name, (conv, derive) in _DERIVATIONS.items()
+    }
+    return DpParams(budget=budget, **values, overridden=tuple(sorted(overrides)))
 
 
 @lru_cache(maxsize=64)
@@ -261,23 +237,16 @@ def tsdlap_sample(rng: random.Random, scale: float, shift: int) -> int:
 
 # --- flat key/value config (consumed by the CLI and daemons) ---------------
 
-_CONFIG_FIELDS = (
-    ("eps_revealed", float),
-    ("delta_revealed", float),
-    ("eps_unrevealed", float),
-    ("delta_unrevealed", float),
-    ("alpha", float),
-    ("sampling_rate", float),
-    ("threshold", int),
-    ("tsdlap_scale", float),
-    ("tsdlap_shift", int),
-)
+# Every budget field is a float; the mechanism fields carry their own type.
+_CONFIG_FIELDS = {f.name: float for f in fields(DpBudget)} | {
+    name: conv for name, (conv, _) in _DERIVATIONS.items()
+}
 
 
 def config_items(params: DpParams) -> list[tuple[str, str]]:
     """``(key, text)`` of every config field in file order, then ``overridden``."""
     items = []
-    for name, _ in _CONFIG_FIELDS:
+    for name in _CONFIG_FIELDS:
         owner = params.budget if hasattr(params.budget, name) else params
         items.append((name, repr(getattr(owner, name))))
     items.append(("overridden", ",".join(params.overridden)))
@@ -300,24 +269,11 @@ def params_from_config(text: str) -> DpParams:
         key, _, value = line.partition("=")
         raw[key.strip()] = value.strip()
 
-    missing = [name for name, _ in _CONFIG_FIELDS if name not in raw]
+    missing = [name for name in _CONFIG_FIELDS if name not in raw]
     if missing:
         raise ParameterError(f"config missing fields: {missing}")
 
-    typed = {name: conv(raw[name]) for name, conv in _CONFIG_FIELDS}
-    budget = DpBudget(
-        eps_revealed=typed["eps_revealed"],
-        delta_revealed=typed["delta_revealed"],
-        eps_unrevealed=typed["eps_unrevealed"],
-        delta_unrevealed=typed["delta_unrevealed"],
-        alpha=typed["alpha"],
-    )
+    typed = {name: conv(raw[name]) for name, conv in _CONFIG_FIELDS.items()}
+    budget = DpBudget(**{f.name: typed.pop(f.name) for f in fields(DpBudget)})
     overridden = tuple(x for x in raw.get("overridden", "").split(",") if x)
-    return DpParams(
-        budget=budget,
-        sampling_rate=typed["sampling_rate"],
-        threshold=typed["threshold"],
-        tsdlap_scale=typed["tsdlap_scale"],
-        tsdlap_shift=typed["tsdlap_shift"],
-        overridden=overridden,
-    )
+    return DpParams(budget=budget, **typed, overridden=overridden)

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from urllib.parse import unquote_to_bytes
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from nebula import oprf, sharing
 from nebula.aggregate import (
     HistogramReport,
     decode_submissions,
-    decode_value_field,
     encode_value_field,
     group_by_tag,
     recover_group,
@@ -42,6 +42,12 @@ def make_submissions(spec, params, randomness_for, seed=0):
     return subs
 
 
+def one_group(subs):
+    """The submissions of the single tag group ``subs`` must form."""
+    [group] = group_by_tag((s, None) for s in subs)
+    return [s for s, _ in group]
+
+
 class TestGroupByTag:
     def test_empty(self):
         assert group_by_tag([]) == []
@@ -49,26 +55,32 @@ class TestGroupByTag:
     def test_partition_sizes(self, randomness_for):
         params = make_params(3)
         subs = make_submissions({b"x": 3, b"y": 2}, params, randomness_for)
-        groups = group_by_tag(subs)
-        assert sorted(len(g.submissions) for g in groups) == [2, 3]
-        assert sum(len(g.submissions) for g in groups) == len(subs)
+        groups = group_by_tag((s, i) for i, s in enumerate(subs))
+        assert sorted(len(g) for g in groups) == [2, 3]
+        assert sum(len(g) for g in groups) == len(subs)
+        # Each owner comes back beside its own submission.
+        assert all(subs[i] is s for g in groups for s, i in g)
 
     def test_order_insensitive(self, randomness_for):
         params = make_params(3)
         subs = make_submissions({b"x": 4, b"y": 1, b"z": 2}, params, randomness_for)
         shuffled = subs[:]
         random.Random(9).shuffle(shuffled)
-        a = {g.tag: sorted(s.to_bytes() for s in g.submissions) for g in group_by_tag(subs)}
-        b = {g.tag: sorted(s.to_bytes() for s in g.submissions) for g in group_by_tag(shuffled)}
-        assert a == b
+
+        def by_tag(seq):
+            return {
+                g[0][0].tag: sorted(s.to_bytes() for s, _ in g)
+                for g in group_by_tag((s, None) for s in seq)
+            }
+
+        assert by_tag(subs) == by_tag(shuffled)
 
 
 class TestRecoverGroup:
     def test_exactly_threshold_recovers(self, randomness_for):
         params = make_params(5)
         subs = make_submissions({b"value": 5}, params, randomness_for)
-        [group] = group_by_tag(subs)
-        outcome = recover_group(group, 5)
+        outcome = recover_group(one_group(subs), 5)
         assert outcome.status == "recovered"
         assert outcome.value == b"value"
         assert outcome.count == 5
@@ -76,8 +88,7 @@ class TestRecoverGroup:
     def test_below_threshold_unrevealed(self, randomness_for):
         params = make_params(5)
         subs = make_submissions({b"value": 4}, params, randomness_for)
-        [group] = group_by_tag(subs)
-        outcome = recover_group(group, 5)
+        outcome = recover_group(one_group(subs), 5)
         assert outcome.status == "unrevealed"
         assert outcome.count == 4
 
@@ -99,8 +110,7 @@ class TestRecoverGroup:
             )
             for _ in range(5)
         ]
-        [group] = group_by_tag(subs)
-        outcome = recover_group(group, 5)
+        outcome = recover_group(one_group(subs), 5)
         assert outcome.status == "malformed"
 
     def test_mixed_ciphertexts_malformed(self, randomness_for):
@@ -111,14 +121,12 @@ class TestRecoverGroup:
             share=good[0].share,
             tag=good[0].tag,
         )
-        [group] = group_by_tag(good + [evil])
-        assert recover_group(group, 3).status == "malformed"
+        assert recover_group(one_group(good + [evil]), 3).status == "malformed"
 
     def test_surplus_members_all_counted(self, randomness_for):
         params = make_params(4)
         subs = make_submissions({b"value": 9}, params, randomness_for)
-        [group] = group_by_tag(subs)
-        outcome = recover_group(group, 4)
+        outcome = recover_group(one_group(subs), 4)
         assert outcome.status == "recovered"
         assert outcome.count == 9
 
@@ -280,7 +288,7 @@ class TestReportCsv:
     @given(st.binary(min_size=0, max_size=40))
     @settings(max_examples=200, deadline=None)
     def test_value_field_roundtrip(self, raw):
-        assert decode_value_field(encode_value_field(raw)) == raw
+        assert unquote_to_bytes(encode_value_field(raw)) == raw
 
     def test_ingestion_order_independence(self, randomness_for):
         params = make_params(3)

@@ -139,6 +139,23 @@ def test_flag_beats_environment(tmp_path, monkeypatch):
     assert not (tmp_path / "missing.log").exists()
 
 
+def test_seal_and_decode_refuses_missing_log(tmp_path, capsys):
+    # Sealing is permanent: a mistyped log path must create no log, no seal
+    # marker and no report.
+    cfg, _ = _write_log(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    rc = main(
+        [
+            "aggregation-server", "--log", str(tmp_path / "mistyped.log"),
+            "--params", str(cfg), "--report", str(tmp_path / "report.csv"),
+            "--seal-and-decode",
+        ]
+    )
+    assert rc == 2
+    assert "mistyped.log" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_missing_log_and_params_rejected(monkeypatch):
     monkeypatch.delenv("NEBULA_LOG_PATH", raising=False)
     monkeypatch.delenv("NEBULA_PARAMS", raising=False)

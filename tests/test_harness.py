@@ -54,11 +54,25 @@ class TestLoaders:
     def test_bin_bits_bound(self, tmp_path):
         f = tmp_path / "corpus.txt"
         f.write_text(" ".join(f"word{i}" for i in range(500)))
-        ds = load_corpus(f, bin_bits=6)
+        ds = load_dataset(str(f), bin_bits=6)
         assert all(0 <= int(r[0]) <= 63 for r in ds.records)
         # deterministic mapping: same token, same bin
-        ds2 = load_corpus(f, bin_bits=6)
+        ds2 = load_dataset(str(f), bin_bits=6)
         assert ds.records == ds2.records
+
+    def test_bin_bits_applies_to_csv(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("a\n" + "".join(f"v{i}\n" for i in range(50)))
+        ds = load_dataset(str(f), columns=["a"], bin_bits=2)
+        assert ds.source == f"{f}#bin2"
+        assert {r[0] for r in ds.records} <= {b"0", b"1", b"2", b"3"}
+        assert ds.records == hash_bin_dataset(load_csv_attributes(f, ["a"]), 2).records
+
+    def test_bin_bits_refuses_multi_attribute_csv(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("a,b\n1,2\n")
+        with pytest.raises(ValueError):
+            load_dataset(str(f), columns=["a", "b"], bin_bits=2)
 
     def test_load_csv(self, tmp_path):
         f = tmp_path / "data.csv"
