@@ -56,17 +56,24 @@ class HistogramReport:
     dummy_noise_applied: bool = True
 
 
-def group_by_tag(pairs: Iterable[tuple[Submission, T]]) -> list[list[tuple[Submission, T]]]:
+def group_by_tag(
+    pairs: Iterable[tuple[Submission, T]],
+) -> list[tuple[list[Submission], list[T]]]:
     """Partition ``(submission, owner)`` pairs by the submission's tag.
 
-    The owner is whatever the caller needs back for a group's members, such
-    as the chained message a submission was unwrapped from.  Members keep
-    arrival order here; recovery canonicalizes its own view, so reports are
-    a pure function of the submission multiset.
+    Each group is its submissions and their owners, in the same order.
+    Members keep arrival order; recovery canonicalizes its own view, so
+    reports are a pure function of the submission multiset.
     """
-    groups: dict[bytes, list[tuple[Submission, T]]] = {}
-    for pair in pairs:
-        groups.setdefault(pair[0].tag, []).append(pair)
+    # Two lists per group, not a tuple per member: a million tracked tuples
+    # would keep the garbage collector busy during a decode.
+    groups: dict[bytes, tuple[list[Submission], list[T]]] = {}
+    for sub, owner in pairs:
+        group = groups.get(sub.tag)
+        if group is None:
+            group = groups[sub.tag] = ([], [])
+        group[0].append(sub)
+        group[1].append(owner)
     return list(groups.values())
 
 

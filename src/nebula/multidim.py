@@ -191,7 +191,8 @@ def decode_multidim(
         nonce = _wrap_nonce(layer)
         for path, key, members in frontier:
             aead = None if key is None else ChaCha20Poly1305(key)
-            pairs: list[tuple[Submission, SuperSubmission | Submission]] = []
+            layer_subs: list[Submission] = []
+            layer_members: list[SuperSubmission | Submission] = []
             for member in members:
                 if member.num_layers < layer:
                     continue
@@ -205,9 +206,9 @@ def decode_multidim(
                         # Counted per member: an unreadable blob has no tag.
                         report.malformed_groups += 1
                         continue
-                pairs.append((sub, member))
-            for group in group_by_tag(pairs):
-                subs, owners = zip(*group)
+                layer_subs.append(sub)
+                layer_members.append(member)
+            for subs, owners in group_by_tag(zip(layer_subs, layer_members)):
                 outcome = recover_group(subs, threshold)
                 if outcome.status == "recovered":
                     child = path + (outcome.value,)

@@ -219,8 +219,8 @@ def test_criterion_07_threshold_hiding():
             )
             for _ in range(tau)
         ]
-        [group] = group_by_tag((s, None) for s in forced)
-        outcome = recover_group([s for s, _ in group], tau)
+        [(group, _)] = group_by_tag((s, None) for s in forced)
+        outcome = recover_group(group, tau)
         assert outcome.status == "malformed"
         fails += 1
     _report(

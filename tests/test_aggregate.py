@@ -44,8 +44,8 @@ def make_submissions(spec, params, randomness_for, seed=0):
 
 def one_group(subs):
     """The submissions of the single tag group ``subs`` must form."""
-    [group] = group_by_tag((s, None) for s in subs)
-    return [s for s, _ in group]
+    [(group, _)] = group_by_tag((s, None) for s in subs)
+    return group
 
 
 class TestGroupByTag:
@@ -56,10 +56,10 @@ class TestGroupByTag:
         params = make_params(3)
         subs = make_submissions({b"x": 3, b"y": 2}, params, randomness_for)
         groups = group_by_tag((s, i) for i, s in enumerate(subs))
-        assert sorted(len(g) for g in groups) == [2, 3]
-        assert sum(len(g) for g in groups) == len(subs)
+        assert sorted(len(g) for g, _ in groups) == [2, 3]
+        assert sum(len(g) for g, _ in groups) == len(subs)
         # Each owner comes back beside its own submission.
-        assert all(subs[i] is s for g in groups for s, i in g)
+        assert all(subs[i] is s for g, owners in groups for s, i in zip(g, owners))
 
     def test_order_insensitive(self, randomness_for):
         params = make_params(3)
@@ -69,8 +69,8 @@ class TestGroupByTag:
 
         def by_tag(seq):
             return {
-                g[0][0].tag: sorted(s.to_bytes() for s, _ in g)
-                for g in group_by_tag((s, None) for s in seq)
+                g[0].tag: sorted(s.to_bytes() for s in g)
+                for g, _ in group_by_tag((s, None) for s in seq)
             }
 
         assert by_tag(subs) == by_tag(shuffled)
