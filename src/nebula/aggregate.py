@@ -2,11 +2,13 @@
 
 The layer loop that drives them is ``multidim.decode_multidim``; a
 single-attribute multiset is its one-layer case (``decode_submissions``).
-The server sees only tagged submissions.  Grouping by tag partitions them;
-groups with at least ``threshold`` members are decoded by interpolating the
-key shares, deriving the symmetric key from the field secret, and decrypting
-the (single, byte-identical) ciphertext.  Groups below the threshold
-contribute only their size to the unrevealed-multiplicity histogram.
+The server sees only tagged submissions, which both primitives read in
+place as offsets into a buffer of serialized submissions.  Grouping by tag
+partitions them; groups with at least ``threshold`` members are decoded by
+interpolating the key shares, deriving the symmetric key from the field
+secret, and decrypting the (single, byte-identical) ciphertext.  Groups
+below the threshold contribute only their size to the
+unrevealed-multiplicity histogram and are never parsed.
 
 Recovery applies three consistency checks to an above-threshold group:
 every member must carry the same ciphertext bytes, authenticated decryption
@@ -18,6 +20,7 @@ groups never reach the threshold by construction).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Optional, Sequence, TypeVar
 from urllib.parse import unquote_to_bytes
@@ -25,8 +28,17 @@ from urllib.parse import unquote_to_bytes
 from cryptography.exceptions import InvalidTag
 
 from . import sharing
-from .encode import Submission, decrypt_with_key, key_from_field_secret
+from .encode import (
+    CIPHERTEXT_AT,
+    SHARE_END,
+    TAG_SIZE,
+    Submission,
+    decrypt_with_key,
+    key_from_field_secret,
+    submission_end,
+)
 from .params import DpParams, config_items
+from .sharing import FIELD_BYTES
 
 T = TypeVar("T")
 
@@ -57,54 +69,77 @@ class HistogramReport:
 
 
 def group_by_tag(
-    pairs: Iterable[tuple[Submission, T]],
-) -> list[tuple[list[Submission], list[T]]]:
-    """Partition ``(submission, owner)`` pairs by the submission's tag.
+    data: bytes, starts: Sequence[int], owners: Sequence[T]
+) -> list[tuple[list[int], list[T]]]:
+    """Partition the submissions at offsets ``starts`` of ``data`` by tag.
 
-    Each group is its submissions and their owners, in the same order.
-    Members keep arrival order; recovery canonicalizes its own view, so
-    reports are a pure function of the submission multiset.
+    ``owners`` runs beside ``starts``; each group is its members' offsets
+    and owners, in the same order.  Members keep arrival order; recovery
+    canonicalizes its own view, so reports are a pure function of the
+    submission multiset.
     """
     # Two lists per group, not a tuple per member: a million tracked tuples
     # would keep the garbage collector busy during a decode.
-    groups: dict[bytes, tuple[list[Submission], list[T]]] = {}
-    for sub, owner in pairs:
-        group = groups.get(sub.tag)
+    groups: dict[bytes, tuple[list[int], list[T]]] = {}
+    for start, owner in zip(starts, owners):
+        tag = data[start : start + TAG_SIZE]
+        group = groups.get(tag)
         if group is None:
-            group = groups[sub.tag] = ([], [])
-        group[0].append(sub)
+            group = groups[tag] = ([], [])
+        group[0].append(start)
         group[1].append(owner)
     return list(groups.values())
 
 
-def recover_group(submissions: Sequence[Submission], threshold: int) -> GroupRecovery:
-    """Decode one tag group if it has at least ``threshold`` members."""
-    count = len(submissions)
+def select_shares(data: bytes, starts: Sequence[int], threshold: int) -> list[tuple[int, int]]:
+    """The points recovery interpolates: the first ``threshold`` shares with
+    pairwise-distinct x in (x, y) order, or all distinct x if fewer.
+
+    Shares are compared as their serialized x||y bytes, whose order is the
+    (x, y) order as both coordinates are fixed-width big-endian.  Only the
+    ``threshold`` smallest are taken, unless a duplicate x among them means
+    the rest must be looked at too.  Only the chosen shares are parsed.
+    """
+    for k in (threshold, len(starts)):
+        chosen: list[bytes] = []
+        for share in heapq.nsmallest(k, (data[s + TAG_SIZE : s + SHARE_END] for s in starts)):
+            # Sorted, so a repeated x follows its first (smallest-y) share.
+            if not chosen or share[:FIELD_BYTES] != chosen[-1][:FIELD_BYTES]:
+                chosen.append(share)
+                if len(chosen) == threshold:
+                    break
+        if len(chosen) == threshold:
+            break
+    return [
+        (int.from_bytes(share[:FIELD_BYTES], "big"), int.from_bytes(share[FIELD_BYTES:], "big"))
+        for share in chosen
+    ]
+
+
+def recover_group(data: bytes, starts: Sequence[int], threshold: int) -> GroupRecovery:
+    """Decode the tag group of submissions at offsets ``starts`` of ``data``
+    if it has at least ``threshold`` members."""
+    count = len(starts)
     if count < threshold:
         return GroupRecovery(status="unrevealed", count=count)
 
-    first_ct = submissions[0].ciphertext
-    if any(sub.ciphertext != first_ct for sub in submissions[1:]):
+    # Every member's ciphertext must equal the first's.  Comparing each
+    # length-prefixed ciphertext over the first's width compares the
+    # lengths as well as the bytes.
+    end = submission_end(data, starts[0])
+    first = data[starts[0] + SHARE_END : end]
+    width = len(first)
+    if any(data[s + SHARE_END : s + SHARE_END + width] != first for s in starts):
         return GroupRecovery(status="malformed", count=count)
 
-    # First `threshold` shares with pairwise-distinct x, taken in canonical
-    # (share byte-order) sorting so recovery is order-independent.
-    points: list[tuple[int, int]] = []
-    seen: set[int] = set()
-    for sub in sorted(submissions, key=lambda s: (s.share.x_coord, s.share.y_coord)):
-        if sub.share.x_coord in seen:
-            continue
-        seen.add(sub.share.x_coord)
-        points.append((sub.share.x_coord, sub.share.y_coord))
-        if len(points) == threshold:
-            break
+    points = select_shares(data, starts, threshold)
     if len(points) < threshold:
         return GroupRecovery(status="malformed", count=count)
 
     secret = sharing.interpolate_at_zero(points)
     key = key_from_field_secret(secret)
     try:
-        r1, value = decrypt_with_key(key, first_ct)
+        r1, value = decrypt_with_key(key, data[starts[0] + CIPHERTEXT_AT : end])
     except (InvalidTag, ValueError):
         return GroupRecovery(status="malformed", count=count)
     if sharing.secret_from_key_seed(r1) != secret:
@@ -115,7 +150,8 @@ def recover_group(submissions: Sequence[Submission], threshold: int) -> GroupRec
 def decode_submissions(
     submissions: Iterable[Submission], threshold: int, params: Optional[DpParams] = None
 ) -> HistogramReport:
-    """Single-attribute decode: the one-layer case of ``decode_multidim``.
+    """Single-attribute decode: the one-layer case of ``decode_multidim``,
+    which also takes a ``multidim.read_log`` index in place of submissions.
 
     Revealed keys are value bytes rather than one-element attribute tuples.
     """

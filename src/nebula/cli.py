@@ -76,9 +76,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if geo is not None and len(geo) != 3:
         print("--geo-columns needs exactly country,lat,lon", file=sys.stderr)
         return 2
-    dataset = harness.load_dataset(
-        args.dataset, columns=columns, geo_columns=geo, bin_bits=args.bin_bits
-    )
+    try:
+        dataset = harness.load_dataset(
+            args.dataset, columns=columns, geo_columns=geo, bin_bits=args.bin_bits
+        )
+    except ValueError as exc:  # a dataset spec or --bin-bits that cannot apply
+        print(f"nebula run: {exc}", file=sys.stderr)
+        return 2
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -37,8 +37,12 @@ AEAD_OVERHEAD = 16
 # Plaintext layout: 32-byte key-seed header, then the value.
 HEADER_SIZE = 32
 MAX_VALUE_SIZE = 256
-# tag + share (x, y) + u32 ciphertext length prefix.
-_FIXED_PREFIX = TAG_SIZE + 2 * sharing.FIELD_BYTES + 4
+# Serialized submission: tag, share x||y (each coordinate fixed-width
+# big-endian), u32 ciphertext length, ciphertext.  The share ends at
+# SHARE_END, where the length prefix begins; the ciphertext starts at
+# CIPHERTEXT_AT, past every fixed-size field.
+SHARE_END = TAG_SIZE + 2 * sharing.FIELD_BYTES
+CIPHERTEXT_AT = SHARE_END + 4
 
 
 @dataclass(frozen=True)
@@ -61,11 +65,6 @@ class Submission:
     ciphertext: bytes
     share: KeyShare
     tag: bytes
-    num_layers = 1  # the layered decoder reads a submission as a one-layer chain
-
-    @property
-    def layer1(self) -> "Submission":
-        return self
 
     def to_bytes(self) -> bytes:
         return b"".join(
@@ -79,15 +78,17 @@ class Submission:
         )
 
     @staticmethod
-    def validate(data: bytes) -> None:
-        """Raise ValueError for any payload ``from_bytes`` would refuse.
+    def validate(data: bytes, start: int = 0, end: int | None = None) -> None:
+        """Raise ValueError unless ``data[start:end]`` is a payload
+        ``from_bytes`` would accept.
 
-        Works on the raw bytes and builds nothing, so ingest can afford it
-        per frame.
+        Works on the raw bytes in place and builds nothing, so ingest and
+        the log reader can afford it per record.
         """
-        if len(data) < _FIXED_PREFIX:
+        end = len(data) if end is None else end
+        if end - start < CIPHERTEXT_AT:
             raise ValueError("submission too short")
-        if submission_size_at(data, 0) != len(data):
+        if start + submission_size_at(data, start) != end:
             raise ValueError("submission ciphertext length mismatch")
 
     @staticmethod
@@ -110,7 +111,7 @@ def submission_size_at(data: bytes, offset: int) -> int:
     elements and x is nonzero.  The caller checks that the declared size
     fits what it holds.
     """
-    if offset + _FIXED_PREFIX > len(data):
+    if offset + CIPHERTEXT_AT > len(data):
         raise ValueError("truncated submission")
     x_at = offset + TAG_SIZE
     y_at = x_at + sharing.FIELD_BYTES
@@ -119,8 +120,15 @@ def submission_size_at(data: bytes, offset: int) -> int:
         raise ValueError("non-canonical field element")
     if x == _ZERO_ELEMENT:
         raise ValueError("zero x-coordinate")
-    (ct_len,) = struct.unpack_from("<I", data, offset + _FIXED_PREFIX - 4)
-    return _FIXED_PREFIX + ct_len
+    (ct_len,) = struct.unpack_from("<I", data, offset + SHARE_END)
+    return CIPHERTEXT_AT + ct_len
+
+
+def submission_end(data: bytes, offset: int) -> int:
+    """Offset just past the submission at ``offset``, by its declared
+    ciphertext length; checks nothing."""
+    (ct_len,) = struct.unpack_from("<I", data, offset + SHARE_END)
+    return offset + CIPHERTEXT_AT + ct_len
 
 
 def submission_at(data: bytes, offset: int, end: int) -> Submission:
@@ -133,7 +141,7 @@ def submission_at(data: bytes, offset: int, end: int) -> Submission:
         int.from_bytes(data[y_at : y_at + sharing.FIELD_BYTES], "big"),
     )
     return Submission(
-        ciphertext=bytes(data[offset + _FIXED_PREFIX : end]),
+        ciphertext=bytes(data[offset + CIPHERTEXT_AT : end]),
         share=share,
         tag=bytes(data[offset:x_at]),
     )
@@ -217,4 +225,4 @@ def build_submission(x: bytes, r: bytes, params: DpParams, rng) -> Submission:
 
 def submission_wire_size(value_size: int) -> int:
     """Serialized size of a submission carrying a value of the given length."""
-    return _FIXED_PREFIX + AEAD_OVERHEAD + HEADER_SIZE + value_size
+    return CIPHERTEXT_AT + AEAD_OVERHEAD + HEADER_SIZE + value_size

@@ -12,6 +12,12 @@ of rare prefixes stay cryptographically sealed.
 Wrapping nonces are the layer index; keys are per-prefix-value, so clients
 sharing a prefix produce identical wrapped blobs (the same deliberate
 determinism as the value ciphertexts).
+
+Decoding reads a submission log's bytes in place.  ``read_log`` checks
+every record and keeps two offsets per record, its layer-1 submission and
+its payload; no record becomes an object.  Each recovered branch decrypts
+its members' next-layer blobs, found by walking their blob lengths from the
+payload, into one buffer and groups that buffer the same way.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from typing import Iterable, Optional, Sequence
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
+from . import wire
 from .aggregate import (
     HistogramReport,
     group_by_tag,
@@ -36,6 +43,7 @@ from .encode import (
     encryption_key,
     parse_randomness,
     submission_at,
+    submission_end,
     submission_size_at,
 )
 from .params import DpParams
@@ -58,54 +66,57 @@ class SuperSubmission:
     layer1: Submission
     wrapped_layers: tuple[bytes, ...]
 
-    @property
-    def num_layers(self) -> int:
-        return 1 + len(self.wrapped_layers)
-
     def to_bytes(self) -> bytes:
-        parts = [bytes([self.num_layers]), self.layer1.to_bytes()]
+        parts = [bytes([1 + len(self.wrapped_layers)]), self.layer1.to_bytes()]
         for blob in self.wrapped_layers:
             parts.append(struct.pack("<I", len(blob)))
             parts.append(blob)
         return b"".join(parts)
 
     @staticmethod
-    def validate(data: bytes) -> list[tuple[int, int]]:
-        """Check the whole layout on the raw bytes and build nothing.
-
-        Raises ValueError for any payload ``from_bytes`` would refuse;
-        returns the ``(start, end)`` offsets of the layer-1 submission and
-        of each wrapped blob, in order.
-        """
-        if not data:
+    def validate(data: bytes, start: int = 0, end: int | None = None) -> None:
+        """Raise ValueError unless ``data[start:end]`` is a payload
+        ``from_bytes`` would accept; checks the whole layout in place and
+        builds nothing."""
+        end = len(data) if end is None else end
+        if start >= end:
             raise ValueError("empty super-submission")
-        num_layers = data[0]
+        num_layers = data[start]
         if not 1 <= num_layers <= MAX_ATTRIBUTES:
             raise ValueError("bad layer count")
-        end = 1 + submission_size_at(data, 1)
-        if end > len(data):
+        at = start + 1 + submission_size_at(data, start + 1)
+        if at > end:
             raise ValueError("truncated submission")
-        spans = [(1, end)]
-        for _ in range(num_layers - 1):
-            start = end + 4
-            if start > len(data):
-                raise ValueError("truncated wrapped layer")
-            (blob_len,) = struct.unpack_from("<I", data, end)
-            end = start + blob_len
-            if end > len(data):
-                raise ValueError("truncated wrapped layer")
-            spans.append((start, end))
-        if end != len(data):
+        for _, at in _blob_spans(data, at, num_layers - 1, end):
+            pass
+        if at != end:
             raise ValueError("trailing bytes after super-submission")
-        return spans
 
     @staticmethod
     def from_bytes(data: bytes) -> "SuperSubmission":
-        layer1, *blobs = SuperSubmission.validate(data)
+        SuperSubmission.validate(data)
+        layer1_end = submission_end(data, 1)
         return SuperSubmission(
-            layer1=submission_at(data, *layer1),
-            wrapped_layers=tuple(bytes(data[start:end]) for start, end in blobs),
+            layer1=submission_at(data, 1, layer1_end),
+            wrapped_layers=tuple(
+                bytes(data[start:stop])
+                for start, stop in _blob_spans(data, layer1_end, data[0] - 1, len(data))
+            ),
         )
+
+
+def _blob_spans(data: bytes, at: int, count: int, end: int):
+    """Yield the ``(start, stop)`` of ``count`` length-prefixed wrapped blobs
+    laid out from ``at``; ValueError if one runs past ``end``."""
+    for _ in range(count):
+        start = at + 4
+        if start > end:
+            raise ValueError("truncated wrapped layer")
+        (blob_len,) = struct.unpack_from("<I", data, at)
+        at = start + blob_len
+        if at > end:
+            raise ValueError("truncated wrapped layer")
+        yield start, at
 
 
 def make_prefixes(attributes: Sequence[bytes]) -> PrefixChain:
@@ -160,13 +171,70 @@ def encode_multidim(
     return SuperSubmission(layer1=layer_subs[0], wrapped_layers=tuple(wrapped))
 
 
+# The payload class of each submission frame type: ingest and the log
+# reader check a payload in place with its ``validate``.
+RECORD_CLASSES = {
+    wire.MSG_SUBMISSION: Submission,
+    wire.MSG_SUPER_SUBMISSION: SuperSubmission,
+}
+
+
+@dataclass(frozen=True)
+class LogIndex:
+    """Where each record of a submission log sits, as offsets into ``data``.
+
+    In log order, ``starts`` holds each record's layer-1 submission and
+    ``owners`` its payload; nothing is parsed into objects.
+    """
+
+    data: bytes
+    starts: list[int]
+    owners: list[int]
+    layers: int  # the most layers any record carries
+    chained: bool  # whether any record is a SUPER_SUBMISSION
+
+
+def read_log(data: bytes) -> LogIndex:
+    """Check every record of a submission log in place and index it.
+
+    Raises ValueError for any record ingest would refuse and FrameError for
+    an unexpected record type or a truncated tail.
+    """
+    starts: list[int] = []
+    owners: list[int] = []
+    layers, chained, end = 1, False, 0
+    for msg_type, payload, end in wire.iter_frames(memoryview(data)):
+        cls = RECORD_CLASSES.get(msg_type)
+        if cls is None:
+            raise wire.FrameError(f"unexpected record type {msg_type} in log")
+        start = end - len(payload)
+        cls.validate(data, start, end)
+        owners.append(start)
+        if cls is SuperSubmission:
+            chained = True
+            layers = max(layers, data[start])
+            start += 1
+        starts.append(start)
+    if end != len(data):
+        raise wire.FrameError("truncated log record")
+    return LogIndex(data, starts, owners, layers, chained)
+
+
+def _as_log(messages: Iterable[SuperSubmission | Submission]) -> bytes:
+    """The submission log that holds ``messages``, framed as ingest logs them."""
+    types = {cls: msg_type for msg_type, cls in RECORD_CLASSES.items()}
+    return b"".join(wire.encode_frame(types[type(m)], m.to_bytes()) for m in messages)
+
+
 def decode_multidim(
-    messages: Iterable[SuperSubmission | Submission],
+    records: LogIndex | Iterable[SuperSubmission | Submission],
     threshold: int,
     params: Optional[DpParams] = None,
 ) -> list[HistogramReport]:
     """Layer-by-layer decoding; recursion halts at sub-threshold prefixes.
 
+    ``records`` is a ``read_log`` index, or messages, which are framed into
+    an in-memory log and indexed first, so every decode reads log bytes.
     Returns one report per layer (up to the deepest layer present in the
     input).  Layer 1 carries the dummy-noise flag; deeper layers receive no
     dummy noise and are flagged accordingly.  Revealed keys are attribute
@@ -174,46 +242,31 @@ def decode_multidim(
     is a one-layer message, so a single-attribute multiset is the
     one-layer case.
     """
-    messages = list(messages)
-    num_layers = max((m.num_layers for m in messages), default=1)
+    index = records if isinstance(records, LogIndex) else read_log(_as_log(records))
+    data = index.data
     reports = [
         HistogramReport(params_used=params, dummy_noise_applied=(layer == 1))
-        for layer in range(1, num_layers + 1)
+        for layer in range(1, index.layers + 1)
     ]
 
     # Each layer regroups every recovered branch of the layer above by the
     # tag of its members' submissions for this layer.  A branch is a
-    # (prefix path, key, member messages) tuple; the root branch holds every
-    # message and no key, as layer 1 travels in the clear.
-    frontier = [((), None, messages)]
+    # (prefix path, key, member payload offsets) tuple; the root branch
+    # holds every record and no key, as layer 1 travels in the clear.
+    frontier = [((), None, index.owners)]
     for layer, report in enumerate(reports, start=1):
         next_frontier = []
-        nonce = _wrap_nonce(layer)
-        for path, key, members in frontier:
-            aead = None if key is None else ChaCha20Poly1305(key)
-            layer_subs: list[Submission] = []
-            layer_members: list[SuperSubmission | Submission] = []
-            for member in members:
-                if member.num_layers < layer:
-                    continue
-                if aead is None:
-                    sub = member.layer1
-                else:
-                    blob = member.wrapped_layers[layer - 2]
-                    try:
-                        sub = Submission.from_bytes(aead.decrypt(nonce, blob, None))
-                    except (InvalidTag, ValueError):
-                        # Counted per member: an unreadable blob has no tag.
-                        report.malformed_groups += 1
-                        continue
-                layer_subs.append(sub)
-                layer_members.append(member)
-            for subs, owners in group_by_tag(zip(layer_subs, layer_members)):
-                outcome = recover_group(subs, threshold)
+        for path, key, owners in frontier:
+            if key is None:
+                buf, starts = data, index.starts
+            else:
+                buf, starts, owners = _unwrap_layer(data, owners, key, layer, report)
+            for group, group_owners in group_by_tag(buf, starts, owners):
+                outcome = recover_group(buf, group, threshold)
                 if outcome.status == "recovered":
                     child = path + (outcome.value,)
                     report.revealed[child] = report.revealed.get(child, 0) + outcome.count
-                    next_frontier.append((child, outcome.key, owners))
+                    next_frontier.append((child, outcome.key, group_owners))
                 elif outcome.status == "unrevealed":
                     report.unrevealed_multiplicities[outcome.count] = (
                         report.unrevealed_multiplicities.get(outcome.count, 0) + 1
@@ -222,6 +275,43 @@ def decode_multidim(
                     report.malformed_groups += 1
         frontier = next_frontier
     return reports
+
+
+def _unwrap_layer(
+    data: bytes, owners: list[int], key: bytes, layer: int, report: HistogramReport
+) -> tuple[bytes, list[int], list[int]]:
+    """Decrypt the layer-``layer`` submissions of one recovered branch, whose
+    members' payloads sit at ``owners`` in the log ``data``, into one buffer.
+
+    Returns the buffer, and the offsets in it and owners of the members that
+    carry this layer.
+    """
+    aead = ChaCha20Poly1305(key)
+    nonce = _wrap_nonce(layer)
+    parts: list[bytes] = []
+    starts: list[int] = []
+    kept: list[int] = []
+    size = 0
+    for owner in owners:
+        chained = data[owner - wire.HEADER_SIZE + 1] == wire.MSG_SUPER_SUBMISSION
+        if not chained or data[owner] < layer:
+            continue
+        # Re-walk the blob lengths from the payload: this layer's blob is
+        # the last of the first ``layer - 1``.
+        for start, stop in _blob_spans(data, submission_end(data, owner + 1), layer - 1, len(data)):
+            pass
+        try:
+            sub = aead.decrypt(nonce, data[start:stop], None)
+            Submission.validate(sub)
+        except (InvalidTag, ValueError):
+            # Counted per member: an unreadable blob has no tag.
+            report.malformed_groups += 1
+            continue
+        parts.append(sub)
+        starts.append(size)
+        kept.append(owner)
+        size += len(sub)
+    return b"".join(parts), starts, kept
 
 
 def layered_reports_to_csv(reports: Sequence[HistogramReport]) -> str:

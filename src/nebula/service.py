@@ -34,9 +34,11 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from . import aggregate, multidim, oprf, wire
-from .encode import Submission
+# ``Submission`` and ``SuperSubmission`` are unused here; bench/launch.py
+# times their ``from_bytes`` through this module's names.
+from .encode import Submission  # noqa: F401
 from .group import DecodeError, GroupElement
-from .multidim import SuperSubmission
+from .multidim import RECORD_CLASSES, SuperSubmission, read_log  # noqa: F401
 from .params import DpParams, params_from_config
 
 
@@ -127,14 +129,16 @@ class _BaseServer(socketserver.ThreadingTCPServer):
         return self.server_address[1]
 
     def start_background(self) -> None:
-        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+        # A short poll, so stop() does not wait out serve_forever's 0.5 s.
+        self._thread = threading.Thread(target=self.serve_forever, args=(0.02,), daemon=True)
         self._thread.start()
 
     def stop(self) -> None:
-        self.shutdown()
-        self.server_close()
+        """Stop serving, if started in the background, and close the socket."""
         if self._thread is not None:
+            self.shutdown()
             self._thread.join(timeout=5)
+        self.server_close()
 
 
 # --- randomness server ------------------------------------------------------
@@ -247,29 +251,6 @@ class SubmissionLog:
                 self._file = None
 
 
-# The payload class of each submission frame type: ingest checks a payload
-# with its ``validate`` and the log is read back with its ``from_bytes``,
-# both looked up on the class at each call.
-_SUBMISSION_CLASSES = {
-    wire.MSG_SUBMISSION: Submission,
-    wire.MSG_SUPER_SUBMISSION: SuperSubmission,
-}
-
-
-def read_log(data: bytes) -> list[Submission | SuperSubmission]:
-    """Parse the bytes of a submission log back into submissions, in log order."""
-    messages = []
-    end = 0
-    for msg_type, payload, end in wire.iter_frames(data):
-        cls = _SUBMISSION_CLASSES.get(msg_type)
-        if cls is None:
-            raise wire.FrameError(f"unexpected record type {msg_type} in log")
-        messages.append(cls.from_bytes(payload))
-    if end != len(data):
-        raise wire.FrameError("truncated log record")
-    return messages
-
-
 def decode_log(data: bytes, params: DpParams) -> tuple[list[aggregate.HistogramReport], str]:
     """Decode the bytes of a submission log; returns (reports, csv).
 
@@ -279,12 +260,11 @@ def decode_log(data: bytes, params: DpParams) -> tuple[list[aggregate.HistogramR
     (the one-layer case of the layered decoder); any SUPER_SUBMISSION makes
     the report layered, and plain submissions join it as one-layer chains.
     """
-    messages = read_log(data)
-    del data  # the parsed records replace the bytes; hold one copy at a time
-    if not any(isinstance(m, SuperSubmission) for m in messages):
-        report = aggregate.decode_submissions(messages, params.threshold, params)
+    index = read_log(data)
+    if not index.chained:
+        report = aggregate.decode_submissions(index, params.threshold, params)
         return [report], aggregate.report_to_csv(report)
-    reports = multidim.decode_multidim(messages, params.threshold, params)
+    reports = multidim.decode_multidim(index, params.threshold, params)
     return reports, multidim.layered_reports_to_csv(reports)
 
 
@@ -326,8 +306,12 @@ class AggregationServer(_BaseServer):
         # An ACK promises the submission survives a daemon crash.
         self.log.flush()
 
+    def stop(self) -> None:
+        super().stop()
+        self.log.close()
+
     def dispatch(self, msg_type: int, payload: bytes) -> bytes:
-        cls = _SUBMISSION_CLASSES.get(msg_type)
+        cls = RECORD_CLASSES.get(msg_type)
         if cls is not None:
             # Validate before persisting so the log never holds garbage.
             try:

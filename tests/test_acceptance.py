@@ -36,7 +36,7 @@ from nebula.encode import (
 )
 from nebula.group import GroupElement
 from nebula.harness import value_randomness
-from nebula.multidim import decode_multidim, encode_multidim, make_prefixes
+from nebula.multidim import decode_multidim, encode_multidim, make_prefixes, read_log
 from nebula.params import DpBudget, derive_params, tsdlap_pmf, tsdlap_sample
 
 
@@ -219,8 +219,11 @@ def test_criterion_07_threshold_hiding():
             )
             for _ in range(tau)
         ]
-        [(group, _)] = group_by_tag((s, None) for s in forced)
-        outcome = recover_group(group, tau)
+        index = read_log(
+            b"".join(wire.encode_frame(wire.MSG_SUBMISSION, s.to_bytes()) for s in forced)
+        )
+        [(group, _)] = group_by_tag(index.data, index.starts, index.owners)
+        outcome = recover_group(index.data, group, tau)
         assert outcome.status == "malformed"
         fails += 1
     _report(

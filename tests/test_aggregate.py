@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nebula import oprf, sharing
+from nebula import oprf, sharing, wire
 from nebula.aggregate import (
     HistogramReport,
     decode_submissions,
@@ -20,8 +20,10 @@ from nebula.aggregate import (
     recover_group,
     report_from_csv,
     report_to_csv,
+    select_shares,
 )
-from nebula.encode import KeyShare, Submission, build_submission
+from nebula.encode import KeyShare, Submission, build_submission, submission_end
+from nebula.multidim import read_log
 from nebula.params import DpBudget, derive_params
 
 
@@ -42,24 +44,31 @@ def make_submissions(spec, params, randomness_for, seed=0):
     return subs
 
 
+def index_of(subs):
+    """The ``read_log`` index of a log holding ``subs``."""
+    return read_log(b"".join(wire.encode_frame(wire.MSG_SUBMISSION, s.to_bytes()) for s in subs))
+
+
 def one_group(subs):
-    """The submissions of the single tag group ``subs`` must form."""
-    [(group, _)] = group_by_tag((s, None) for s in subs)
-    return group
+    """The log bytes and member offsets of the single tag group ``subs`` must form."""
+    index = index_of(subs)
+    [(group, _)] = group_by_tag(index.data, index.starts, index.owners)
+    return index.data, group
 
 
 class TestGroupByTag:
     def test_empty(self):
-        assert group_by_tag([]) == []
+        assert group_by_tag(b"", [], []) == []
 
     def test_partition_sizes(self, randomness_for):
         params = make_params(3)
         subs = make_submissions({b"x": 3, b"y": 2}, params, randomness_for)
-        groups = group_by_tag((s, i) for i, s in enumerate(subs))
+        index = index_of(subs)
+        groups = group_by_tag(index.data, index.starts, range(len(subs)))
         assert sorted(len(g) for g, _ in groups) == [2, 3]
         assert sum(len(g) for g, _ in groups) == len(subs)
         # Each owner comes back beside its own submission.
-        assert all(subs[i] is s for g, owners in groups for s, i in zip(g, owners))
+        assert all(index.starts[i] == s for g, owners in groups for s, i in zip(g, owners))
 
     def test_order_insensitive(self, randomness_for):
         params = make_params(3)
@@ -68,9 +77,11 @@ class TestGroupByTag:
         random.Random(9).shuffle(shuffled)
 
         def by_tag(seq):
+            index = index_of(seq)
+            data = index.data
             return {
-                g[0].tag: sorted(s.to_bytes() for s in g)
-                for g, _ in group_by_tag((s, None) for s in seq)
+                data[g[0] : g[0] + 32]: sorted(data[s : submission_end(data, s)] for s in g)
+                for g, _ in group_by_tag(data, index.starts, index.owners)
             }
 
         assert by_tag(subs) == by_tag(shuffled)
@@ -80,7 +91,7 @@ class TestRecoverGroup:
     def test_exactly_threshold_recovers(self, randomness_for):
         params = make_params(5)
         subs = make_submissions({b"value": 5}, params, randomness_for)
-        outcome = recover_group(one_group(subs), 5)
+        outcome = recover_group(*one_group(subs), 5)
         assert outcome.status == "recovered"
         assert outcome.value == b"value"
         assert outcome.count == 5
@@ -88,7 +99,7 @@ class TestRecoverGroup:
     def test_below_threshold_unrevealed(self, randomness_for):
         params = make_params(5)
         subs = make_submissions({b"value": 4}, params, randomness_for)
-        outcome = recover_group(one_group(subs), 5)
+        outcome = recover_group(*one_group(subs), 5)
         assert outcome.status == "unrevealed"
         assert outcome.count == 4
 
@@ -110,7 +121,7 @@ class TestRecoverGroup:
             )
             for _ in range(5)
         ]
-        outcome = recover_group(one_group(subs), 5)
+        outcome = recover_group(*one_group(subs), 5)
         assert outcome.status == "malformed"
 
     def test_mixed_ciphertexts_malformed(self, randomness_for):
@@ -121,14 +132,61 @@ class TestRecoverGroup:
             share=good[0].share,
             tag=good[0].tag,
         )
-        assert recover_group(one_group(good + [evil]), 3).status == "malformed"
+        assert recover_group(*one_group(good + [evil]), 3).status == "malformed"
 
     def test_surplus_members_all_counted(self, randomness_for):
         params = make_params(4)
         subs = make_submissions({b"value": 9}, params, randomness_for)
-        outcome = recover_group(one_group(subs), 4)
+        outcome = recover_group(*one_group(subs), 4)
         assert outcome.status == "recovered"
         assert outcome.count == 9
+
+
+def check_share_selection(shares, threshold):
+    """``select_shares`` against today's rule, written out as the oracle:
+    sort every share by (x, y), then take the first ``threshold`` distinct x."""
+    subs = [Submission(ciphertext=b"ct", share=KeyShare(x, y), tag=b"t" * 32) for x, y in shares]
+    index = index_of(subs)
+    expected, seen = [], set()
+    for x, y in sorted(shares):
+        if x not in seen:
+            seen.add(x)
+            expected.append((x, y))
+            if len(expected) == threshold:
+                break
+    assert select_shares(index.data, index.starts, threshold) == expected
+    if len(expected) < threshold:
+        # Too few distinct x: the (consistent) group cannot be interpolated.
+        assert recover_group(index.data, index.starts, threshold).status == "malformed"
+
+
+class TestSelectShares:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_first_distinct_x_in_share_order(self, data):
+        threshold = data.draw(st.integers(1, 6))
+        # Small coordinates make duplicate x and duplicate shares common.
+        xs = st.integers(1, 4) | st.integers(1, sharing.FIELD_PRIME - 1)
+        ys = st.integers(0, 2) | st.integers(0, sharing.FIELD_PRIME - 1)
+        shares = data.draw(st.lists(st.tuples(xs, ys), min_size=1, max_size=3 * threshold))
+        copies = data.draw(st.lists(st.sampled_from(shares), max_size=threshold))
+        group = data.draw(st.permutations(shares + copies))
+        if len(group) < threshold:
+            group += [group[0]] * (threshold - len(group))
+        check_share_selection(group, threshold)
+
+    @pytest.mark.parametrize(
+        "shares, threshold",
+        [
+            ([(3, 1), (1, 9), (2, 5)], 3),  # exactly threshold members
+            ([(2, 7), (1, 4), (2, 1), (1, 2), (3, 3)], 3),  # duplicate x, smaller y first
+            ([(5, 5), (5, 5), (4, 4), (4, 4), (6, 6)], 3),  # duplicate whole shares
+            ([(1, 1), (1, 2), (2, 1), (2, 2)], 3),  # fewer distinct x than threshold
+            ([(2**127, 0), (1, 2**127), (2**127, 1)], 2),  # byte order is integer order
+        ],
+    )
+    def test_cases(self, shares, threshold):
+        check_share_selection(shares, threshold)
 
 
 class TestBuildReport:

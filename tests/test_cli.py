@@ -174,3 +174,20 @@ def test_bad_geo_columns_rejected(tmp_path):
         ]
     )
     assert rc == 2
+
+
+def test_bin_bits_on_multi_attribute_dataset_rejected(tmp_path, capsys):
+    rc = main(
+        [
+            "run",
+            "--dataset", "synthetic:chain,n=100,branching=2x2,seed=0",
+            "--bin-bits", "2",
+            "--eps", "1.0",
+            "--seed", "0",
+            "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "single-attribute" in err
+    assert not (tmp_path / "out").exists()

@@ -218,6 +218,11 @@ class TestRandomnessEndpoint:
                 client.request(wire.MSG_SUBMISSION, b"\x00" * 100)
 
 
+def _log_of(subs) -> bytes:
+    """The log bytes that hold ``subs`` as SUBMISSION records, in order."""
+    return b"".join(wire.encode_frame(wire.MSG_SUBMISSION, s.to_bytes()) for s in subs)
+
+
 def _make_submissions(spec, seed=0):
     kp = oprf.keygen(b"\x77" * 32)
     rng = random.Random(seed)
@@ -254,7 +259,7 @@ class TestAggregationEndpoint:
             with pytest.raises(ServiceError):
                 client.request(wire.MSG_SUBMISSION, b"short")
             client.seal_and_decode()
-        assert read_log(aggregation_server.log.path.read_bytes()) == []
+        assert aggregation_server.log.path.read_bytes() == b""
 
     def test_log_stores_only_submission_bytes(self, aggregation_server):
         # Unlinkability: the stored log is exactly the submission payloads
@@ -294,7 +299,7 @@ class TestAggregationEndpoint:
                 client.submit(forged.to_bytes())
             assert err.value.code == wire.ERR_MALFORMED
             assert "revealed=1" in client.seal_and_decode()
-        assert read_log(aggregation_server.log.path.read_bytes()) == subs
+        assert aggregation_server.log.path.read_bytes() == _log_of(subs)
         expected = report_to_csv(decode_submissions(subs, 3, PARAMS))
         assert (tmp_path / "report.csv").read_text() == expected
 
@@ -318,8 +323,7 @@ def ingest_case(tmp_path_factory):
         ("127.0.0.1", 0), tmp_path_factory.mktemp("ingest") / "log.bin", PARAMS
     )
     yield server, _ingest_payloads()
-    server.server_close()
-    server.log.close()
+    server.stop()
 
 
 # Mutations that no reading of the layout can accept.  A ciphertext or blob
@@ -357,6 +361,49 @@ def _mutate(payload: bytes, chained: bool, data) -> tuple[str, bytes]:
     else:
         out[data.draw(st.integers(0, len(out) - 1))] ^= data.draw(st.integers(1, 255))
     return kind, bytes(out)
+
+
+def _lone_records() -> tuple[bytes, bytes]:
+    """A plain submission and a 3-layer chain, each alone in its group."""
+    return _make_submissions({b"lone": 1}, seed=3)[0].to_bytes(), _ingest_payloads()[2][1]
+
+
+def _patched(payload: bytes, at: int, raw: bytes) -> bytes:
+    return payload[:at] + raw + payload[at + len(raw) :]
+
+
+def _ct_len_plus_one(payload: bytes) -> bytes:
+    ct_len = int.from_bytes(payload[64:68], "little")
+    return _patched(payload, 64, (ct_len + 1).to_bytes(4, "little"))
+
+
+def _blob_len_minus_one(chain: bytes) -> bytes:
+    at = 1 + 68 + int.from_bytes(chain[65:69], "little")
+    blob_len = int.from_bytes(chain[at : at + 4], "little")
+    return _patched(chain, at, (blob_len - 1).to_bytes(4, "little"))
+
+
+# One record ingest refuses, as a log tail; each sits alone in its tag group.
+_BAD_RECORDS = {
+    "x_not_below_p": lambda: wire.encode_frame(
+        wire.MSG_SUBMISSION,
+        _patched(_lone_records()[0], 32, sharing.FIELD_PRIME.to_bytes(16, "big")),
+    ),
+    "x_zero": lambda: wire.encode_frame(
+        wire.MSG_SUBMISSION, _patched(_lone_records()[0], 32, bytes(16))
+    ),
+    "ct_len_mismatch": lambda: wire.encode_frame(
+        wire.MSG_SUBMISSION, _ct_len_plus_one(_lone_records()[0])
+    ),
+    "unknown_record_type": lambda: wire.encode_frame(wire.MSG_ACK, _lone_records()[0]),
+    "bad_layer_count": lambda: wire.encode_frame(
+        wire.MSG_SUPER_SUBMISSION, _patched(_lone_records()[1], 0, bytes([9]))
+    ),
+    "bad_blob_length": lambda: wire.encode_frame(
+        wire.MSG_SUPER_SUBMISSION, _blob_len_minus_one(_lone_records()[1])
+    ),
+    "truncated_tail": lambda: wire.encode_frame(wire.MSG_SUBMISSION, _lone_records()[0])[:-1],
+}
 
 
 class TestIngestValidation:
@@ -416,16 +463,74 @@ class TestLogLifecycle:
         assert csv_text == report_to_csv(decode_submissions(subs, 3, PARAMS))
 
     def test_mixed_log_read_in_order_and_decoded_layered(self):
-        # One list in log order; a single SUPER_SUBMISSION anywhere selects
+        # One index in log order; a single SUPER_SUBMISSION anywhere selects
         # the layered grammar and the plain submissions join as one layer.
-        payloads = _ingest_payloads()
-        data = b"".join(wire.encode_frame(t, p) for t, p in reversed(payloads))
-        parsed = read_log(data)
-        assert [m.to_bytes() for m in parsed] == [p for _, p in reversed(payloads)]
-        assert [type(m) for m in parsed] == [SuperSubmission, SuperSubmission, Submission]
+        payloads = _ingest_payloads()[::-1]
+        data = _frames(payloads)
+        index = read_log(data)
+        assert [data[o : o + len(p)] for o, (_, p) in zip(index.owners, payloads)] == [
+            p for _, p in payloads
+        ]
+        # A chained record's layer-1 submission follows its layer-count byte.
+        assert [s - o for s, o in zip(index.starts, index.owners)] == [1, 1, 0]
+        assert (index.layers, index.chained) == (3, True)
+        messages = [
+            (SuperSubmission if t == wire.MSG_SUPER_SUBMISSION else Submission).from_bytes(p)
+            for t, p in payloads
+        ]
         reports, csv_text = decode_log(data, PARAMS)
-        assert csv_text == layered_reports_to_csv(decode_multidim(parsed, 3, PARAMS))
+        assert csv_text == layered_reports_to_csv(decode_multidim(messages, 3, PARAMS))
         assert csv_text.startswith("nebula-layered-report,v1\n") and len(reports) == 3
+
+    def test_stop_closes_log_and_a_new_server_seals_it(self, tmp_path):
+        subs = _make_submissions({b"x": 3, b"y": 1})
+        server = AggregationServer(("127.0.0.1", 0), tmp_path / "log.bin", PARAMS)
+        server.start_background()
+        with ServiceClient("127.0.0.1", server.port) as client:
+            for s in subs:
+                client.submit(s.to_bytes())
+        handle = server.log._file
+        server.stop()
+        assert handle.closed
+        again = AggregationServer(
+            ("127.0.0.1", 0), tmp_path / "log.bin", PARAMS, tmp_path / "report.csv"
+        )
+        again.start_background()
+        try:
+            with ServiceClient("127.0.0.1", again.port) as client:
+                assert "revealed=1" in client.seal_and_decode()
+        finally:
+            again.stop()
+        assert again.log.sealed
+        expected = report_to_csv(decode_submissions(subs, 3, PARAMS))
+        assert (tmp_path / "report.csv").read_text() == expected
+
+    @pytest.mark.parametrize("bad", sorted(_BAD_RECORDS))
+    def test_bad_record_in_sub_threshold_group_fails_decode(self, bad):
+        # The decoder never parses a sub-threshold group, yet it must refuse
+        # a log that ingest could not have written, as parsing every record
+        # did.
+        good = _log_of(_make_submissions({b"ok": 4}))
+        reports, _ = decode_log(good, PARAMS)
+        assert reports[0].revealed == {b"ok": 4}
+        with pytest.raises(ValueError):
+            decode_log(good + _BAD_RECORDS[bad](), PARAMS)
+
+    def test_decode_log_builds_no_submission(self, monkeypatch):
+        # Groups at, above and below the threshold, plain and chained: the
+        # decoder reads shares and ciphertexts from the log bytes in place.
+        data = _frames(_model_payloads())
+        built = []
+        init = Submission.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Submission, "__init__", counting_init)
+        reports, _ = decode_log(data, PARAMS)
+        assert len(reports) == 3 and reports[0].revealed and reports[0].unrevealed_multiplicities
+        assert built == []
 
     def test_torn_tail_trimmed_on_reopen(self, tmp_path):
         # A crash mid-write leaves the last record short; reopening must drop
@@ -441,7 +546,7 @@ class TestLogLifecycle:
         log = SubmissionLog(path)
         log.append(wire.MSG_SUBMISSION, subs[4].to_bytes())
         log.seal()
-        assert read_log(path.read_bytes()) == subs[:3] + subs[4:5]
+        assert path.read_bytes() == _log_of(subs[:3] + subs[4:5])
         _, csv_text = decode_log(path.read_bytes(), PARAMS)
         assert csv_text == report_to_csv(decode_submissions(subs[:3] + subs[4:5], 3, PARAMS))
 
@@ -466,7 +571,7 @@ class TestLogLifecycle:
                 assert "revealed=1" in client.seal_and_decode()
         finally:
             restarted.stop()
-        assert read_log(pair.log_path.read_bytes()) == subs
+        assert pair.log_path.read_bytes() == _log_of(subs)
         expected = report_to_csv(decode_submissions(subs, 3, PARAMS))
         assert (tmp_path / "after.csv").read_text() == expected
 
@@ -581,7 +686,6 @@ class AggregationDaemonModel(RuleBasedStateMachine):
     def _stop(self) -> None:
         self.client.close()
         self.server.stop()
-        self.server.log.close()
 
     def _submit(self, msg_type: int, payload: bytes, valid: bool) -> None:
         """Send one payload; ``valid`` says whether ``from_bytes`` accepts it."""
