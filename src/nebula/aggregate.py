@@ -55,11 +55,11 @@ class GroupRecovery:
 class HistogramReport:
     """Decoded output: revealed values and the sub-threshold multiplicity view.
 
-    The decoder yields one report per layer keyed by attribute tuples; the
-    single-attribute entry points key ``revealed`` by value bytes instead.
+    The decoder yields one report per layer; ``revealed`` is keyed by the
+    attribute tuple along the decode path, a one-element tuple at layer 1.
     """
 
-    revealed: dict[bytes | tuple[bytes, ...], int] = field(default_factory=dict)
+    revealed: dict[tuple[bytes, ...], int] = field(default_factory=dict)
     unrevealed_multiplicities: dict[int, int] = field(default_factory=dict)
     malformed_groups: int = 0
     params_used: Optional[DpParams] = None
@@ -151,14 +151,10 @@ def decode_submissions(
     submissions: Iterable[Submission], threshold: int, params: Optional[DpParams] = None
 ) -> HistogramReport:
     """Single-attribute decode: the one-layer case of ``decode_multidim``,
-    which also takes a ``multidim.read_log`` index in place of submissions.
-
-    Revealed keys are value bytes rather than one-element attribute tuples.
-    """
+    which also takes a ``multidim.read_log`` index in place of submissions."""
     from . import multidim
 
     (report,) = multidim.decode_multidim(submissions, threshold, params)
-    report.revealed = {path[0]: count for path, count in report.revealed.items()}
     return report
 
 
@@ -179,6 +175,7 @@ _SAFE_VALUE_CHARS = frozenset(
 )
 
 _CSV_HEADERS = {False: "nebula-report,v1", True: "nebula-layered-report,v1"}
+_SECTION_LINES = frozenset(f"section,{name}" for name in ("revealed", "unrevealed", "meta"))
 
 
 def encode_value_field(value: bytes) -> str:
@@ -191,8 +188,7 @@ def reports_to_csv(reports: Sequence[HistogramReport], layered: bool) -> str:
     """Write per-layer reports as CSV.
 
     A plain report is the layer-1 case of the layered grammar: it has the
-    plain header, no ``layer,1`` line, and value bytes as revealed keys
-    where layered reports key by attribute tuples.
+    plain header and no ``layer,1`` line.
     """
     lines = [_CSV_HEADERS[layered]]
     if reports and reports[0].params_used is not None:
@@ -202,10 +198,9 @@ def reports_to_csv(reports: Sequence[HistogramReport], layered: bool) -> str:
             lines.append(f"layer,{index}")
         lines.append("section,revealed")
         lines.append("value,count")
-        for key in sorted(report.revealed):
-            path = key if layered else (key,)
+        for path in sorted(report.revealed):
             joined = "/".join(encode_value_field(a) for a in path)
-            lines.append(f"{joined},{report.revealed[key]}")
+            lines.append(f"{joined},{report.revealed[path]}")
         lines.append("section,unrevealed")
         lines.append("multiplicity,num_tags")
         for mult in sorted(report.unrevealed_multiplicities):
@@ -216,30 +211,32 @@ def reports_to_csv(reports: Sequence[HistogramReport], layered: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reports_from_csv(text: str, layered: bool) -> list[HistogramReport]:
-    """Parse the CSV written by ``reports_to_csv`` with the same ``layered``."""
+def reports_from_csv(text: str) -> list[HistogramReport]:
+    """Parse the CSV written by ``reports_to_csv``; the header line names the
+    grammar, and a plain report comes back as its one layer."""
     lines = text.splitlines()
-    if not lines or lines[0] != _CSV_HEADERS[layered]:
-        raise ValueError(f"not a {'layered ' if layered else ''}nebula report")
-    reports = [] if layered else [HistogramReport()]
+    if not lines or lines[0] not in _CSV_HEADERS.values():
+        raise ValueError("not a nebula report")
+    reports = [] if lines[0] == _CSV_HEADERS[True] else [HistogramReport()]
     section = None
     for line in lines[1:]:
-        if line.startswith("param,"):
+        # A revealed row ``<value>,<count>`` can start like any marker (the
+        # values b"param", b"section" and b"layer" are safe characters), so
+        # markers are matched whole, and ``layer,<i>`` outside a revealed
+        # section.
+        if line in _SECTION_LINES:
+            section = line[len("section,") :]
             continue
-        if layered and line.startswith("layer,"):
+        if line.startswith("layer,") and section != "revealed":
             reports.append(HistogramReport())
             section = None
             continue
-        if line.startswith("section,"):
-            section = line.split(",", 1)[1]
-            continue
-        if line in ("value,count", "multiplicity,num_tags") or not reports:
-            continue
+        if section is None or not reports or line in ("value,count", "multiplicity,num_tags"):
+            continue  # a parameter or a column header
         current = reports[-1]
         key, _, raw = line.rpartition(",")
         if section == "revealed":
-            path = tuple(unquote_to_bytes(part) for part in key.split("/"))
-            current.revealed[path if layered else path[0]] = int(raw)
+            current.revealed[tuple(unquote_to_bytes(part) for part in key.split("/"))] = int(raw)
         elif section == "unrevealed":
             current.unrevealed_multiplicities[int(key)] = int(raw)
         elif section == "meta":
@@ -255,4 +252,4 @@ def report_to_csv(report: HistogramReport) -> str:
 
 
 def report_from_csv(text: str) -> HistogramReport:
-    return reports_from_csv(text, layered=False)[0]
+    return reports_from_csv(text)[0]

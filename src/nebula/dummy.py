@@ -27,14 +27,7 @@ from .params import DpParams, tsdlap_sample
 
 
 @dataclass(frozen=True)
-class DummyGroup:
-    tag: bytes
-    multiplicity: int
-
-
-@dataclass(frozen=True)
 class DummyBatch:
-    groups: tuple[DummyGroup, ...]
     submissions: tuple[Submission, ...]
 
 
@@ -49,14 +42,12 @@ def create_dummy_batch(params: DpParams, rng) -> DummyBatch:
     """Draw group counts per multiplicity and expand them into submissions."""
     if params.threshold < 2:
         raise ValueError("dummy generation needs threshold >= 2")
-    groups: list[DummyGroup] = []
     submissions: list[Submission] = []
     for multiplicity in range(1, params.threshold):
         count = tsdlap_sample(rng, params.tsdlap_scale, params.tsdlap_shift)
         for _ in range(count):
             tag = rng.randbytes(32)
             ciphertext = _dummy_ciphertext(rng)
-            groups.append(DummyGroup(tag=tag, multiplicity=multiplicity))
             for _ in range(multiplicity):
                 share = KeyShare(
                     x_coord=sharing.random_nonzero_element(rng),
@@ -65,7 +56,7 @@ def create_dummy_batch(params: DpParams, rng) -> DummyBatch:
                 submissions.append(
                     Submission(ciphertext=ciphertext, share=share, tag=tag)
                 )
-    return DummyBatch(groups=tuple(groups), submissions=tuple(submissions))
+    return DummyBatch(submissions=tuple(submissions))
 
 
 def sample_batch_size(params: DpParams, rng) -> int:

@@ -78,22 +78,9 @@ class Submission:
         )
 
     @staticmethod
-    def validate(data: bytes, start: int = 0, end: int | None = None) -> None:
-        """Raise ValueError unless ``data[start:end]`` is a payload
-        ``from_bytes`` would accept.
-
-        Works on the raw bytes in place and builds nothing, so ingest and
-        the log reader can afford it per record.
-        """
-        end = len(data) if end is None else end
-        if end - start < CIPHERTEXT_AT:
-            raise ValueError("submission too short")
-        if start + submission_size_at(data, start) != end:
-            raise ValueError("submission ciphertext length mismatch")
-
-    @staticmethod
     def from_bytes(data: bytes) -> "Submission":
-        Submission.validate(data)
+        if submission_size_at(data, 0) != len(data):
+            raise ValueError("submission ciphertext length mismatch")
         return submission_at(data, 0, len(data))
 
 

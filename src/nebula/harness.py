@@ -468,18 +468,15 @@ def run_nebula(
         else:
             _, csv_text = service.decode_log(b"".join(frames), params)
 
-    reports = aggregate.reports_from_csv(csv_text, layered=chained)
-    if chained:
-        per_prefix = [
-            sum_abs_error(
-                Counter(rec[:depth] for rec in dataset.records),
-                reports[depth - 1].revealed if depth <= len(reports) else {},
-            )
-            for depth in range(1, dataset.num_attributes + 1)
-        ]
-    else:
-        true_counts = Counter(record_value(r) for r in dataset.records)
-        per_prefix = [sum_abs_error(true_counts, reports[0].revealed)]
+    # Reports key by decode path; a plain run's paths have one element.
+    reports = aggregate.reports_from_csv(csv_text)
+    per_prefix = [
+        sum_abs_error(
+            Counter(rec[:depth] if chained else (record_value(rec),) for rec in dataset.records),
+            reports[depth - 1].revealed if depth <= len(reports) else {},
+        )
+        for depth in range(1, (dataset.num_attributes if chained else 1) + 1)
+    ]
     return ExperimentResult(
         errors={"nebula": per_prefix[-1]},
         per_prefix_errors=per_prefix if chained else [],

@@ -38,6 +38,7 @@ from .aggregate import (
     reports_to_csv,
 )
 from .encode import (
+    CIPHERTEXT_AT,
     Submission,
     build_submission,
     encryption_key,
@@ -74,35 +75,48 @@ class SuperSubmission:
         return b"".join(parts)
 
     @staticmethod
-    def validate(data: bytes, start: int = 0, end: int | None = None) -> None:
-        """Raise ValueError unless ``data[start:end]`` is a payload
-        ``from_bytes`` would accept; checks the whole layout in place and
-        builds nothing."""
-        end = len(data) if end is None else end
-        if start >= end:
-            raise ValueError("empty super-submission")
-        num_layers = data[start]
-        if not 1 <= num_layers <= MAX_ATTRIBUTES:
-            raise ValueError("bad layer count")
-        at = start + 1 + submission_size_at(data, start + 1)
-        if at > end:
-            raise ValueError("truncated submission")
-        for _, at in _blob_spans(data, at, num_layers - 1, end):
-            pass
-        if at != end:
-            raise ValueError("trailing bytes after super-submission")
-
-    @staticmethod
     def from_bytes(data: bytes) -> "SuperSubmission":
-        SuperSubmission.validate(data)
+        num_layers = check_record(data, wire.MSG_SUPER_SUBMISSION, 0, len(data))
         layer1_end = submission_end(data, 1)
         return SuperSubmission(
             layer1=submission_at(data, 1, layer1_end),
             wrapped_layers=tuple(
                 bytes(data[start:stop])
-                for start, stop in _blob_spans(data, layer1_end, data[0] - 1, len(data))
+                for start, stop in _blob_spans(data, layer1_end, num_layers - 1, len(data))
             ),
         )
+
+
+def check_record(data: bytes, msg_type: int, start: int, end: int) -> int:
+    """Check the payload ``data[start:end]`` of a ``msg_type`` record in place
+    and return its layer count; builds nothing.
+
+    Ingest, the log reader and the inner-layer decode all apply these rules.
+    A SUBMISSION is the one-layer record, with no count byte and no wrapped
+    layers.  Raises FrameError for a type that is no submission record and
+    ValueError for a payload that breaks a rule.
+    """
+    if msg_type == wire.MSG_SUBMISSION:
+        if end - start < CIPHERTEXT_AT:
+            raise ValueError("submission too short")
+        if start + submission_size_at(data, start) != end:
+            raise ValueError("submission ciphertext length mismatch")
+        return 1
+    if msg_type != wire.MSG_SUPER_SUBMISSION:
+        raise wire.FrameError(f"unexpected record type {msg_type}")
+    if start >= end:
+        raise ValueError("empty super-submission")
+    num_layers = data[start]
+    if not 1 <= num_layers <= MAX_ATTRIBUTES:
+        raise ValueError("bad layer count")
+    at = start + 1 + submission_size_at(data, start + 1)
+    if at > end:
+        raise ValueError("truncated submission")
+    for _, at in _blob_spans(data, at, num_layers - 1, end):
+        pass
+    if at != end:
+        raise ValueError("trailing bytes after super-submission")
+    return num_layers
 
 
 def _blob_spans(data: bytes, at: int, count: int, end: int):
@@ -171,14 +185,6 @@ def encode_multidim(
     return SuperSubmission(layer1=layer_subs[0], wrapped_layers=tuple(wrapped))
 
 
-# The payload class of each submission frame type: ingest and the log
-# reader check a payload in place with its ``validate``.
-RECORD_CLASSES = {
-    wire.MSG_SUBMISSION: Submission,
-    wire.MSG_SUPER_SUBMISSION: SuperSubmission,
-}
-
-
 @dataclass(frozen=True)
 class LogIndex:
     """Where each record of a submission log sits, as offsets into ``data``.
@@ -204,15 +210,12 @@ def read_log(data: bytes) -> LogIndex:
     owners: list[int] = []
     layers, chained, end = 1, False, 0
     for msg_type, payload, end in wire.iter_frames(memoryview(data)):
-        cls = RECORD_CLASSES.get(msg_type)
-        if cls is None:
-            raise wire.FrameError(f"unexpected record type {msg_type} in log")
         start = end - len(payload)
-        cls.validate(data, start, end)
+        num_layers = check_record(data, msg_type, start, end)
         owners.append(start)
-        if cls is SuperSubmission:
+        if msg_type == wire.MSG_SUPER_SUBMISSION:
             chained = True
-            layers = max(layers, data[start])
+            layers = max(layers, num_layers)
             start += 1
         starts.append(start)
     if end != len(data):
@@ -222,8 +225,13 @@ def read_log(data: bytes) -> LogIndex:
 
 def _as_log(messages: Iterable[SuperSubmission | Submission]) -> bytes:
     """The submission log that holds ``messages``, framed as ingest logs them."""
-    types = {cls: msg_type for msg_type, cls in RECORD_CLASSES.items()}
-    return b"".join(wire.encode_frame(types[type(m)], m.to_bytes()) for m in messages)
+    return b"".join(
+        wire.encode_frame(
+            wire.MSG_SUPER_SUBMISSION if isinstance(m, SuperSubmission) else wire.MSG_SUBMISSION,
+            m.to_bytes(),
+        )
+        for m in messages
+    )
 
 
 def decode_multidim(
@@ -302,7 +310,7 @@ def _unwrap_layer(
             pass
         try:
             sub = aead.decrypt(nonce, data[start:stop], None)
-            Submission.validate(sub)
+            check_record(sub, wire.MSG_SUBMISSION, 0, len(sub))
         except (InvalidTag, ValueError):
             # Counted per member: an unreadable blob has no tag.
             report.malformed_groups += 1
@@ -319,7 +327,7 @@ def layered_reports_to_csv(reports: Sequence[HistogramReport]) -> str:
 
 
 def layered_reports_from_csv(text: str) -> list[HistogramReport]:
-    return reports_from_csv(text, layered=True)
+    return reports_from_csv(text)
 
 
 # --- geographic coarse-graining --------------------------------------------

@@ -38,7 +38,7 @@ from . import aggregate, multidim, oprf, wire
 # times their ``from_bytes`` through this module's names.
 from .encode import Submission  # noqa: F401
 from .group import DecodeError, GroupElement
-from .multidim import RECORD_CLASSES, SuperSubmission, read_log  # noqa: F401
+from .multidim import SuperSubmission, check_record, read_log  # noqa: F401
 from .params import DpParams, params_from_config
 
 
@@ -224,6 +224,8 @@ class SubmissionLog:
         with self._lock:
             if self._sealed:
                 raise SealedError("submission log is sealed")
+            if self._file is None:
+                raise ValueError("submission log is closed")
             self._file.write(record)
 
     def flush(self) -> None:
@@ -255,17 +257,16 @@ def decode_log(data: bytes, params: DpParams) -> tuple[list[aggregate.HistogramR
     """Decode the bytes of a submission log; returns (reports, csv).
 
     The one decode entry for both transports: the daemon passes its sealed
-    log, the in-process simulation the frames it would have sent.  Without
-    SUPER_SUBMISSION records the result is the plain single-attribute report
-    (the one-layer case of the layered decoder); any SUPER_SUBMISSION makes
-    the report layered, and plain submissions join it as one-layer chains.
+    log, the in-process simulation the frames it would have sent.  A plain
+    submission is a one-layer record, so only the CSV grammar depends on the
+    log: without SUPER_SUBMISSION records it is the plain single-attribute
+    report; any SUPER_SUBMISSION makes it layered.
     """
     index = read_log(data)
-    if not index.chained:
-        report = aggregate.decode_submissions(index, params.threshold, params)
-        return [report], aggregate.report_to_csv(report)
     reports = multidim.decode_multidim(index, params.threshold, params)
-    return reports, multidim.layered_reports_to_csv(reports)
+    if index.chained:
+        return reports, multidim.layered_reports_to_csv(reports)
+    return reports, aggregate.report_to_csv(reports[0])
 
 
 def seal_and_report(
@@ -311,11 +312,10 @@ class AggregationServer(_BaseServer):
         self.log.close()
 
     def dispatch(self, msg_type: int, payload: bytes) -> bytes:
-        cls = RECORD_CLASSES.get(msg_type)
-        if cls is not None:
-            # Validate before persisting so the log never holds garbage.
+        if msg_type in (wire.MSG_SUBMISSION, wire.MSG_SUPER_SUBMISSION):
+            # Check before persisting so the log never holds garbage.
             try:
-                cls.validate(payload)
+                check_record(payload, msg_type, 0, len(payload))
             except ValueError as exc:
                 raise wire.FrameError(f"bad submission: {exc}") from exc
             try:

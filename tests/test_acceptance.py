@@ -179,7 +179,7 @@ def test_criterion_06_exactness_regime(shared_kp, randomness_for):
                 build_submission(value, r, params, share_rng) for _ in range(copies)
             )
         report = decode_submissions(subs, params.threshold, params)
-        assert report.revealed == {v: c for v, c in spec.items() if c >= 5}
+        assert report.revealed == {(v,): c for v, c in spec.items() if c >= 5}
         assert report.unrevealed_multiplicities == dict(
             Counter(c for c in spec.values() if c < 5)
         )

@@ -20,6 +20,8 @@ from nebula.aggregate import (
     recover_group,
     report_from_csv,
     report_to_csv,
+    reports_from_csv,
+    reports_to_csv,
     select_shares,
 )
 from nebula.encode import KeyShare, Submission, build_submission, submission_end
@@ -194,7 +196,7 @@ class TestBuildReport:
         params = make_params(20)
         subs = make_submissions({b"a": 25, b"b": 5}, params, randomness_for)
         report = decode_submissions(subs, 20, params)
-        assert report.revealed == {b"a": 25}
+        assert report.revealed == {(b"a",): 25}
         assert report.unrevealed_multiplicities == {5: 1}
 
     def test_dummies_only_touch_unrevealed(self, randomness_for):
@@ -266,7 +268,7 @@ class TestExactnessRegime:
             }
             subs = make_submissions(spec, params, randomness_for, seed=trial)
             report = decode_submissions(subs, 5, params)
-            assert report.revealed == {v: c for v, c in spec.items() if c >= 5}
+            assert report.revealed == {(v,): c for v, c in spec.items() if c >= 5}
             expected_unrevealed = Counter(c for c in spec.values() if c < 5)
             assert report.unrevealed_multiplicities == dict(expected_unrevealed)
 
@@ -311,7 +313,7 @@ class TestUtilityBound:
             value = f"w{trial}".encode()
             subs = make_submissions({value: kept}, params, randomness_for, seed=trial) if kept else []
             report = decode_submissions(subs, 4, params)
-            assert (value in report.revealed) == (kept >= 4)
+            assert ((value,) in report.revealed) == (kept >= 4)
 
 
 class TestRevealedRatioBound:
@@ -347,6 +349,44 @@ class TestReportCsv:
     @settings(max_examples=200, deadline=None)
     def test_value_field_roundtrip(self, raw):
         assert unquote_to_bytes(encode_value_field(raw)) == raw
+
+    @pytest.mark.parametrize("layered", [False, True])
+    def test_grammar_read_from_header(self, layered):
+        # Values that read like the grammar's own markers; the reader takes
+        # plain or layered from the first line alone.
+        marker_like = {(b"param",): 5, (b"section",): 6, (b"layer",): 7, (b"value",): 8}
+        reports = [
+            HistogramReport(
+                revealed={**marker_like, (b"x",): 3},
+                unrevealed_multiplicities={1: 4, 2: 1},
+                malformed_groups=2,
+                params_used=make_params(3),
+            )
+        ]
+        if layered:
+            reports.append(
+                HistogramReport(
+                    revealed={(b"layer", b"param"): 5},
+                    unrevealed_multiplicities={2: 1},
+                    dummy_noise_applied=False,
+                )
+            )
+        text = reports_to_csv(reports, layered)
+        assert text.startswith("nebula-layered-report,v1\n" if layered else "nebula-report,v1\n")
+        back = reports_from_csv(text)
+        assert [
+            (r.revealed, r.unrevealed_multiplicities, r.malformed_groups, r.dummy_noise_applied)
+            for r in back
+        ] == [
+            (r.revealed, r.unrevealed_multiplicities, r.malformed_groups, r.dummy_noise_applied)
+            for r in reports
+        ]
+        assert report_from_csv(text).revealed == reports[0].revealed
+
+    @pytest.mark.parametrize("first", ["", "value,count", "nebula-report,v2", "section,revealed"])
+    def test_unknown_header_rejected(self, first):
+        with pytest.raises(ValueError):
+            reports_from_csv(first + "\nsection,revealed\nvalue,count\na,3\n")
 
     def test_ingestion_order_independence(self, randomness_for):
         params = make_params(3)

@@ -2,12 +2,18 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from nebula import dummy
 from nebula.aggregate import decode_submissions
 from nebula.params import DpBudget, derive_params, tsdlap_pmf
+
+
+def groups_of(batch):
+    """Members per tag, read off the submissions as they go on the wire."""
+    return Counter(s.tag for s in batch.submissions)
 
 
 def make_params(threshold, shift, scale=2.0):
@@ -21,23 +27,27 @@ class TestCreateDummyBatch:
     def test_threshold_two_only_singletons(self):
         params = make_params(threshold=2, shift=6)
         batch = dummy.create_dummy_batch(params, random.Random(1))
-        assert all(g.multiplicity == 1 for g in batch.groups)
+        assert all(m == 1 for m in groups_of(batch).values())
 
     def test_no_group_reaches_threshold(self):
         params = make_params(threshold=6, shift=5)
         batch = dummy.create_dummy_batch(params, random.Random(2))
-        assert all(g.multiplicity < params.threshold for g in batch.groups)
+        assert all(m < params.threshold for m in groups_of(batch).values())
 
     def test_tags_unique_within_batch(self):
         params = make_params(threshold=8, shift=6)
         batch = dummy.create_dummy_batch(params, random.Random(3))
-        tags = [g.tag for g in batch.groups]
-        assert len(tags) == len(set(tags))
+        # Each group has its own ciphertext, so two groups under one tag
+        # would show as a tag with two ciphertexts.
+        assert len({s.ciphertext for s in batch.submissions}) == len(groups_of(batch))
 
     def test_submission_count_matches_groups(self):
         params = make_params(threshold=7, shift=5)
         batch = dummy.create_dummy_batch(params, random.Random(4))
-        assert len(batch.submissions) == sum(g.multiplicity for g in batch.groups)
+        # One ciphertext per tag: every member of a group is identical but
+        # for its share.
+        pairs = {(s.tag, s.ciphertext) for s in batch.submissions}
+        assert len(pairs) == len(groups_of(batch))
 
     def test_dummy_only_decode_reveals_nothing(self):
         params = make_params(threshold=4, shift=5)
@@ -100,8 +110,8 @@ class TestMultiplicityMarginal:
         for _ in range(n_batches):
             batch = dummy.create_dummy_batch(params, rng)
             per_mult = {m: 0 for m in range(1, params.threshold)}
-            for g in batch.groups:
-                per_mult[g.multiplicity] += 1
+            for m in groups_of(batch).values():
+                per_mult[m] += 1
             for m, c in per_mult.items():
                 counts[m][c] += 1
         # chi-square critical value for df=8 at the 1e-3 level
@@ -120,12 +130,12 @@ class TestIsDummyTag:
     def test_membership(self):
         params = make_params(threshold=5, shift=5)
         batch = dummy.create_dummy_batch(params, random.Random(9))
-        assert batch.groups[0].tag in {g.tag for g in batch.groups}
+        assert batch.submissions[0].tag in groups_of(batch)
 
     def test_fresh_tag_not_member(self):
         params = make_params(threshold=5, shift=5)
         batch = dummy.create_dummy_batch(params, random.Random(10))
-        assert random.Random(11).randbytes(32) not in {g.tag for g in batch.groups}
+        assert random.Random(11).randbytes(32) not in groups_of(batch)
 
     @pytest.mark.slow
     def test_real_tags_never_collide(self, randomness_for):
@@ -137,7 +147,7 @@ class TestIsDummyTag:
             parse_randomness(randomness_for(f"v{i}".encode())).r3
             for i in range(10_000)
         }
-        assert not real_tags & {g.tag for g in batch.groups}
+        assert not real_tags & groups_of(batch).keys()
 
 
 class TestRevealedUntouched:
@@ -157,5 +167,5 @@ class TestRevealedUntouched:
         noised = decode_submissions(
             subs + list(batch.submissions), params.threshold, params
         )
-        assert noised.revealed == plain.revealed == {b"a": 5, b"b": 3}
+        assert noised.revealed == plain.revealed == {(b"a",): 5, (b"b",): 3}
         assert noised.unrevealed_multiplicities != plain.unrevealed_multiplicities

@@ -224,7 +224,7 @@ class TestBuildSubmission:
         r = oprf.evaluate_directly(x, kp)
         subs = [build_submission(x, r, params, rng) for _ in range(params.threshold)]
         report = decode_submissions(subs, params.threshold)
-        assert report.revealed == {x: params.threshold}
+        assert report.revealed == {(x,): params.threshold}
 
     def test_distinct_values_distinct_tags(self, randomness_for):
         tags = set()

@@ -172,7 +172,7 @@ class TestDecodeMultidim:
                 plain.append(build_submission(v, r, params, rng))
         reports = decode_multidim(supers, 4, params)
         flat = decode_submissions(plain, 4, params)
-        assert {k[0]: v for k, v in reports[0].revealed.items()} == flat.revealed
+        assert reports[0].revealed == flat.revealed
         assert reports[0].unrevealed_multiplicities == flat.unrevealed_multiplicities
 
     def test_revealed_prefix_monotonicity(self, shared_kp):
@@ -237,6 +237,37 @@ class TestDecodeMultidim:
         assert reports[0].revealed == {(b"m",): 4}
         assert reports[1].malformed_groups == 1
         assert reports[1].revealed == {(b"m", b"n"): 3}
+
+    @pytest.mark.parametrize("rule", ["x_zero", "ct_len_mismatch"])
+    def test_inner_submission_breaking_a_rule_counted_per_member(self, shared_kp, rule):
+        # Each layer-2 blob authenticates under the true layer-1 key but
+        # holds a submission the record check refuses: one malformed per
+        # member at layer 2, and the decode goes on.
+        from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
+
+        from nebula.encode import encryption_key, parse_randomness
+        from nebula.multidim import _wrap_nonce
+
+        params = make_params(3)
+        rng = random.Random(13)
+        attrs = [b"m", b"n"]
+        supers = [encode_record(attrs, params, shared_kp, rng) for _ in range(4)]
+        r1 = value_randomness(make_prefixes(attrs).prefixes[0], shared_kp)
+        aead = ChaCha20Poly1305(encryption_key(parse_randomness(r1).r1))
+        bad = []
+        for sup in supers:
+            inner = bytearray(aead.decrypt(_wrap_nonce(2), sup.wrapped_layers[0], None))
+            if rule == "x_zero":
+                inner[32:48] = bytes(16)
+            else:
+                ct_len = int.from_bytes(inner[64:68], "little")
+                inner[64:68] = (ct_len + 1).to_bytes(4, "little")
+            blob = aead.encrypt(_wrap_nonce(2), bytes(inner), None)
+            bad.append(SuperSubmission(layer1=sup.layer1, wrapped_layers=(blob,)))
+        reports = decode_multidim(bad, 3, params)
+        assert reports[0].revealed == {(b"m",): 4}
+        assert reports[1].malformed_groups == 4
+        assert reports[1].revealed == {} and reports[1].unrevealed_multiplicities == {}
 
 
 class TestLayeredCsv:

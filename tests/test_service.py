@@ -447,6 +447,16 @@ class TestLogLifecycle:
         with pytest.raises(SealedError):
             log.append(wire.MSG_SUBMISSION, b"\x00")
 
+    def test_append_after_close_raises(self, tmp_path):
+        subs = _make_submissions({b"x": 1})
+        log = SubmissionLog(tmp_path / "log.bin")
+        log.append(wire.MSG_SUBMISSION, subs[0].to_bytes())
+        log.close()
+        before = (tmp_path / "log.bin").read_bytes()
+        with pytest.raises(ValueError, match="submission log is closed"):
+            log.append(wire.MSG_SUBMISSION, subs[0].to_bytes())
+        assert (tmp_path / "log.bin").read_bytes() == before == _log_of(subs)
+
     def test_seal_marker_survives_reopen(self, tmp_path):
         log = SubmissionLog(tmp_path / "log.bin")
         log.seal()
@@ -512,7 +522,7 @@ class TestLogLifecycle:
         # did.
         good = _log_of(_make_submissions({b"ok": 4}))
         reports, _ = decode_log(good, PARAMS)
-        assert reports[0].revealed == {b"ok": 4}
+        assert reports[0].revealed == {(b"ok",): 4}
         with pytest.raises(ValueError):
             decode_log(good + _BAD_RECORDS[bad](), PARAMS)
 
