@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from . import harness, service
-from .params import DpBudget, derive_params, params_to_config
+from .params import DpBudget, derive_params, params_from_config, params_to_config
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -131,13 +131,16 @@ def main(argv: list[str] | None = None) -> int:
         if args.log is None or args.params is None:
             print("--log and --params (or env equivalents) required", file=sys.stderr)
             return 2
+        if not args.seal_and_decode:
+            service.run_aggregation_server(args.listen, args.log, args.params, args.report)
+            return 0
         # Sealing is permanent, so a mistyped path must not seal a new log.
-        if args.seal_and_decode and not Path(args.log).is_file():
+        if not Path(args.log).is_file():
             print(f"--seal-and-decode: no log at {args.log}", file=sys.stderr)
             return 2
-        service.run_aggregation_server(
-            args.listen, args.log, args.params, args.report, args.seal_and_decode
-        )
+        params = params_from_config(Path(args.params).read_text())
+        _, out = service.seal_and_report(service.SubmissionLog(args.log), params, args.report)
+        print(f"report written to {out}")
         return 0
     return 2
 

@@ -58,31 +58,3 @@ def create_dummy_batch(params: DpParams, rng) -> DummyBatch:
                 )
     return DummyBatch(submissions=tuple(submissions))
 
-
-def sample_batch_size(params: DpParams, rng) -> int:
-    """Total submission count of one batch, without materializing it.
-
-    Draws the same per-multiplicity noise counts as create_dummy_batch and
-    returns sum(i * c_i); the distribution is identical to
-    len(create_dummy_batch(...).submissions).
-    """
-    if params.threshold < 2:
-        raise ValueError("dummy generation needs threshold >= 2")
-    total = 0
-    for multiplicity in range(1, params.threshold):
-        total += multiplicity * tsdlap_sample(
-            rng, params.tsdlap_scale, params.tsdlap_shift
-        )
-    return total
-
-
-def expected_batch_size(params: DpParams) -> float:
-    """Mean total submissions per batch: shift * threshold*(threshold-1)/2."""
-    t = params.threshold
-    return params.tsdlap_shift * t * (t - 1) / 2
-
-
-def max_batch_size(params: DpParams) -> int:
-    """Worst-case total submissions per batch (every draw at its maximum)."""
-    t = params.threshold
-    return 2 * params.tsdlap_shift * t * (t - 1) // 2

@@ -39,10 +39,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import aggregate, dummy, oprf, service, sharing, wire
-from .encode import (
-    KeyShare, Submission, build_submission, encrypt_value, parse_randomness, participate,
-)
+from . import aggregate, dummy, oprf, service, wire
+from .encode import Submission, build_submission, participate
 from .multidim import SuperSubmission, encode_multidim, geo_attributes, make_prefixes
 from .params import DpParams, params_to_config
 
@@ -343,7 +341,6 @@ class ExperimentResult:
     errors: dict[str, float] = dc_field(default_factory=dict)
     per_prefix_errors: list[float] = dc_field(default_factory=list)
     seed: int = 0
-    params: Optional[DpParams] = None
     report_csv: str = ""
 
     def __post_init__(self) -> None:
@@ -392,7 +389,6 @@ def run_nebula(
     seed: int,
     mode: str = "single",
     transport: str = "in_process",
-    workdir: Optional[Path] = None,
 ) -> ExperimentResult:
     """Simulate the full population once and decode.
 
@@ -429,11 +425,7 @@ def run_nebula(
 
     with contextlib.ExitStack() as stack:
         if transport == "daemons":
-            base = Path(
-                workdir if workdir is not None
-                else stack.enter_context(tempfile.TemporaryDirectory())
-            )
-            base.mkdir(parents=True, exist_ok=True)
+            base = Path(stack.enter_context(tempfile.TemporaryDirectory()))
             pair = stack.enter_context(DaemonPair(params, DEFAULT_SERVER_SEED, base))
             distinct = sorted({x for xs in oprf_inputs for x in xs})
             with service.ServiceClient("127.0.0.1", pair.randomness_port) as rc:
@@ -460,7 +452,7 @@ def run_nebula(
 
         if transport == "daemons":
             with service.ServiceClient("127.0.0.1", pair.aggregation_port) as ac:
-                _, errors = ac.submit_stream(frames)
+                _, errors = ac.submit_raw(b"".join(frames), len(frames))
                 if errors:
                     raise RuntimeError(f"{errors} submissions rejected")
                 ac.seal_and_decode()
@@ -481,7 +473,6 @@ def run_nebula(
         errors={"nebula": per_prefix[-1]},
         per_prefix_errors=per_prefix if chained else [],
         seed=seed,
-        params=params,
         report_csv=csv_text,
     )
 
@@ -535,44 +526,6 @@ def _vector_error(true_counts: np.ndarray, est_counts: np.ndarray) -> float:
     p = true_counts / tt if tt else np.zeros_like(true_counts)
     q = est_counts / te if te else np.zeros_like(est_counts)
     return float(np.abs(p - q).sum())
-
-
-# --- bulk submissions -------------------------------------------------------
-
-
-def build_submission_payloads(
-    n_submissions: int, n_values: int, params: DpParams, seed: int = 0
-) -> list[bytes]:
-    """Serialized submissions over a Zipf-ish value mix, built at bulk speed.
-
-    Per-value derived material (randomness, polynomial, ciphertext) is
-    cached, matching what identical-value clients would produce anyway; only
-    the share point differs per submission.
-    """
-    keypair = oprf.keygen(DEFAULT_SERVER_SEED)
-    rng = substream(seed, "bulk-shares")
-    pick_rng = np_substream(seed, "bulk-values")
-    ranks = np.arange(1, n_values + 1, dtype=np.float64)
-    probs = ranks**-1.0
-    probs /= probs.sum()
-    choices = pick_rng.choice(n_values, size=n_submissions, p=probs)
-
-    per_value = []
-    for v in range(n_values):
-        value = f"value{v:06d}".encode()
-        r = value_randomness(value, keypair)
-        sub = parse_randomness(r)
-        coeffs = sharing.polynomial_from_seeds(sub.r1, sub.r2, params.threshold)
-        ct = encrypt_value(sub.r1, value)
-        per_value.append((sub.r3, coeffs, ct))
-
-    payloads = []
-    for c in choices:
-        tag, coeffs, ct = per_value[c]
-        x = sharing.random_nonzero_element(rng)
-        share = KeyShare(x_coord=x, y_coord=sharing.polynomial_eval(coeffs, x))
-        payloads.append(Submission(ciphertext=ct, share=share, tag=tag).to_bytes())
-    return payloads
 
 
 # --- daemon management ------------------------------------------------------

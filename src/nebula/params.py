@@ -16,7 +16,7 @@ and a sampling-rate knob ``alpha``, the derived mechanism parameters are
     tsdlap_scale  = SENSITIVITY / eps_unrevealed
     tsdlap_shift  = ceil( SENSITIVITY + tsdlap_scale * ln(2/delta_unrevealed) )
 
-The overall guarantee is reported as the max over the two paths, never the sum.
+The overall guarantee is the max over the two paths, never the sum.
 
 Removing one client's record moves one unit of mass between two adjacent
 entries of the sub-threshold multiplicity histogram, so the sensitivity of
@@ -58,8 +58,8 @@ class DpBudget:
     """Privacy budget split across the revealed and unrevealed paths.
 
     Requires eps_unrevealed <= eps_revealed and delta_unrevealed <=
-    delta_revealed so the max-reported overall guarantee is driven by the
-    revealed path.
+    delta_revealed so the overall guarantee, the max over the two paths, is
+    the revealed path's.
     """
 
     eps_revealed: float
@@ -82,14 +82,6 @@ class DpBudget:
             raise ParameterError("eps_unrevealed must not exceed eps_revealed")
         if self.delta_unrevealed > self.delta_revealed:
             raise ParameterError("delta_unrevealed must not exceed delta_revealed")
-
-    @property
-    def overall_epsilon(self) -> float:
-        return max(self.eps_unrevealed, self.eps_revealed)
-
-    @property
-    def overall_delta(self) -> float:
-        return max(self.delta_unrevealed, self.delta_revealed)
 
 
 def sampling_rate(eps_revealed: float, alpha: float) -> float:
@@ -175,6 +167,21 @@ _DERIVATIONS: dict[str, tuple[type, Callable[[DpBudget], float | int]]] = {
 }
 
 
+def _convert(name: str, conv: type, value) -> float | int:
+    """``value`` as field ``name``'s type, refusing what the type would change.
+
+    An integer field takes 5, 5.0 or "5", but not 2.9 or "5.0": truncating a
+    pinned threshold of 2.9 to 2 would quietly lower the privacy threshold.
+    """
+    try:
+        typed = conv(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError(f"{name} = {value!r} is not a valid {conv.__name__}") from None
+    if conv is int and not isinstance(value, str) and typed != value:
+        raise ParameterError(f"{name} = {value!r} is not an integer")
+    return typed
+
+
 def derive_params(
     budget: DpBudget, overrides: Optional[Mapping[str, float]] = None
 ) -> DpParams:
@@ -189,7 +196,7 @@ def derive_params(
     if unknown:
         raise ParameterError(f"unknown override fields: {sorted(unknown)}")
     values = {
-        name: conv(overrides[name]) if name in overrides else derive(budget)
+        name: _convert(name, conv, overrides[name]) if name in overrides else derive(budget)
         for name, (conv, derive) in _DERIVATIONS.items()
     }
     return DpParams(budget=budget, **values, overridden=tuple(sorted(overrides)))
@@ -273,7 +280,7 @@ def params_from_config(text: str) -> DpParams:
     if missing:
         raise ParameterError(f"config missing fields: {missing}")
 
-    typed = {name: conv(raw[name]) for name, conv in _CONFIG_FIELDS.items()}
+    typed = {name: _convert(name, conv, raw[name]) for name, conv in _CONFIG_FIELDS.items()}
     budget = DpBudget(**{f.name: typed.pop(f.name) for f in fields(DpBudget)})
     overridden = tuple(x for x in raw.get("overridden", "").split(",") if x)
     return DpParams(budget=budget, **typed, overridden=overridden)

@@ -239,6 +239,8 @@ class SubmissionLog:
         with self._lock:
             if self._sealed:
                 return
+            if self._file is None:
+                raise ValueError("submission log is closed")
             self._file.flush()
             os.fsync(self._file.fileno())
             self._file.close()
@@ -460,10 +462,6 @@ class ServiceClient:
             raise fail[0]
         return result["acks"], result["errors"]
 
-    def submit_stream(self, frames: Sequence[bytes]) -> tuple[int, int]:
-        """Pipelined bulk submit of pre-encoded frames; returns (acks, errors)."""
-        return self.submit_raw(b"".join(frames), len(frames))
-
     def seal_and_decode(self) -> str:
         frame = self.request(wire.MSG_SEAL_DECODE)
         return frame.payload.decode()
@@ -491,17 +489,9 @@ def run_randomness_server(listen: str, key_seed_file: str) -> None:  # pragma: n
 
 
 def run_aggregation_server(
-    listen: str,
-    log_path: str,
-    params_path: str,
-    report_path: Optional[str] = None,
-    seal_and_decode: bool = False,
+    listen: str, log_path: str, params_path: str, report_path: Optional[str] = None
 ) -> None:  # pragma: no cover
     params = params_from_config(Path(params_path).read_text())
-    if seal_and_decode:
-        _, out = seal_and_report(SubmissionLog(log_path), params, report_path)
-        print(f"report written to {out}")
-        return
     _serve(
         "aggregation server",
         AggregationServer(parse_listen(listen), log_path, params, report_path),

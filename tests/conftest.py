@@ -1,9 +1,12 @@
 """Shared fixtures; expensive per-value randomness is cached across modules."""
 
+import numpy as np
 import pytest
 
-from nebula import oprf
-from nebula.harness import value_randomness
+from nebula import oprf, sharing
+from nebula.encode import KeyShare, Submission, encrypt_value, parse_randomness
+from nebula.harness import DEFAULT_SERVER_SEED, np_substream, substream, value_randomness
+from nebula.params import tsdlap_sample
 
 SHARED_KP_SEED = b"\x21" * 32
 
@@ -21,3 +24,53 @@ def randomness_for(shared_kp):
         return value_randomness(value, shared_kp)
 
     return fn
+
+
+@pytest.fixture(scope="session")
+def submission_payloads():
+    """Builder of serialized submissions over a Zipf-ish value mix, at bulk speed.
+
+    Per-value derived material (randomness, polynomial, ciphertext) is
+    cached, matching what identical-value clients would produce anyway; only
+    the share point differs per submission.
+    """
+
+    def build(n_submissions: int, n_values: int, params, seed: int) -> list[bytes]:
+        keypair = oprf.keygen(DEFAULT_SERVER_SEED)
+        rng = substream(seed, "bulk-shares")
+        ranks = np.arange(1, n_values + 1, dtype=np.float64)
+        probs = ranks**-1.0
+        probs /= probs.sum()
+        choices = np_substream(seed, "bulk-values").choice(n_values, size=n_submissions, p=probs)
+
+        per_value = []
+        for v in range(n_values):
+            value = f"value{v:06d}".encode()
+            sub = parse_randomness(value_randomness(value, keypair))
+            coeffs = sharing.polynomial_from_seeds(sub.r1, sub.r2, params.threshold)
+            per_value.append((sub.r3, coeffs, encrypt_value(sub.r1, value)))
+
+        payloads = []
+        for c in choices:
+            tag, coeffs, ct = per_value[c]
+            x = sharing.random_nonzero_element(rng)
+            share = KeyShare(x_coord=x, y_coord=sharing.polynomial_eval(coeffs, x))
+            payloads.append(Submission(ciphertext=ct, share=share, tag=tag).to_bytes())
+        return payloads
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def dummy_batch_size():
+    """Total submission count of one dummy batch, drawn without building it.
+
+    Draws the per-multiplicity noise counts in the order
+    ``dummy.create_dummy_batch`` does and returns sum(i * c_i).
+    """
+
+    def size(params, rng) -> int:
+        scale, shift = params.tsdlap_scale, params.tsdlap_shift
+        return sum(i * tsdlap_sample(rng, scale, shift) for i in range(1, params.threshold))
+
+    return size

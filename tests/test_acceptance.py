@@ -91,17 +91,17 @@ def test_criterion_02_truncated_noise_distribution():
     _report(2, f"empirical TV distance {tv:.5f} <= 0.01 over 1e6 samples, support in 0..30")
 
 
-def test_criterion_03_dummy_count_statistics():
+def test_criterion_03_dummy_count_statistics(dummy_batch_size):
     params = reference_params()
     assert params.threshold == 20 and params.tsdlap_shift == 15
     rng = random.Random(20240808)
     n_mean = 10_000
-    sizes = [dummy.sample_batch_size(params, rng) for _ in range(n_mean)]
+    sizes = [dummy_batch_size(params, rng) for _ in range(n_mean)]
     mean = sum(sizes) / n_mean
     assert abs(mean - 2850) / 2850 <= 0.02
     n_max = 100_000
     observed_max = max(
-        dummy.sample_batch_size(params, rng) for _ in range(n_max - n_mean)
+        dummy_batch_size(params, rng) for _ in range(n_max - n_mean)
     )
     observed_max = max(observed_max, max(sizes))
     assert observed_max <= 5700
@@ -367,10 +367,10 @@ def test_criterion_12_wire_sizes(shared_kp, randomness_for):
 
 
 @pytest.mark.slow
-def test_criterion_13_scale_smoke():
+def test_criterion_13_scale_smoke(submission_payloads):
     params = reference_params()
     n = 1_000_000
-    payloads = harness.build_submission_payloads(n, 2000, params, seed=0)
+    payloads = submission_payloads(n, 2000, params, seed=0)
 
     # independent in-process decode of the same multiset
     subs = [Submission.from_bytes(p) for p in payloads]

@@ -64,18 +64,13 @@ class TestCreateDummyBatch:
 
 
 class TestBatchSizeStatistics:
-    def test_expected_size_formula(self):
-        params = make_params(threshold=20, shift=15)
-        assert dummy.expected_batch_size(params) == 2850
-        assert dummy.max_batch_size(params) == 5700
-
-    def test_mean_over_sampled_sizes(self):
+    def test_mean_over_sampled_sizes(self, dummy_batch_size):
         # E[total] = shift * tau*(tau-1)/2; the cheap size sampler draws the
         # same noise counts as the real generator.
         params = make_params(threshold=20, shift=15)
         rng = random.Random(20240404)
         n = 10_000
-        mean = sum(dummy.sample_batch_size(params, rng) for _ in range(n)) / n
+        mean = sum(dummy_batch_size(params, rng) for _ in range(n)) / n
         assert abs(mean - 2850) / 2850 <= 0.02
 
     def test_materialized_batches_agree_with_size_sampler(self):
@@ -90,11 +85,11 @@ class TestBatchSizeStatistics:
         assert abs(mean - 2850) <= 5 * 18
         assert all(s <= 5700 for s in sizes)
 
-    def test_max_never_exceeded(self):
+    def test_max_never_exceeded(self, dummy_batch_size):
         params = make_params(threshold=20, shift=15)
         rng = random.Random(8)
         assert all(
-            dummy.sample_batch_size(params, rng) <= 5700 for _ in range(100_000)
+            dummy_batch_size(params, rng) <= 5700 for _ in range(100_000)
         )
 
 

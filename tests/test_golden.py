@@ -60,24 +60,21 @@ GOLDEN_LAYERED_FAULTS_CSV = (
 )
 
 
-def _run(mode, transport, tmp_path):
+def _run(mode, transport):
     make_dataset, seed = RUNS[mode]
-    return run_nebula(
-        make_dataset(), PARAMS, seed=seed, mode=mode, transport=transport,
-        workdir=tmp_path if transport == "daemons" else None,
-    )
+    return run_nebula(make_dataset(), PARAMS, seed=seed, mode=mode, transport=transport)
 
 
 @pytest.mark.parametrize("transport", ["in_process", "daemons"])
 @pytest.mark.parametrize("mode", ["single", "multidim"])
-def test_report_csv_golden(mode, transport, tmp_path):
-    assert sha(_run(mode, transport, tmp_path).report_csv) == GOLDEN_CSV[mode]
+def test_report_csv_golden(mode, transport):
+    assert sha(_run(mode, transport).report_csv) == GOLDEN_CSV[mode]
 
 
 @pytest.mark.parametrize("transport", ["in_process", "daemons"])
 @pytest.mark.parametrize("mode", ["single", "multidim"])
-def test_fingerprint_golden(mode, transport, tmp_path):
-    assert _run(mode, transport, tmp_path).fingerprint().hex() == GOLDEN_FINGERPRINT[mode]
+def test_fingerprint_golden(mode, transport):
+    assert _run(mode, transport).fingerprint().hex() == GOLDEN_FINGERPRINT[mode]
 
 
 def _encode(attrs, kp, rng):
@@ -105,7 +102,7 @@ def test_mixed_log_daemon_csv_golden(shared_kp, tmp_path):
     server.start_background()
     try:
         with ServiceClient("127.0.0.1", server.port) as client:
-            assert client.submit_stream(frames) == (len(frames), 0)
+            assert client.submit_raw(b"".join(frames), len(frames)) == (len(frames), 0)
             client.seal_and_decode()
     finally:
         server.stop()

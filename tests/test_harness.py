@@ -1,4 +1,4 @@
-"""Harness tests: loaders, metric, baselines, simulation, bulk submissions."""
+"""Harness tests: loaders, metric, baselines, simulation, decode throughput."""
 
 import math
 import os
@@ -276,11 +276,11 @@ class TestRunNebula:
             outputs.append(proc.stdout.strip())
         assert outputs[0] == outputs[1]
 
-    def test_daemons_transport_byte_identical(self, tmp_path):
+    def test_daemons_transport_byte_identical(self):
         ds = synthetic_zipf(1200, 25, seed=9)
         params = make_params(threshold=5, tsdlap_shift=4)
         r_in = run_nebula(ds, params, seed=5, transport="in_process")
-        r_dm = run_nebula(ds, params, seed=5, transport="daemons", workdir=tmp_path)
+        r_dm = run_nebula(ds, params, seed=5, transport="daemons")
         assert r_in.report_csv == r_dm.report_csv
         assert r_in.errors == r_dm.errors
 
@@ -332,9 +332,9 @@ def test_dummies_look_like_real_records(arity, monkeypatch):
 
 
 class TestBenchmark:
-    def test_decode_throughput_scaled(self):
+    def test_decode_throughput_scaled(self, submission_payloads):
         params = make_params(tsdlap_shift=15)
-        payloads = harness.build_submission_payloads(50_000, 500, params, seed=1)
+        payloads = submission_payloads(50_000, 500, params, seed=1)
         log = b"".join(wire.encode_frame(wire.MSG_SUBMISSION, p) for p in payloads)
         t0 = time.perf_counter()
         service.decode_log(log, params)

@@ -54,6 +54,13 @@ class TestDeriveParams:
         assert params.tsdlap_shift == 15
         assert params.overridden == ("tsdlap_shift",)
 
+    @pytest.mark.parametrize("field", ["threshold", "tsdlap_shift"])
+    def test_fractional_integer_override_refused(self, field):
+        # Truncating a pinned threshold of 2.9 to 2 would lower it silently.
+        with pytest.raises(ParameterError, match=f"^{field} = 2.9 is not an integer$"):
+            derive_params(budget(), overrides={field: 2.9})
+        assert getattr(derive_params(budget(), overrides={field: 5.0}), field) == 5
+
     def test_threshold_is_ceiling(self):
         # Real-valued formula gives ~19.7; the ceiling is conservative.
         raw = math.log(1e8) / alpha_constant(1 / 6)
@@ -79,11 +86,6 @@ class TestDeriveParams:
         with pytest.raises(ParameterError):
             derive_params(budget(alpha=0.9))  # rate constant non-positive
 
-    def test_overall_budget_is_max_not_sum(self):
-        b = DpBudget(1.0, 1e-8, 0.5, 1e-9, 1 / 6)
-        assert b.overall_epsilon == 1.0
-        assert b.overall_delta == 1e-8
-
     def test_config_roundtrip(self):
         params = derive_params(budget(), overrides={"tsdlap_shift": 15})
         text = params_to_config(params)
@@ -95,6 +97,15 @@ class TestDeriveParams:
             params_from_config("this is not a config")
         with pytest.raises(ParameterError):
             params_from_config("eps_revealed = 1.0\n")  # missing fields
+
+    @pytest.mark.parametrize(
+        "line, bad", [("threshold = 5\n", "threshold = 5.0\n"), ("eps_revealed = 1.0\n", "eps_revealed = one\n")]
+    )
+    def test_config_bad_value_names_its_field(self, line, bad):
+        text = params_to_config(derive_params(budget(), overrides={"threshold": 5}))
+        assert line in text
+        with pytest.raises(ParameterError, match=f"^{bad.split()[0]} = "):
+            params_from_config(text.replace(line, bad))
 
 
 class TestBinomialRatio:

@@ -279,7 +279,7 @@ class TestAggregationEndpoint:
         subs = _make_submissions({b"bulk": 50, b"more": 30})
         frames = [wire.encode_frame(wire.MSG_SUBMISSION, s.to_bytes()) for s in subs]
         with ServiceClient("127.0.0.1", aggregation_server.port) as client:
-            acked, errors = client.submit_stream(frames)
+            acked, errors = client.submit_raw(b"".join(frames), len(frames))
             assert (acked, errors) == (80, 0)
             client.seal_and_decode()
 
@@ -457,6 +457,19 @@ class TestLogLifecycle:
             log.append(wire.MSG_SUBMISSION, subs[0].to_bytes())
         assert (tmp_path / "log.bin").read_bytes() == before == _log_of(subs)
 
+    def test_seal_after_stop_is_an_error_not_a_seal(self, tmp_path):
+        # A connection still open after stop() asks to seal the closed log:
+        # it gets the error append gives, and no seal marker is written.
+        server = AggregationServer(("127.0.0.1", 0), tmp_path / "log.bin", PARAMS)
+        server.start_background()
+        with ServiceClient("127.0.0.1", server.port) as client:
+            client.submit(_make_submissions({b"x": 1})[0].to_bytes())
+            server.stop()
+            with pytest.raises(ServiceError, match="submission log is closed") as err:
+                client.seal_and_decode()
+        assert err.value.code == wire.ERR_INTERNAL
+        assert not server.log.sealed and not server.log.seal_marker.exists()
+
     def test_seal_marker_survives_reopen(self, tmp_path):
         log = SubmissionLog(tmp_path / "log.bin")
         log.seal()
@@ -525,6 +538,18 @@ class TestLogLifecycle:
         assert reports[0].revealed == {(b"ok",): 4}
         with pytest.raises(ValueError):
             decode_log(good + _BAD_RECORDS[bad](), PARAMS)
+
+    @pytest.mark.parametrize("cut", [3, 20], ids=["in-header", "in-payload"])
+    def test_log_ending_inside_a_record_is_truncated(self, cut):
+        log = _log_of(_make_submissions({b"ok": 2}))
+        tail = _log_of(_make_submissions({b"cut": 1}))
+        with pytest.raises(wire.FrameError, match="^truncated log record$"):
+            read_log(log + tail[:cut])
+
+    def test_non_submission_record_in_log_refused(self):
+        log = _log_of(_make_submissions({b"ok": 2})) + wire.encode_frame(wire.MSG_ACK)
+        with pytest.raises(wire.FrameError, match="^unexpected record type 6$"):
+            read_log(log)
 
     def test_decode_log_builds_no_submission(self, monkeypatch):
         # Groups at, above and below the threshold, plain and chained: the
