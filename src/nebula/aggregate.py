@@ -3,12 +3,13 @@
 The layer loop that drives them is ``multidim.decode_multidim``; a
 single-attribute multiset is its one-layer case (``decode_submissions``).
 The server sees only tagged submissions, which both primitives read in
-place as offsets into a buffer of serialized submissions.  Grouping by tag
-partitions them; groups with at least ``threshold`` members are decoded by
-interpolating the key shares, deriving the symmetric key from the field
-secret, and decrypting the (single, byte-identical) ciphertext.  Groups
-below the threshold contribute only their size to the
-unrevealed-multiplicity histogram and are never parsed.
+place as offsets into a buffer of serialized submissions.  Grouping sorts
+the offsets by tag as array operations; groups with at least ``threshold``
+members are decoded by interpolating the key shares, deriving the
+symmetric key from the field secret, and decrypting the (single,
+byte-identical) ciphertext.  Groups below the threshold contribute only
+their size, read from the group bounds, to the unrevealed-multiplicity
+histogram and are never parsed.
 
 Recovery applies three consistency checks to an above-threshold group:
 every member must carry the same ciphertext bytes, authenticated decryption
@@ -22,9 +23,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Optional, Sequence, TypeVar
+from typing import Iterable, Literal, Optional, Sequence
 from urllib.parse import unquote_to_bytes
 
+import numpy as np
 from cryptography.exceptions import InvalidTag
 
 from . import sharing
@@ -39,9 +41,6 @@ from .encode import (
 )
 from .params import DpParams, config_items
 from .sharing import FIELD_BYTES
-
-T = TypeVar("T")
-
 
 @dataclass(frozen=True)
 class GroupRecovery:
@@ -68,27 +67,41 @@ class HistogramReport:
     dummy_noise_applied: bool = True
 
 
-def group_by_tag(
-    data: bytes, starts: Sequence[int], owners: Sequence[T]
-) -> list[tuple[list[int], list[T]]]:
-    """Partition the submissions at offsets ``starts`` of ``data`` by tag.
+def column(data: bytes, dtype: str, offsets: np.ndarray) -> np.ndarray:
+    """The ``dtype`` word at each byte offset of ``data``, gathered in one
+    array operation through a view that steps one byte per element.
 
-    ``owners`` runs beside ``starts``; each group is its members' offsets
-    and owners, in the same order.  Members keep arrival order; recovery
-    canonicalizes its own view, so reports are a pure function of the
-    submission multiset.
+    An offset whose word would run past ``data`` reads some other word of
+    it; callers flag such records by their lengths and never trust it.
     """
-    # Two lists per group, not a tuple per member: a million tracked tuples
-    # would keep the garbage collector busy during a decode.
-    groups: dict[bytes, tuple[list[int], list[T]]] = {}
-    for start, owner in zip(starts, owners):
-        tag = data[start : start + TAG_SIZE]
-        group = groups.get(tag)
-        if group is None:
-            group = groups[tag] = ([], [])
-        group[0].append(start)
-        group[1].append(owner)
-    return list(groups.values())
+    width = np.dtype(dtype).itemsize
+    count = len(data) - width + 1
+    if count <= 0:
+        return np.zeros(len(offsets), dtype)
+    view = np.ndarray(shape=(count,), dtype=dtype, buffer=data, strides=(1,))
+    return view[np.minimum(offsets, count - 1)]
+
+
+def group_by_tag(data: bytes, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Order the submissions at offsets ``starts`` of ``data`` by tag.
+
+    Returns ``(order, bounds)``: ``order[bounds[g] : bounds[g + 1]]`` are the
+    positions in ``starts`` of group g's members.  One ``np.lexsort`` over
+    the four big-endian 8-byte words of each tag orders them; a group ends
+    where any word changes.  Member order within a group carries no
+    meaning: recovery canonicalizes its own view, so reports are a pure
+    function of the submission multiset.
+    """
+    if len(starts) == 0:
+        return np.empty(0, np.intp), np.zeros(1, np.intp)
+    # Least significant word first: lexsort sorts by its last key first.
+    words = [column(data, ">u8", starts + at) for at in range(TAG_SIZE - 8, -1, -8)]
+    order = np.lexsort(words)
+    change = np.zeros(len(starts) - 1, dtype=bool)
+    while words:
+        word = words.pop()[order]
+        change |= word[1:] != word[:-1]
+    return order, np.flatnonzero(np.concatenate(([True], change, [True])))
 
 
 def select_shares(data: bytes, starts: Sequence[int], threshold: int) -> list[tuple[int, int]]:

@@ -25,6 +25,7 @@ import contextlib
 import csv
 import hashlib
 import math
+import os
 import random
 import select
 import string
@@ -553,6 +554,10 @@ class DaemonPair:
         seed_file.write_bytes(self.server_seed)
         params_file = self.workdir / "params.cfg"
         params_file.write_text(params_to_config(self.params))
+        # The children import this very package, installed or not.
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         for args in (
             ["randomness-server", "--key-seed-file", str(seed_file)],
             [
@@ -564,6 +569,7 @@ class DaemonPair:
                 subprocess.Popen(
                     [sys.executable, "-m", "nebula.cli", *args, "--listen", "127.0.0.1:0"],
                     stdout=subprocess.PIPE,
+                    env=env,
                 )
             )
         try:

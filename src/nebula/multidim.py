@@ -14,24 +14,28 @@ sharing a prefix produce identical wrapped blobs (the same deliberate
 determinism as the value ciphertexts).
 
 Decoding reads a submission log's bytes in place.  ``read_log`` checks
-every record and keeps two offsets per record, its layer-1 submission and
-its payload; no record becomes an object.  Each recovered branch decrypts
-its members' next-layer blobs, found by walking their blob lengths from the
-payload, into one buffer and groups that buffer the same way.
+every record as array operations over the log and keeps columns of
+offsets: each record's layer-1 submission and a cursor at its first
+wrapped blob; no record becomes an object.  Each recovered branch decrypts
+its members' next-layer blobs at their cursors into one buffer, moves the
+cursors past them and groups that buffer the same way.
 """
 
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
-from . import wire
+from . import sharing, wire
 from .aggregate import (
     HistogramReport,
+    column,
     group_by_tag,
     recover_group,
     reports_from_csv,
@@ -39,6 +43,8 @@ from .aggregate import (
 )
 from .encode import (
     CIPHERTEXT_AT,
+    SHARE_END,
+    TAG_SIZE,
     Submission,
     build_submission,
     encryption_key,
@@ -187,40 +193,122 @@ def encode_multidim(
 
 @dataclass(frozen=True)
 class LogIndex:
-    """Where each record of a submission log sits, as offsets into ``data``.
+    """Where each record of a submission log sits, as columns over ``data``.
 
-    In log order, ``starts`` holds each record's layer-1 submission and
-    ``owners`` its payload; nothing is parsed into objects.
+    In log order, ``starts`` holds the offset of each record's layer-1
+    submission, ``cursors`` the offset of its first wrapped blob's length
+    prefix (the record's end when it has none) and ``depths`` its layer
+    count; nothing is parsed into objects.
     """
 
     data: bytes
-    starts: list[int]
-    owners: list[int]
+    starts: np.ndarray  # int64
+    cursors: np.ndarray  # int64
+    depths: np.ndarray  # uint8
     layers: int  # the most layers any record carries
     chained: bool  # whether any record is a SUPER_SUBMISSION
+
+
+_HEADER = struct.Struct("<BBI")
+# The field prime as two big-endian 8-byte words (high, low).
+_PRIME_WORDS = (np.uint64(sharing.FIELD_PRIME >> 64), np.uint64(sharing.FIELD_PRIME & (2**64 - 1)))
+
+
+def _frame_offsets(data: bytes) -> tuple[np.ndarray, int]:
+    """Payload offsets of the whole submission frames that open ``data``,
+    and where the walk stopped: at the end, or at the first frame with a bad
+    header, another record type or a torn tail."""
+    offsets = array("q")
+    append, unpack = offsets.append, _HEADER.unpack_from
+    size, last = len(data), len(data) - wire.HEADER_SIZE
+    version, plain, chained = wire.VERSION, wire.MSG_SUBMISSION, wire.MSG_SUPER_SUBMISSION
+    limit = wire.MAX_PAYLOAD_SIZE
+    at = 0
+    while at <= last:
+        frame_version, msg_type, length = unpack(data, at)
+        end = at + wire.HEADER_SIZE + length
+        if (
+            frame_version != version
+            or (msg_type != plain and msg_type != chained)
+            or length > limit
+            or end > size
+        ):
+            break
+        append(at + wire.HEADER_SIZE)
+        at = end
+    return np.frombuffer(offsets, dtype=np.int64), at
+
+
+def _raise_at_stop(data: bytes, at: int) -> None:
+    """Raise what stopped the header walk at ``at``, as the frame walker and
+    ``check_record`` word it."""
+    if len(data) - at >= wire.HEADER_SIZE:
+        msg_type, length = wire.parse_header(data[at : at + wire.HEADER_SIZE])
+        payload = at + wire.HEADER_SIZE
+        if payload + length <= len(data):
+            check_record(data, msg_type, payload, payload + length)
+    raise wire.FrameError("truncated log record")
+
+
+def _at_least_prime(data: bytes, offsets: np.ndarray) -> np.ndarray:
+    high, low = column(data, ">u8", offsets), column(data, ">u8", offsets + 8)
+    return (high > _PRIME_WORDS[0]) | (high == _PRIME_WORDS[0]) & (low >= _PRIME_WORDS[1])
+
+
+def _breaks_rules(
+    data: bytes, starts: np.ndarray, depths: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``check_record``'s rules as array operations over many records of
+    ``data`` at once: the records whose layer-1 submissions sit at
+    ``starts``, with ``depths`` layers and ending at ``ends``.
+
+    Returns which records break a rule, and each record's cursor: the offset
+    just past its layer-1 submission.  Wrapped blob lengths are walked one
+    layer at a time over every record.
+    """
+    bad = starts + CIPHERTEXT_AT > ends
+    bad |= (depths < 1) | (depths > MAX_ATTRIBUTES)
+    x = starts + TAG_SIZE
+    bad |= _at_least_prime(data, x) | _at_least_prime(data, x + sharing.FIELD_BYTES)
+    bad |= (column(data, ">u8", x) == 0) & (column(data, ">u8", x + 8) == 0)
+    cursors = starts + CIPHERTEXT_AT + column(data, "<u4", starts + SHARE_END)
+    bad |= cursors > ends
+    at = cursors
+    for layer in range(2, MAX_ATTRIBUTES + 1):
+        walking = ~bad & (depths >= layer)
+        if not walking.any():
+            break
+        at = np.where(walking, at + 4 + column(data, "<u4", at), at)
+        bad |= at > ends
+    bad |= at != ends
+    return bad, cursors
 
 
 def read_log(data: bytes) -> LogIndex:
     """Check every record of a submission log in place and index it.
 
-    Raises ValueError for any record ingest would refuse and FrameError for
-    an unexpected record type or a truncated tail.
+    One header walk collects the payload offsets; ``check_record``'s rules
+    then run over all records at once, as array operations on the log
+    bytes.  They only flag: ``check_record`` on the first flagged record in
+    log order raises its error, so a log fails as a record-by-record walk
+    would.  Raises ValueError for any record ingest would refuse and
+    FrameError for an unexpected record type or a truncated tail.
     """
-    starts: list[int] = []
-    owners: list[int] = []
-    layers, chained, end = 1, False, 0
-    for msg_type, payload, end in wire.iter_frames(memoryview(data)):
-        start = end - len(payload)
-        num_layers = check_record(data, msg_type, start, end)
-        owners.append(start)
-        if msg_type == wire.MSG_SUPER_SUBMISSION:
-            chained = True
-            layers = max(layers, num_layers)
-            start += 1
-        starts.append(start)
-    if end != len(data):
-        raise wire.FrameError("truncated log record")
-    return LogIndex(data, starts, owners, layers, chained)
+    payloads, stop = _frame_offsets(data)
+    ends = np.empty_like(payloads)
+    ends[:-1] = payloads[1:] - wire.HEADER_SIZE
+    ends[-1:] = stop
+    types = column(data, "u1", payloads - wire.HEADER_SIZE + 1)
+    is_chained = types == wire.MSG_SUPER_SUBMISSION
+    starts = payloads + is_chained
+    depths = np.where(is_chained, column(data, "u1", payloads), np.uint8(1))
+    bad, cursors = _breaks_rules(data, starts, depths, ends)
+    for i in np.flatnonzero(bad).tolist():
+        check_record(data, int(types[i]), int(payloads[i]), int(ends[i]))
+    if stop != len(data):
+        _raise_at_stop(data, stop)
+    layers = int(depths.max()) if len(depths) else 1
+    return LogIndex(data, starts, cursors, depths, layers, bool(is_chained.any()))
 
 
 def _as_log(messages: Iterable[SuperSubmission | Submission]) -> bytes:
@@ -251,7 +339,6 @@ def decode_multidim(
     one-layer case.
     """
     index = records if isinstance(records, LogIndex) else read_log(_as_log(records))
-    data = index.data
     reports = [
         HistogramReport(params_used=params, dummy_noise_applied=(layer == 1))
         for layer in range(1, index.layers + 1)
@@ -259,26 +346,33 @@ def decode_multidim(
 
     # Each layer regroups every recovered branch of the layer above by the
     # tag of its members' submissions for this layer.  A branch is a
-    # (prefix path, key, member payload offsets) tuple; the root branch
-    # holds every record and no key, as layer 1 travels in the clear.
-    frontier = [((), None, index.owners)]
+    # (prefix path, key, member cursors, member depths) tuple, a cursor
+    # pointing at the member's next wrapped blob in the log; the root
+    # branch holds every record and no key, as layer 1 travels in the clear.
+    frontier = [((), None, index.cursors, index.depths)]
     for layer, report in enumerate(reports, start=1):
         next_frontier = []
-        for path, key, owners in frontier:
+        for path, key, cursors, depths in frontier:
             if key is None:
-                buf, starts = data, index.starts
+                buf, starts = index.data, index.starts
             else:
-                buf, starts, owners = _unwrap_layer(data, owners, key, layer, report)
-            for group, group_owners in group_by_tag(buf, starts, owners):
-                outcome = recover_group(buf, group, threshold)
+                buf, starts, cursors, depths = _unwrap_layer(
+                    index.data, cursors, depths, key, layer, report
+                )
+            order, bounds = group_by_tag(buf, starts)
+            sizes = bounds[1:] - bounds[:-1]
+            below = sizes < threshold
+            hist = report.unrevealed_multiplicities
+            for count, groups in enumerate(np.bincount(sizes[below]).tolist()):
+                if groups:
+                    hist[count] = hist.get(count, 0) + groups
+            for group in np.flatnonzero(~below).tolist():
+                members = order[bounds[group] : bounds[group + 1]]
+                outcome = recover_group(buf, starts[members].tolist(), threshold)
                 if outcome.status == "recovered":
                     child = path + (outcome.value,)
                     report.revealed[child] = report.revealed.get(child, 0) + outcome.count
-                    next_frontier.append((child, outcome.key, group_owners))
-                elif outcome.status == "unrevealed":
-                    report.unrevealed_multiplicities[outcome.count] = (
-                        report.unrevealed_multiplicities.get(outcome.count, 0) + 1
-                    )
+                    next_frontier.append((child, outcome.key, cursors[members], depths[members]))
                 else:
                     report.malformed_groups += 1
         frontier = next_frontier
@@ -286,40 +380,46 @@ def decode_multidim(
 
 
 def _unwrap_layer(
-    data: bytes, owners: list[int], key: bytes, layer: int, report: HistogramReport
-) -> tuple[bytes, list[int], list[int]]:
-    """Decrypt the layer-``layer`` submissions of one recovered branch, whose
-    members' payloads sit at ``owners`` in the log ``data``, into one buffer.
+    data: bytes,
+    cursors: np.ndarray,
+    depths: np.ndarray,
+    key: bytes,
+    layer: int,
+    report: HistogramReport,
+) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray]:
+    """Decrypt the layer-``layer`` submissions of one recovered branch into
+    one buffer; its members' cursors point at their next wrapped blobs in
+    the log ``data``.
 
-    Returns the buffer, and the offsets in it and owners of the members that
-    carry this layer.
+    Returns the buffer, the offsets in it of the members whose blob opens
+    to a submission that keeps the rules, and those members' cursors moved
+    past the blob, and depths.  Every other member that carries this layer
+    counts one malformed group: an unreadable blob has no tag.
     """
+    carried = depths >= layer
+    cursors, depths = cursors[carried], depths[carried]
+    # read_log walked every blob length, so each blob lies in its record.
+    nexts = cursors + 4 + column(data, "<u4", cursors)
     aead = ChaCha20Poly1305(key)
     nonce = _wrap_nonce(layer)
+    log = memoryview(data)
     parts: list[bytes] = []
-    starts: list[int] = []
-    kept: list[int] = []
-    size = 0
-    for owner in owners:
-        chained = data[owner - wire.HEADER_SIZE + 1] == wire.MSG_SUPER_SUBMISSION
-        if not chained or data[owner] < layer:
-            continue
-        # Re-walk the blob lengths from the payload: this layer's blob is
-        # the last of the first ``layer - 1``.
-        for start, stop in _blob_spans(data, submission_end(data, owner + 1), layer - 1, len(data)):
-            pass
+    opened: list[int] = []
+    for i, (start, stop) in enumerate(zip((cursors + 4).tolist(), nexts.tolist())):
         try:
-            sub = aead.decrypt(nonce, data[start:stop], None)
-            check_record(sub, wire.MSG_SUBMISSION, 0, len(sub))
-        except (InvalidTag, ValueError):
-            # Counted per member: an unreadable blob has no tag.
-            report.malformed_groups += 1
+            parts.append(aead.decrypt(nonce, log[start:stop], None))
+        except InvalidTag:
             continue
-        parts.append(sub)
-        starts.append(size)
-        kept.append(owner)
-        size += len(sub)
-    return b"".join(parts), starts, kept
+        opened.append(i)
+    sizes = np.fromiter(map(len, parts), np.int64, len(parts))
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    buf = b"".join(parts)
+    bad, _ = _breaks_rules(buf, starts, np.ones(len(parts), np.uint8), ends)
+    kept = np.flatnonzero(~bad)
+    report.malformed_groups += len(cursors) - len(kept)
+    members = np.array(opened, dtype=np.intp)[kept]
+    return buf, starts[kept], nexts[members], depths[members]
 
 
 def layered_reports_to_csv(reports: Sequence[HistogramReport]) -> str:

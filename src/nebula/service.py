@@ -247,6 +247,13 @@ class SubmissionLog:
             self._file = None
             self._sealed = True
             self.seal_marker.touch()
+            # The marker's directory entry must survive a power loss too, or
+            # a restart would reopen the sealed log for ingest.
+            directory = os.open(self.path.parent, os.O_RDONLY)
+            try:
+                os.fsync(directory)
+            finally:
+                os.close(directory)
 
     def close(self) -> None:
         with self._lock:
@@ -283,7 +290,11 @@ def seal_and_report(
     log.seal()
     reports, csv_text = decode_log(log.path.read_bytes(), params)
     out = Path(report_path or log.path.with_suffix(log.path.suffix + ".report.csv"))
-    out.write_text(csv_text)
+    # Written beside the report and renamed over it, so a crash mid-write
+    # leaves the old report or none, never a partial one.
+    partial = out.with_name(out.name + ".partial")
+    partial.write_text(csv_text)
+    os.replace(partial, out)
     return reports, out
 
 

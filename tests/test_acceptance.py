@@ -222,8 +222,9 @@ def test_criterion_07_threshold_hiding():
         index = read_log(
             b"".join(wire.encode_frame(wire.MSG_SUBMISSION, s.to_bytes()) for s in forced)
         )
-        [(group, _)] = group_by_tag(index.data, index.starts, index.owners)
-        outcome = recover_group(index.data, group, tau)
+        order, bounds = group_by_tag(index.data, index.starts)
+        assert bounds.tolist() == [0, tau]
+        outcome = recover_group(index.data, index.starts[order].tolist(), tau)
         assert outcome.status == "malformed"
         fails += 1
     _report(

@@ -51,26 +51,32 @@ def index_of(subs):
     return read_log(b"".join(wire.encode_frame(wire.MSG_SUBMISSION, s.to_bytes()) for s in subs))
 
 
+def groups_of(data, starts):
+    """``group_by_tag``'s groups as lists of member positions in ``starts``."""
+    order, bounds = group_by_tag(data, np.asarray(starts, dtype=np.int64))
+    return [order[lo:hi].tolist() for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def one_group(subs):
     """The log bytes and member offsets of the single tag group ``subs`` must form."""
     index = index_of(subs)
-    [(group, _)] = group_by_tag(index.data, index.starts, index.owners)
-    return index.data, group
+    [group] = groups_of(index.data, index.starts)
+    return index.data, index.starts[group].tolist()
 
 
 class TestGroupByTag:
     def test_empty(self):
-        assert group_by_tag(b"", [], []) == []
+        assert groups_of(b"", []) == []
 
     def test_partition_sizes(self, randomness_for):
         params = make_params(3)
         subs = make_submissions({b"x": 3, b"y": 2}, params, randomness_for)
         index = index_of(subs)
-        groups = group_by_tag(index.data, index.starts, range(len(subs)))
-        assert sorted(len(g) for g, _ in groups) == [2, 3]
-        assert sum(len(g) for g, _ in groups) == len(subs)
-        # Each owner comes back beside its own submission.
-        assert all(index.starts[i] == s for g, owners in groups for s, i in zip(g, owners))
+        groups = groups_of(index.data, index.starts)
+        assert sorted(len(g) for g in groups) == [2, 3]
+        # Every position comes back once, in the group of its own tag.
+        assert sorted(i for g in groups for i in g) == list(range(len(subs)))
+        assert all(len({subs[i].tag for i in g}) == 1 for g in groups)
 
     def test_order_insensitive(self, randomness_for):
         params = make_params(3)
@@ -83,7 +89,7 @@ class TestGroupByTag:
             data = index.data
             return {
                 data[g[0] : g[0] + 32]: sorted(data[s : submission_end(data, s)] for s in g)
-                for g, _ in group_by_tag(data, index.starts, index.owners)
+                for g in (index.starts[m].tolist() for m in groups_of(data, index.starts))
             }
 
         assert by_tag(subs) == by_tag(shuffled)

@@ -1,9 +1,11 @@
 """Daemon and wire tests: framing, endpoints, log lifecycle, isolation."""
 
 import functools
+import os
 import random
 import shutil
 import socket
+import stat
 import tempfile
 from pathlib import Path
 
@@ -16,7 +18,7 @@ from hypothesis.stateful import (
 
 from nebula import oprf, sharing, wire
 from nebula.aggregate import decode_submissions, report_to_csv
-from nebula.encode import KeyShare, Submission, build_submission
+from nebula.encode import KeyShare, Submission, build_submission, submission_end
 from nebula.harness import value_randomness
 from nebula.multidim import (
     SuperSubmission, decode_multidim, encode_multidim, layered_reports_to_csv, make_prefixes,
@@ -32,6 +34,7 @@ from nebula.service import (
     decode_log,
     parse_listen,
     read_log,
+    seal_and_report,
 )
 
 PARAMS = derive_params(
@@ -470,6 +473,27 @@ class TestLogLifecycle:
         assert err.value.code == wire.ERR_INTERNAL
         assert not server.log.sealed and not server.log.seal_marker.exists()
 
+    def test_seal_syncs_directory_and_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        subs = _make_submissions({b"x": 3, b"y": 1})
+        log = SubmissionLog(tmp_path / "log.bin")
+        for s in subs:
+            log.append(wire.MSG_SUBMISSION, s.to_bytes())
+        (tmp_path / "log.bin.report.csv").write_text("stale")
+        synced = []
+        fsync = os.fsync
+
+        def recording_fsync(fd):
+            synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        _, out = seal_and_report(log, PARAMS, None)
+        assert synced == [False, True]  # the log, then its directory
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "log.bin", "log.bin.report.csv", "log.bin.sealed"
+        ]
+        assert out.read_text() == report_to_csv(decode_submissions(subs, 3, PARAMS))
+
     def test_seal_marker_survives_reopen(self, tmp_path):
         log = SubmissionLog(tmp_path / "log.bin")
         log.seal()
@@ -491,11 +515,12 @@ class TestLogLifecycle:
         payloads = _ingest_payloads()[::-1]
         data = _frames(payloads)
         index = read_log(data)
-        assert [data[o : o + len(p)] for o, (_, p) in zip(index.owners, payloads)] == [
-            p for _, p in payloads
-        ]
-        # A chained record's layer-1 submission follows its layer-count byte.
-        assert [s - o for s, o in zip(index.starts, index.owners)] == [1, 1, 0]
+        # A chained record's layer-1 submission follows its layer-count
+        # byte, and its cursor sits at its first wrapped blob, just past it.
+        payload_at = [end - len(p) for _, p, end in wire.iter_frames(data)]
+        assert (index.starts - payload_at).tolist() == [1, 1, 0]
+        assert index.depths.tolist() == [3, 1, 1]
+        assert index.cursors.tolist() == [submission_end(data, s) for s in index.starts.tolist()]
         assert (index.layers, index.chained) == (3, True)
         messages = [
             (SuperSubmission if t == wire.MSG_SUPER_SUBMISSION else Submission).from_bytes(p)
@@ -661,6 +686,16 @@ class TestDaemonIsolation:
             for port in (a.aggregation_port, b.aggregation_port):
                 with ServiceClient("127.0.0.1", port) as ac:
                     assert "revealed=0" in ac.seal_and_decode()
+
+    def test_pair_starts_without_pythonpath(self, tmp_path, monkeypatch):
+        # The daemons import the package the test imported, though nothing
+        # on the inherited environment points at it.
+        from nebula.harness import DaemonPair
+
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+        with DaemonPair(PARAMS, b"\x55" * 32, tmp_path) as pair:
+            with ServiceClient("127.0.0.1", pair.randomness_port) as rc:
+                assert len(rc.fetch_public_key().encode()) == 32
 
     def test_parse_listen(self):
         assert parse_listen("127.0.0.1:9000") == ("127.0.0.1", 9000)
