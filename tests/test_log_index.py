@@ -143,14 +143,8 @@ def test_read_log_fails_as_the_record_walk_does(log):
     assert outcome(read_log, log) == expected
 
 
-def _frame(msg_type, payload):
-    return wire.encode_frame(msg_type, payload)
-
-
-_CLEAN = _frame(wire.MSG_SUBMISSION, submission(random.Random(1), 10))
-_ZERO_X = _frame(
-    wire.MSG_SUBMISSION, _CLEAN[6 + 0 : 6 + 32] + bytes(16) + _CLEAN[6 + 48 :]
-)
+_CLEAN = wire.encode_frame(wire.MSG_SUBMISSION, submission(random.Random(1), 10))
+_ZERO_X = wire.encode_frame(wire.MSG_SUBMISSION, _CLEAN[6:38] + bytes(16) + _CLEAN[54:])
 
 
 @pytest.mark.parametrize(
@@ -159,13 +153,13 @@ _ZERO_X = _frame(
         # A payload fault comes before a header fault later in the log.
         (_CLEAN + _ZERO_X + header(2, 3, 0), ValueError, "zero x-coordinate"),
         (_CLEAN + _ZERO_X + _CLEAN[:9], ValueError, "zero x-coordinate"),
-        (_CLEAN + _frame(wire.MSG_ACK, b"") + _ZERO_X, wire.FrameError, "unexpected record type 6"),
+        (_CLEAN + wire.encode_frame(wire.MSG_ACK, b"") + _ZERO_X, wire.FrameError, "unexpected record type 6"),
         (b"", None, None),
         (b"\x01", wire.FrameError, "truncated log record"),
-        (_frame(wire.MSG_SUBMISSION, b""), ValueError, "submission too short"),
-        (_frame(wire.MSG_SUPER_SUBMISSION, b""), ValueError, "empty super-submission"),
-        (_frame(wire.MSG_SUPER_SUBMISSION, b"\x01"), ValueError, "truncated submission"),
-        (_frame(wire.MSG_SUPER_SUBMISSION, b"\x01" + _CLEAN[6:] + b"\0"), ValueError,
+        (wire.encode_frame(wire.MSG_SUBMISSION, b""), ValueError, "submission too short"),
+        (wire.encode_frame(wire.MSG_SUPER_SUBMISSION, b""), ValueError, "empty super-submission"),
+        (wire.encode_frame(wire.MSG_SUPER_SUBMISSION, b"\x01"), ValueError, "truncated submission"),
+        (wire.encode_frame(wire.MSG_SUPER_SUBMISSION, b"\x01" + _CLEAN[6:] + b"\0"), ValueError,
          "trailing bytes after super-submission"),
     ],
 )

@@ -23,7 +23,6 @@ from nebula import dummy, service, wire
 from nebula.aggregate import HistogramReport, reports_to_csv
 from nebula.encode import (
     KeyShare,
-    Submission,
     build_submission,
     encryption_key,
     key_from_field_secret,
