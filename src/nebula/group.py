@@ -7,18 +7,25 @@ arithmetic modulo the group order.  The one-way map and the square-root
 conventions follow the RFC pseudocode; all curve constants are derived at
 import time rather than hardcoded.
 
-Pure Python on top of native big integers.  Every variable-base product
-goes through one signed-window multi-scalar multiplication (``_msm``): a
-single scalar multiplication costs about 1.6-2.0 ms on a 2-core x86-64 VM
-under CPython 3.11, and eight pairs together about 5 ms instead of eight
-times that.  No constant-time guarantees are attempted (this is a research
-artifact, not a hardened library).
+Field and point arithmetic use native big integers.  Every variable-base
+product goes through one kernel (``_mul``): OpenSSL's X25519 Montgomery
+ladder (RFC 7748, through ``cryptography``) on the birationally equivalent
+Curve25519 gives the u-coordinates of m*R and (m+1)*R, the Okeya-Sakurai
+formula recovers v, and the point is mapped back to Edwards coordinates.
+The ladder is constant-time; the Python before and after it (clamping,
+the inversion, the y-recovery) is not, and neither is anything else here
+(this is a research artifact, not a hardened library).
 """
 
 from __future__ import annotations
 
 import hashlib
 from typing import Sequence
+
+from cryptography.hazmat.primitives.asymmetric.x25519 import (
+    X25519PrivateKey,
+    X25519PublicKey,
+)
 
 P = 2**255 - 19
 # Group order (prime).
@@ -104,52 +111,63 @@ def _double(p: _Point) -> _Point:
     return (e * f % P, g * h % P, f * g % P, e * h % P)
 
 
-def _msm(pairs) -> _Point:
-    """Sum of n*p over (n, p) pairs: Straus's interleaved multi-exponentiation.
+# Curve25519 (RFC 7748) in the form B*v^2 = u^3 + A*u^2 + u with B = -486664:
+# u = (1+y)/(1-y) and v = u/x map it to edwards25519 with no square root.
+# Curve25519 proper (B = 1) scales v by sqrt(-486664), which the x-only
+# ladder never reads, and the root would cancel between the two directions.
+_A = 486662
+_B = -486664 % P
+_INV8 = pow(8, -1, ORDER)
+_INV2 = pow(2, -1, ORDER)
 
-    Each scalar is recoded into signed radix-32 digits in [-16, 16) and each
-    point gets a table of 1*p .. 16*p; a negative digit adds the negated
-    entry (-X, Y, Z, -T).  All pairs share one run of five doublings per
-    digit, and only the last doubling of a run computes T, because only the
-    following addition reads it.
+
+def _clamped(m: int) -> bytes | None:
+    """An X25519 private key s = 2^254 + 8k (k < 2^251) with s = +-m mod ORDER.
+
+    One sign fits unless m is 8i with |i| <= ORDER - 2^252 (about 2^-126 of
+    all scalars); then there is no key and the caller halves m.
     """
-    rows = []
-    for n, p in pairs:
-        n %= ORDER
-        digits = []
-        while n:
-            d = n & 31
-            n >>= 5
-            if d > 15:
-                d -= 32
-                n += 1
-            digits.append(d)
-        if digits:
-            table = [p, _double(p)]
-            for _ in range(14):
-                table.append(_add(table[-1], p))
-            # Index by digit: entries 1..16 are positive, 17..32 are -16..-1.
-            lookup = [None] + table + [(P - x, y, z, P - t) for x, y, z, t in reversed(table)]
-            rows.append([lookup[d] for d in digits])
-    if not rows:
+    for signed in (m, ORDER - m):
+        k = (signed - 2**254) * _INV8 % ORDER
+        if k < 2**251:
+            return (2**254 + 8 * k).to_bytes(32, "little")
+    return None
+
+
+def _mul(n: int, p: _Point) -> _Point:
+    """n*p up to 4-torsion, exact on the prime-order part, through X25519.
+
+    R = [8]p is torsion-free, so n*p and (n/8)*R encode alike.  Two X25519
+    ladders on u(R) give u(mR) and u((m+1)R); Okeya and Sakurai's formula
+    recovers v(mR) from them and the point R, and the result goes back to
+    extended coordinates.  One inversion in all.
+    """
+    r = _double(_double(_double(p)))
+    m = n * _INV8 % ORDER
+    if m == 0 or r[0] == 0:
         return _IDENTITY
-    acc = None
-    for i in range(max(map(len, rows)) - 1, -1, -1):
-        if acc is not None:
-            x, y, z, _ = acc
-            for _ in range(4):
-                a = x * x % P
-                b = y * y % P
-                h = a + b
-                g = a - b
-                e = (h - (x + y) * (x + y)) % P
-                f = 2 * z * z % P + g
-                x, y, z = e * f % P, g * h % P, f * g % P
-            acc = _double((x, y, z, 0))
-        for row in rows:
-            if i < len(row) and row[i] is not None:
-                acc = row[i] if acc is None else _add(acc, row[i])
-    return acc
+    while True:
+        if m == 1:
+            return r
+        if m == ORDER - 1:
+            return (P - r[0], r[1], r[2], P - r[3])
+        key, key1 = _clamped(m), _clamped(m + 1)
+        if key and key1:
+            break
+        r, m = _double(r), m * _INV2 % ORDER
+    x, y, z, _ = r
+    inv = pow((z - y) * x % P, -1, P)
+    u = (z + y) * x % P * inv % P
+    w = 2 * _B * (z + y) % P * z % P * inv % P  # 2*B*v(R), with v(R) = u/x
+    peer = X25519PublicKey.from_public_bytes(u.to_bytes(32, "little"))
+    uq, uq1 = (
+        int.from_bytes(X25519PrivateKey.from_private_bytes(k).exchange(peer), "little")
+        for k in (key, key1)
+    )
+    # v(mR) = num / (2*B*v(R)), then x = u/v and y = (u-1)/(u+1).
+    num = ((u * uq + 1) * (u + uq + 2 * _A) - 2 * _A - (u - uq) ** 2 * uq1) % P
+    xn = uq * w % P
+    return (xn * (uq + 1) % P, (uq - 1) * num % P, num * (uq + 1) % P, xn * (uq - 1) % P)
 
 
 def _encode(p: _Point) -> bytes:
@@ -254,7 +272,7 @@ class GroupElement:
         return GroupElement(_add(self._pt, other._pt))
 
     def __mul__(self, scalar: int) -> "GroupElement":
-        return GroupElement(_msm([(scalar, self._pt)]))
+        return GroupElement(_mul(scalar, self._pt))
 
     __rmul__ = __mul__
 
@@ -304,8 +322,9 @@ def _build_base_tables() -> None:
 def base_mult(scalar: int) -> GroupElement:
     """GENERATOR * scalar from precomputed 4-bit window tables, no doublings.
 
-    About 4x faster than ``GENERATOR * scalar``; it shares no code with
-    ``_msm``, so tests use it as an independent oracle for that path.
+    The fixed-base path, for keys and proof commitments.  It shares no code
+    with the X25519 kernel, so tests use it as an independent oracle for
+    variable-base products.
     """
     if not _BASE_TABLES:
         _build_base_tables()
@@ -321,13 +340,16 @@ def base_mult(scalar: int) -> GroupElement:
 
 
 def double_mult(a: int, p: GroupElement, b: int, q: GroupElement) -> GroupElement:
-    """p*a + q*b with shared doublings (the two-pair case of ``multi_mult``)."""
-    return GroupElement(_msm([(a, p._pt), (b, q._pt)]))
+    """p*a + q*b (the two-pair case of ``multi_mult``)."""
+    return multi_mult((a, b), (p, q))
 
 
 def multi_mult(scalars: Sequence[int], points: Sequence[GroupElement]) -> GroupElement:
-    """Sum of scalars[i] * points[i], all pairs sharing one run of doublings."""
-    return GroupElement(_msm(zip(scalars, (q._pt for q in points), strict=True)))
+    """Sum of scalars[i] * points[i]."""
+    acc = _IDENTITY
+    for n, q in zip(scalars, points, strict=True):
+        acc = _add(acc, _mul(n, q._pt))
+    return GroupElement(acc)
 
 
 # --- hashing and scalar helpers --------------------------------------------

@@ -14,8 +14,8 @@ Every evaluation is a batch (one element per attribute prefix; a single
 value is a batch of one) and carries a single aggregate proof over a
 random-weighted combination of the request/response pairs; weights are
 derived from the transcript, so prover and verifier agree on them without
-extra messages.  The client computes both weighted composites with one
-multi-scalar multiplication each; the server, which knows its key, derives
+extra messages.  The client computes both weighted composites as sums of
+scalar products (``multi_mult``); the server, which knows its key, derives
 the second as ``k * M`` (ComputeCompositesFast, RFC 9497 section 2.2.1).
 Neither side accepts the identity as an element, as RFC 9497 section 2.1
 requires of deserialization.
@@ -198,10 +198,13 @@ def finalize_batch(
 ) -> list[bytes]:
     """Verify the batch proof, unblind, and derive each 32-byte randomness.
 
-    Raises VerificationError (and yields nothing) on a bad proof.
+    Raises VerificationError (and yields nothing) on a bad proof or a
+    response with a different number of elements than were blinded.
     """
-    if not (len(xs) == len(states) == len(ev.elements)):
+    if len(xs) != len(states):
         raise ValueError("batch length mismatch")
+    if len(ev.elements) != len(states):
+        raise VerificationError("response length differs from the request")
     if any(z.is_identity() for z in ev.elements):
         raise VerificationError("evaluated element is the identity")
     blinded = [st.blinded for st in states]

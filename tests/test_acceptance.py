@@ -234,7 +234,6 @@ def test_criterion_07_threshold_hiding():
     )
 
 
-@pytest.mark.slow
 def test_criterion_08_oprf_contract():
     kp = oprf.keygen(b"\x61" * 32)
     rng = random.Random(20241212)
@@ -259,7 +258,6 @@ def test_criterion_08_oprf_contract():
     _report(8, "1000 trials: determinism, completeness, tamper rejection")
 
 
-@pytest.mark.slow
 def test_criterion_09_utility_ordering(corpus_dataset):
     dataset, is_real = corpus_dataset
     params = reference_params()

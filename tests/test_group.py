@@ -66,10 +66,24 @@ def test_double_mult_matches_separate():
         )
 
 
-# Multi-scalar multiplication against the fixed-base path, which shares no
-# code with it: with P_i = k_i * G, sum a_i * P_i must equal (sum a_i k_i) * G.
+# Products against the fixed-base path, which shares no code with the
+# variable-base kernel: with P_i = k_i * G, sum a_i * P_i must equal
+# (sum a_i k_i) * G.  The kernel takes m = n/8 and needs an X25519 key for
+# +-m and for +-(m+1).  For n = 8m with m = 2^254 + 8(2^251 + 1) neither
+# sign of m has one, so the kernel doubles its base and halves m first; for
+# m = 7, m has a key and m + 1 = 8 has none.
+NEITHER_SIGN_FITS = 8 * (2**254 + 8 * (2**251 + 1)) % group.ORDER
+ONLY_NEXT_MISFITS = 8 * 7
 EDGE_SCALARS = [
-    0, 1, 16, 17, group.ORDER - 1, group.ORDER, group.ORDER + 5, 2**256 - 1,
+    0, 1, 8, 16, 17, group.ORDER - 8, group.ORDER - 1, group.ORDER, group.ORDER + 5,
+    group.ORDER + 8, 2**256 - 1, NEITHER_SIGN_FITS, ONLY_NEXT_MISFITS,
+]
+# A ristretto255 representative may carry any point of the 4-torsion, in
+# extended coordinates: (0, -1) and (+-sqrt(-1), 0).
+TORSION_4 = [
+    (0, group.P - 1, 1, 0),
+    (group.SQRT_M1, 0, 1, 0),
+    (group.P - group.SQRT_M1, 0, 1, 0),
 ]
 
 
@@ -77,6 +91,18 @@ def _assert_msm_matches_base(scalars, ks):
     points = [group.base_mult(k) for k in ks]
     expected = group.base_mult(sum(a * k for a, k in zip(scalars, ks)) % group.ORDER)
     assert group.multi_mult(scalars, points).encode() == expected.encode()
+
+
+def _assert_mul_matches_base(n, k, torsion=group._IDENTITY):
+    p = group.GroupElement(group._add(group.base_mult(k)._pt, torsion))
+    assert p.encode() == group.base_mult(k).encode()
+    assert (p * n).encode() == group.base_mult(n * k % group.ORDER).encode()
+
+
+def test_constructed_scalars_reach_the_retry():
+    m = NEITHER_SIGN_FITS * pow(8, -1, group.ORDER) % group.ORDER
+    assert group._clamped(m) is None
+    assert group._clamped(7) is not None and group._clamped(8) is None
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -96,6 +122,13 @@ def test_multi_mult_edge_scalars(a):
     assert (group.base_mult(k) * a).encode() == group.base_mult(a * k % group.ORDER).encode()
 
 
+@pytest.mark.parametrize("n", EDGE_SCALARS)
+def test_mul_edge_scalars_with_torsion(n):
+    for k in (1, 0xDEADBEEF, group.ORDER - 2):
+        for t in TORSION_4:
+            _assert_mul_matches_base(n, k, t)
+
+
 def test_multi_mult_cancelling_pair_is_identity():
     p = group.base_mult(987654321)
     assert group.multi_mult([5, 5], [p, p * (group.ORDER - 1)]).is_identity()
@@ -109,13 +142,22 @@ def test_multi_mult_identity_input_point():
         assert group.multi_mult([a, 9], [group.IDENTITY, p]).encode() == (
             group.base_mult(9 * 31337).encode()
         )
+        for t in TORSION_4:
+            assert (group.GroupElement(t) * a).encode() == bytes(32)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 2**256 - 1), st.integers(0, group.ORDER - 1)),
                 max_size=8))
 def test_multi_mult_property(pairs):
     _assert_msm_matches_base([a for a, _ in pairs], [k for _, k in pairs])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**256 - 1), st.integers(1, group.ORDER - 1),
+       st.sampled_from([group._IDENTITY] + TORSION_4))
+def test_mul_property(n, k, torsion):
+    _assert_mul_matches_base(n, k, torsion)
 
 
 def test_decode_encode_roundtrip():

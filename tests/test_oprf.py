@@ -143,13 +143,27 @@ class TestBatch:
         with pytest.raises(oprf.VerificationError):
             oprf.finalize_batch([b"a", b"b"], states, substituted, kp.mpk)
 
+    def test_short_response_is_server_misbehaviour(self, kp):
+        # Seven elements, with a valid proof over them, answering eight
+        # blinded ones: the server's fault, not the caller's.
+        rng = random.Random(13)
+        xs = [f"value-{i}".encode() for i in range(8)]
+        blinded, states = zip(*(oprf.blind(x, rng) for x in xs))
+        short = oprf.evaluate_batch(blinded[:7], kp)
+        with pytest.raises(oprf.VerificationError):
+            oprf.finalize_batch(xs, states, short, kp.mpk)
+        # A caller passing values and states that do not pair up stays a
+        # ValueError.
+        full = oprf.evaluate_batch(blinded, kp)
+        with pytest.raises(ValueError):
+            oprf.finalize_batch(xs[:7], states, full, kp.mpk)
+
     def test_empty_batch_rejected(self, kp):
         with pytest.raises(ValueError):
             oprf.evaluate_batch([], kp)
 
 
 class TestObliviousness:
-    @pytest.mark.slow
     def test_blinding_transcripts_never_repeat(self, kp):
         # Server-visible transcripts of the same value must look fresh every
         # time: 10^4 blindings of one value produce 10^4 distinct encodings.
