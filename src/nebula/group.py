@@ -7,11 +7,12 @@ arithmetic modulo the group order.  The one-way map and the square-root
 conventions follow the RFC pseudocode; all curve constants are derived at
 import time rather than hardcoded.
 
-Field and point arithmetic use native big integers.  Every variable-base
-product goes through one kernel (``_mul``): OpenSSL's X25519 Montgomery
-ladder (RFC 7748, through ``cryptography``) on the birationally equivalent
-Curve25519 gives the u-coordinates of m*R and (m+1)*R, the Okeya-Sakurai
-formula recovers v, and the point is mapped back to Edwards coordinates.
+Field and point arithmetic use native big integers.  Every scalar
+product, fixed-base (``base_mult``) or variable-base, goes through one
+kernel (``_mul``): OpenSSL's X25519 Montgomery ladder (RFC 7748, through
+``cryptography``) on the birationally equivalent Curve25519 gives the
+u-coordinates of m*R and (m+1)*R, the Okeya-Sakurai formula recovers v,
+and the point is mapped back to Edwards coordinates.
 The ladder is constant-time; the Python before and after it (clamping,
 the inversion, the y-recovery) is not, and neither is anything else here
 (this is a research artifact, not a hardened library).
@@ -304,39 +305,16 @@ def _base_point() -> _Point:
 IDENTITY = GroupElement(_IDENTITY)
 GENERATOR = GroupElement(_base_point())
 
-# Fixed-base acceleration for GENERATOR: tables of 16 multiples per 4-bit
-# window, built lazily on first use (64 windows cover the 253-bit order).
-_BASE_TABLES: list[list[_Point]] = []
-
-
-def _build_base_tables() -> None:
-    step = GENERATOR._pt
-    for _ in range(64):
-        row = [_IDENTITY, step]
-        for _ in range(14):
-            row.append(_add(row[-1], step))
-        _BASE_TABLES.append(row)
-        step = _double(_double(_double(_double(row[1]))))
-
 
 def base_mult(scalar: int) -> GroupElement:
-    """GENERATOR * scalar from precomputed 4-bit window tables, no doublings.
+    """GENERATOR * scalar: the fixed-base entry, for keys and proof commitments.
 
-    The fixed-base path, for keys and proof commitments.  It shares no code
-    with the X25519 kernel, so tests use it as an independent oracle for
-    variable-base products.
+    It runs on the same kernel as every other product.  It calls ``_mul``
+    rather than ``GroupElement.__mul__``, so a count of ``__mul__`` calls
+    stays a count of variable-base products.  The tests check the kernel
+    against an independent window-table oracle.
     """
-    if not _BASE_TABLES:
-        _build_base_tables()
-    n = scalar % ORDER
-    acc = _IDENTITY
-    started = False
-    for i in range(64):
-        window = (n >> (4 * i)) & 15
-        if window:
-            acc = _add(acc, _BASE_TABLES[i][window]) if started else _BASE_TABLES[i][window]
-            started = True
-    return GroupElement(acc)
+    return GroupElement(_mul(scalar, GENERATOR._pt))
 
 
 def double_mult(a: int, p: GroupElement, b: int, q: GroupElement) -> GroupElement:

@@ -115,6 +115,9 @@ def check_record(data: bytes, msg_type: int, start: int, end: int) -> int:
     num_layers = data[start]
     if not 1 <= num_layers <= MAX_ATTRIBUTES:
         raise ValueError("bad layer count")
+    # Against ``end``, not ``len(data)``: in a log the next frame follows.
+    if start + 1 + CIPHERTEXT_AT > end:
+        raise ValueError("truncated submission")
     at = start + 1 + submission_size_at(data, start + 1)
     if at > end:
         raise ValueError("truncated submission")

@@ -266,6 +266,9 @@ def params_to_config(params: DpParams) -> str:
 
 
 def params_from_config(text: str) -> DpParams:
+    """Parse ``params_to_config``'s text.  A repeated or unknown key is an
+    error, as is an ``overridden`` name that is no mechanism field: the file
+    comes from outside the program, and a typo must not change a parameter."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -274,7 +277,12 @@ def params_from_config(text: str) -> DpParams:
         if "=" not in line:
             raise ParameterError(f"config line {lineno} is not 'key = value'")
         key, _, value = line.partition("=")
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in _CONFIG_FIELDS and key != "overridden":
+            raise ParameterError(f"config line {lineno}: unknown key {key!r}")
+        if key in raw:
+            raise ParameterError(f"config line {lineno}: repeated key {key!r}")
+        raw[key] = value.strip()
 
     missing = [name for name in _CONFIG_FIELDS if name not in raw]
     if missing:
@@ -283,4 +291,7 @@ def params_from_config(text: str) -> DpParams:
     typed = {name: _convert(name, conv, raw[name]) for name, conv in _CONFIG_FIELDS.items()}
     budget = DpBudget(**{f.name: typed.pop(f.name) for f in fields(DpBudget)})
     overridden = tuple(x for x in raw.get("overridden", "").split(",") if x)
+    unknown = [x for x in overridden if x not in _DERIVATIONS]
+    if unknown:
+        raise ParameterError(f"overridden names unknown fields: {unknown}")
     return DpParams(budget=budget, **typed, overridden=overridden)

@@ -8,6 +8,7 @@ from urllib.parse import unquote_to_bytes
 
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +25,9 @@ from nebula.aggregate import (
     reports_to_csv,
     select_shares,
 )
-from nebula.encode import KeyShare, Submission, build_submission, submission_end
+from nebula.encode import (
+    ZERO_NONCE, KeyShare, Submission, build_submission, key_from_field_secret, submission_end,
+)
 from nebula.multidim import read_log
 from nebula.params import DpBudget, derive_params
 
@@ -141,6 +144,28 @@ class TestRecoverGroup:
             tag=good[0].tag,
         )
         assert recover_group(*one_group(good + [evil]), 3).status == "malformed"
+
+    @pytest.mark.parametrize("honest_header", [True, False])
+    def test_header_must_rederive_the_secret(self, honest_header):
+        # Shares of a polynomial with constant term s, and an AEAD under s's
+        # key that opens; only the key-seed header r1 inside it varies.
+        rng = random.Random(7)
+        r1 = rng.randbytes(32)
+        secret = sharing.secret_from_key_seed(r1)
+        header = r1 if honest_header else rng.randbytes(32)
+        assert (sharing.secret_from_key_seed(header) == secret) == honest_header
+        ct = ChaCha20Poly1305(key_from_field_secret(secret)).encrypt(
+            ZERO_NONCE, header + b"forged", None
+        )
+        coeffs = [secret, sharing.random_nonzero_element(rng), sharing.random_nonzero_element(rng)]
+        tag = rng.randbytes(32)
+        subs = []
+        for _ in range(3):
+            x = sharing.random_nonzero_element(rng)
+            share = KeyShare(x, sharing.polynomial_eval(coeffs, x))
+            subs.append(Submission(ciphertext=ct, share=share, tag=tag))
+        outcome = recover_group(*one_group(subs), 3)
+        assert outcome.status == ("recovered" if honest_header else "malformed")
 
     def test_surplus_members_all_counted(self, randomness_for):
         params = make_params(4)

@@ -1,5 +1,6 @@
 """Group backend tests against the published ristretto255 vectors (RFC 9496)."""
 
+import functools
 import hashlib
 import random
 
@@ -30,6 +31,36 @@ SMALL_MULTIPLES = [
 ]
 
 
+@functools.cache
+def _base_tables() -> list[list[tuple[int, int, int, int]]]:
+    """16 multiples of GENERATOR per 4-bit window; 64 windows cover the
+    253-bit order."""
+    tables = []
+    step = group.GENERATOR._pt
+    for _ in range(64):
+        row = [group._IDENTITY, step]
+        for _ in range(14):
+            row.append(group._add(row[-1], step))
+        tables.append(row)
+        step = group._double(group._double(group._double(group._double(row[1]))))
+    return tables
+
+
+def window_base_mult(scalar: int) -> group.GroupElement:
+    """GENERATOR * scalar from the window tables, additions only: the
+    reference for every product, sharing no code with the X25519 kernel."""
+    tables = _base_tables()
+    n = scalar % group.ORDER
+    acc = group._IDENTITY
+    started = False
+    for i in range(64):
+        window = (n >> (4 * i)) & 15
+        if window:
+            acc = group._add(acc, tables[i][window]) if started else tables[i][window]
+            started = True
+    return group.GroupElement(acc)
+
+
 def test_small_multiples_by_addition():
     acc = group.IDENTITY
     for expected in SMALL_MULTIPLES:
@@ -39,17 +70,18 @@ def test_small_multiples_by_addition():
 
 def test_small_multiples_by_scalar_mult():
     for n, expected in enumerate(SMALL_MULTIPLES):
+        assert window_base_mult(n).encode().hex() == expected
         assert (group.GENERATOR * n).encode().hex() == expected
         assert group.base_mult(n).encode().hex() == expected
 
 
 def test_base_mult_matches_generic_for_large_scalars():
     rng = random.Random(1)
-    for _ in range(20):
-        s = rng.getrandbits(260) % group.ORDER
-        assert group.base_mult(s).encode() == (group.GENERATOR * s).encode()
+    for s in [rng.getrandbits(260) for _ in range(20)] + EDGE_SCALARS:
+        expected = window_base_mult(s).encode()
+        assert group.base_mult(s).encode() == expected
+        assert (group.GENERATOR * s).encode() == expected
     top = group.ORDER - 1
-    assert group.base_mult(top).encode() == (group.GENERATOR * top).encode()
     assert (group.GENERATOR * top + group.GENERATOR).is_identity()
 
 
@@ -62,13 +94,12 @@ def test_double_mult_matches_separate():
         b = rng.getrandbits(253) % group.ORDER
         assert group.double_mult(a, p, b, q) == p * a + q * b
         assert group.double_mult(a, p, b, q).encode() == (
-            group.base_mult((7 * a + 11 * b) % group.ORDER).encode()
+            window_base_mult(7 * a + 11 * b).encode()
         )
 
 
-# Products against the fixed-base path, which shares no code with the
-# variable-base kernel: with P_i = k_i * G, sum a_i * P_i must equal
-# (sum a_i k_i) * G.  The kernel takes m = n/8 and needs an X25519 key for
+# Products against the window-table oracle, which shares no code with the
+# kernel: with P_i = k_i * G, sum a_i * P_i must equal (sum a_i k_i) * G.  The kernel takes m = n/8 and needs an X25519 key for
 # +-m and for +-(m+1).  For n = 8m with m = 2^254 + 8(2^251 + 1) neither
 # sign of m has one, so the kernel doubles its base and halves m first; for
 # m = 7, m has a key and m + 1 = 8 has none.
@@ -88,15 +119,15 @@ TORSION_4 = [
 
 
 def _assert_msm_matches_base(scalars, ks):
-    points = [group.base_mult(k) for k in ks]
-    expected = group.base_mult(sum(a * k for a, k in zip(scalars, ks)) % group.ORDER)
+    points = [window_base_mult(k) for k in ks]
+    expected = window_base_mult(sum(a * k for a, k in zip(scalars, ks)))
     assert group.multi_mult(scalars, points).encode() == expected.encode()
 
 
 def _assert_mul_matches_base(n, k, torsion=group._IDENTITY):
-    p = group.GroupElement(group._add(group.base_mult(k)._pt, torsion))
-    assert p.encode() == group.base_mult(k).encode()
-    assert (p * n).encode() == group.base_mult(n * k % group.ORDER).encode()
+    p = group.GroupElement(group._add(window_base_mult(k)._pt, torsion))
+    assert p.encode() == window_base_mult(k).encode()
+    assert (p * n).encode() == window_base_mult(n * k).encode()
 
 
 def test_constructed_scalars_reach_the_retry():
@@ -119,7 +150,7 @@ def test_multi_mult_edge_scalars(a):
     k = 0x1234567890ABCDEF
     _assert_msm_matches_base([a], [k])
     _assert_msm_matches_base([a, a + 3], [k, 77])
-    assert (group.base_mult(k) * a).encode() == group.base_mult(a * k % group.ORDER).encode()
+    assert (window_base_mult(k) * a).encode() == window_base_mult(a * k).encode()
 
 
 @pytest.mark.parametrize("n", EDGE_SCALARS)
@@ -130,17 +161,17 @@ def test_mul_edge_scalars_with_torsion(n):
 
 
 def test_multi_mult_cancelling_pair_is_identity():
-    p = group.base_mult(987654321)
+    p = window_base_mult(987654321)
     assert group.multi_mult([5, 5], [p, p * (group.ORDER - 1)]).is_identity()
     assert group.double_mult(5, p, group.ORDER - 5, p).is_identity()
 
 
 def test_multi_mult_identity_input_point():
-    p = group.base_mult(31337)
+    p = window_base_mult(31337)
     for a in EDGE_SCALARS:
         assert (group.IDENTITY * a).is_identity()
         assert group.multi_mult([a, 9], [group.IDENTITY, p]).encode() == (
-            group.base_mult(9 * 31337).encode()
+            window_base_mult(9 * 31337).encode()
         )
         for t in TORSION_4:
             assert (group.GroupElement(t) * a).encode() == bytes(32)

@@ -159,6 +159,11 @@ _ZERO_X = wire.encode_frame(wire.MSG_SUBMISSION, _CLEAN[6:38] + bytes(16) + _CLE
         (wire.encode_frame(wire.MSG_SUBMISSION, b""), ValueError, "submission too short"),
         (wire.encode_frame(wire.MSG_SUPER_SUBMISSION, b""), ValueError, "empty super-submission"),
         (wire.encode_frame(wire.MSG_SUPER_SUBMISSION, b"\x01"), ValueError, "truncated submission"),
+        # Cut inside its layer-1 submission: the next frame's tag must not be
+        # read as the cut record's share (it would make y non-canonical).
+        (wire.encode_frame(wire.MSG_SUPER_SUBMISSION, b"\x01" + b"\x11" * 40)
+         + wire.encode_frame(wire.MSG_SUBMISSION, b"\xff" * 32 + _CLEAN[38:]),
+         ValueError, "truncated submission"),
         (wire.encode_frame(wire.MSG_SUPER_SUBMISSION, b"\x01" + _CLEAN[6:] + b"\0"), ValueError,
          "trailing bytes after super-submission"),
     ],

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from nebula import oprf
-from nebula.group import GENERATOR, GroupElement, base_mult
+from nebula.group import GENERATOR, GroupElement
+from test_group import window_base_mult
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +27,7 @@ class TestKeygen:
         assert a.msk != b.msk
 
     def test_public_commitment_matches_secret(self, kp):
-        assert base_mult(kp.msk).encode() == kp.mpk.encode()
+        assert window_base_mult(kp.msk).encode() == kp.mpk.encode()
 
 
 class TestBlind:

@@ -107,6 +107,21 @@ class TestDeriveParams:
         with pytest.raises(ParameterError, match=f"^{bad.split()[0]} = "):
             params_from_config(text.replace(line, bad))
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("threshold = 20\n", "threshold = 20\nthreshold = 2\n", "repeated key 'threshold'"),
+            ("threshold = 20\n", "threshold = 20\ntreshold = 50\n", "unknown key 'treshold'"),
+            ("overridden = \n", "overridden = bogus\n", r"overridden names unknown fields: \['bogus'\]"),
+        ],
+        ids=["repeated", "unknown", "unknown-overridden"],
+    )
+    def test_config_refuses_what_it_would_ignore(self, old, new, message):
+        text = params_to_config(derive_params(budget()))
+        assert old in text
+        with pytest.raises(ParameterError, match=message):
+            params_from_config(text.replace(old, new))
+
 
 class TestBinomialRatio:
     def test_ratio_identity_exact(self):

@@ -237,6 +237,19 @@ def _make_submissions(spec, seed=0):
 
 
 class TestAggregationEndpoint:
+    def test_randomness_messages_to_wrong_daemon_rejected(self, aggregation_server):
+        [sub] = _make_submissions({b"alpha": 1})
+        with ServiceClient("127.0.0.1", aggregation_server.port) as client:
+            for msg_type, payload in (
+                (wire.MSG_RANDOMNESS_REQUEST, wire.pack_randomness_request([bytes(32)])),
+                (wire.MSG_PUBLIC_KEY_REQUEST, b""),
+            ):
+                with pytest.raises(ServiceError, match=f"unexpected message type {msg_type} ") as err:
+                    client.request(msg_type, payload)
+                assert err.value.code == wire.ERR_MALFORMED
+            # The connection keeps working.
+            assert client.request(wire.MSG_SUBMISSION, sub.to_bytes()).msg_type == wire.MSG_ACK
+
     def test_submit_seal_decode(self, aggregation_server, tmp_path):
         subs = _make_submissions({b"alpha": 4, b"beta": 2})
         with ServiceClient("127.0.0.1", aggregation_server.port) as client:
