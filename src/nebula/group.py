@@ -12,7 +12,11 @@ product, fixed-base (``base_mult``) or variable-base, goes through one
 kernel (``_mul``): OpenSSL's X25519 Montgomery ladder (RFC 7748, through
 ``cryptography``) on the birationally equivalent Curve25519 gives the
 u-coordinates of m*R and (m+1)*R, the Okeya-Sakurai formula recovers v,
-and the point is mapped back to Edwards coordinates.
+and the point is mapped back to Edwards coordinates.  The kernel returns
+a torsion-free half H of the product, and an element keeps H beside its
+point: ``encode`` computes the encoding of 2H from H with one inversion
+and no square root (the batched double-and-encode of the ristretto.group
+notes).  Only decoding and the one-way map take square roots.
 The ladder is constant-time; the Python before and after it (clamping,
 the inversion, the y-recovery) is not, and neither is anything else here
 (this is a research artifact, not a hardened library).
@@ -120,6 +124,10 @@ _A = 486662
 _B = -486664 % P
 _INV8 = pow(8, -1, ORDER)
 _INV2 = pow(2, -1, ORDER)
+# The kernel multiplies R = [8]p by m = n/_DIV, so 2*m*R is n*p up to
+# 4-torsion: it returns the half that ``encode`` doubles.
+_DIV = 16
+_INV_DIV = pow(_DIV, -1, ORDER)
 
 
 def _clamped(m: int) -> bytes | None:
@@ -136,15 +144,16 @@ def _clamped(m: int) -> bytes | None:
 
 
 def _mul(n: int, p: _Point) -> _Point:
-    """n*p up to 4-torsion, exact on the prime-order part, through X25519.
+    """The torsion-free half H of n*p, through X25519: 2H is n*p up to 4-torsion.
 
-    R = [8]p is torsion-free, so n*p and (n/8)*R encode alike.  Two X25519
-    ladders on u(R) give u(mR) and u((m+1)R); Okeya and Sakurai's formula
-    recovers v(mR) from them and the point R, and the result goes back to
-    extended coordinates.  One inversion in all.
+    R = [8]p is torsion-free, and H = mR for m = n/16, so 2H = (n/8)*R
+    encodes as n*p does.  Two X25519 ladders on u(R) give u(mR) and
+    u((m+1)R); Okeya and Sakurai's formula recovers v(mR) from them and
+    the point R, and the result goes back to extended coordinates.  One
+    inversion in all.
     """
     r = _double(_double(_double(p)))
-    m = n * _INV8 % ORDER
+    m = n * _INV_DIV % ORDER
     if m == 0 or r[0] == 0:
         return _IDENTITY
     while True:
@@ -171,23 +180,39 @@ def _mul(n: int, p: _Point) -> _Point:
     return (xn * (uq + 1) % P, (uq - 1) * num % P, num * (uq + 1) % P, xn * (uq - 1) % P)
 
 
-def _encode(p: _Point) -> bytes:
-    x0, y0, z0, t0 = p
-    u1 = (z0 + y0) * (z0 - y0) % P
-    u2 = x0 * y0 % P
-    _, invsqrt = _sqrt_ratio_m1(1, u1 * u2 % P * u2 % P)
-    den1 = invsqrt * u1 % P
-    den2 = invsqrt * u2 % P
-    z_inv = den1 * den2 % P * t0 % P
-    if _is_negative(t0 * z_inv % P):
-        x, y = y0 * SQRT_M1 % P, x0 * SQRT_M1 % P
-        den_inv = den1 * INVSQRT_A_MINUS_D % P
+def _double_encode(h: _Point) -> bytes:
+    """The RFC 9496 encoding of 2h, for a torsion-free h: one inversion, no
+    square root (curve25519-dalek's ``double_and_compress_batch``, one point).
+
+    With e = 2XY, f = Y^2 - X^2 = Z^2 + dT^2, g = Y^2 + X^2 and
+    h' = Z^2 - dT^2, 2h is (e*h' : f*g : f*h' : e*g) in extended
+    coordinates, and the inverse square root that the generic encoder
+    computes is a product of these terms, so 1/(efgh') gives all of it.
+    """
+    x, y, z, t = h
+    zz = z * z % P
+    dtt = D * t % P * t % P
+    e = 2 * x * y % P
+    f = (zz + dtt) % P
+    g = (y * y + x * x) % P
+    hh = (zz - dtt) % P
+    eg = e * g % P
+    fh = f * hh % P
+    efgh = eg * fh % P
+    if efgh == 0:
+        # f and h' never vanish on the curve; e or g does only where 2h has
+        # order 1, 2 or 4, which for a torsion-free h is the identity.
+        return bytes(32)
+    inv = pow(efgh, -1, P)
+    z_inv = eg * inv % P
+    t_inv = fh * inv % P
+    if _is_negative(eg * z_inv % P):
+        e, g, hh, magic = g, P - e, f * SQRT_M1 % P, SQRT_M1
     else:
-        x, y = x0, y0
-        den_inv = den2
-    if _is_negative(x * z_inv % P):
-        y = (P - y) % P
-    s = _even_root(den_inv * (z0 - y) % P)
+        magic = INVSQRT_A_MINUS_D
+    if _is_negative(hh * e % P * z_inv % P):
+        g = P - g
+    s = _even_root((hh - g) * magic % P * g % P * t_inv % P)
     return s.to_bytes(32, "little")
 
 
@@ -246,17 +271,29 @@ class DecodeError(ValueError):
 
 
 class GroupElement:
-    """Immutable group element; equality and hashing use the canonical encoding."""
+    """Immutable group element; equality and hashing use the canonical encoding.
 
-    __slots__ = ("_pt", "_enc")
+    ``half``, when known, is a torsion-free point H whose double is ``pt``
+    up to 4-torsion; products and their sums carry one (``_from_half``).
+    """
 
-    def __init__(self, pt: _Point, enc: bytes | None = None):
+    __slots__ = ("_pt", "_enc", "_half")
+
+    def __init__(self, pt: _Point, enc: bytes | None = None, half: _Point | None = None):
         self._pt = pt
         self._enc = enc
+        self._half = half
 
     def encode(self) -> bytes:
+        """The canonical 32 bytes: double-and-encode of the half point.
+
+        An element built without a half (the generator, a sum made with
+        ``+``, a hashed element) takes one from the kernel, ``_mul(1, pt)``.
+        """
         if self._enc is None:
-            self._enc = _encode(self._pt)
+            if self._half is None:
+                self._half = _mul(1, self._pt)
+            self._enc = _double_encode(self._half)
         return self._enc
 
     @staticmethod
@@ -273,7 +310,7 @@ class GroupElement:
         return GroupElement(_add(self._pt, other._pt))
 
     def __mul__(self, scalar: int) -> "GroupElement":
-        return GroupElement(_mul(scalar, self._pt))
+        return _from_half(_mul(scalar, self._pt))
 
     __rmul__ = __mul__
 
@@ -302,6 +339,11 @@ def _base_point() -> _Point:
     return (x, y, 1, x * y % P)
 
 
+def _from_half(h: _Point) -> GroupElement:
+    """The element 2h, keeping h for ``encode``."""
+    return GroupElement(_double(h), half=h)
+
+
 IDENTITY = GroupElement(_IDENTITY)
 GENERATOR = GroupElement(_base_point())
 
@@ -314,7 +356,7 @@ def base_mult(scalar: int) -> GroupElement:
     stays a count of variable-base products.  The tests check the kernel
     against an independent window-table oracle.
     """
-    return GroupElement(_mul(scalar, GENERATOR._pt))
+    return _from_half(_mul(scalar, GENERATOR._pt))
 
 
 def double_mult(a: int, p: GroupElement, b: int, q: GroupElement) -> GroupElement:
@@ -323,11 +365,11 @@ def double_mult(a: int, p: GroupElement, b: int, q: GroupElement) -> GroupElemen
 
 
 def multi_mult(scalars: Sequence[int], points: Sequence[GroupElement]) -> GroupElement:
-    """Sum of scalars[i] * points[i]."""
+    """Sum of scalars[i] * points[i], added up as the kernel's halves."""
     acc = _IDENTITY
     for n, q in zip(scalars, points, strict=True):
         acc = _add(acc, _mul(n, q._pt))
-    return GroupElement(acc)
+    return _from_half(acc)
 
 
 # --- hashing and scalar helpers --------------------------------------------

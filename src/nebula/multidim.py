@@ -9,9 +9,13 @@ aggregation side when that layer's group meets the threshold, so decoding
 halts, per branch, at the first sub-threshold prefix: deeper attributes
 of rare prefixes stay cryptographically sealed.
 
-Wrapping nonces are the layer index; keys are per-prefix-value, so clients
-sharing a prefix produce identical wrapped blobs (the same deliberate
-determinism as the value ciphertexts).
+Wrapping nonces are the layer index and keys are per-prefix-value, but a
+wrapped submission carries the client's fresh share x, so clients sharing
+a prefix encrypt different plaintexts under one key and nonce: the same
+keystream.  The XOR of two such blobs is the XOR of their submissions,
+which shows whether the deeper tags (attributes) match below a prefix that
+stayed under the threshold, and the reused Poly1305 one-time key makes
+a forged tag possible (README.md, "Known privacy gap"; ROADMAP open item 12).
 
 Decoding reads a submission log's bytes in place.  ``read_log`` checks
 every record as array operations over the log and keeps columns of

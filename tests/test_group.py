@@ -46,6 +46,29 @@ def _base_tables() -> list[list[tuple[int, int, int, int]]]:
     return tables
 
 
+def sqrt_encode(pt: tuple[int, int, int, int]) -> bytes:
+    """The RFC 9496 section 4.3.2 encoder, with its inverse square root: the
+    reference for ``GroupElement.encode``, which doubles a half point."""
+    P = group.P
+    x0, y0, z0, t0 = pt
+    u1 = (z0 + y0) * (z0 - y0) % P
+    u2 = x0 * y0 % P
+    _, invsqrt = group._sqrt_ratio_m1(1, u1 * u2 % P * u2 % P)
+    den1 = invsqrt * u1 % P
+    den2 = invsqrt * u2 % P
+    z_inv = den1 * den2 % P * t0 % P
+    if group._is_negative(t0 * z_inv % P):
+        x, y = y0 * group.SQRT_M1 % P, x0 * group.SQRT_M1 % P
+        den_inv = den1 * group.INVSQRT_A_MINUS_D % P
+    else:
+        x, y = x0, y0
+        den_inv = den2
+    if group._is_negative(x * z_inv % P):
+        y = (P - y) % P
+    s = group._even_root(den_inv * (z0 - y) % P)
+    return s.to_bytes(32, "little")
+
+
 def window_base_mult(scalar: int) -> group.GroupElement:
     """GENERATOR * scalar from the window tables, additions only: the
     reference for every product, sharing no code with the X25519 kernel."""
@@ -99,12 +122,13 @@ def test_double_mult_matches_separate():
 
 
 # Products against the window-table oracle, which shares no code with the
-# kernel: with P_i = k_i * G, sum a_i * P_i must equal (sum a_i k_i) * G.  The kernel takes m = n/8 and needs an X25519 key for
-# +-m and for +-(m+1).  For n = 8m with m = 2^254 + 8(2^251 + 1) neither
-# sign of m has one, so the kernel doubles its base and halves m first; for
-# m = 7, m has a key and m + 1 = 8 has none.
-NEITHER_SIGN_FITS = 8 * (2**254 + 8 * (2**251 + 1)) % group.ORDER
-ONLY_NEXT_MISFITS = 8 * 7
+# kernel: with P_i = k_i * G, sum a_i * P_i must equal (sum a_i k_i) * G.
+# The kernel takes m = n/_DIV and needs an X25519 key for +-m and for
+# +-(m+1).  For m = 2^254 + 8(2^251 + 1) neither sign of m has one, so the
+# kernel doubles its base and halves m first; for m = 7, m has a key and
+# m + 1 = 8 has none.
+NEITHER_SIGN_FITS = group._DIV * (2**254 + 8 * (2**251 + 1)) % group.ORDER
+ONLY_NEXT_MISFITS = group._DIV * 7
 EDGE_SCALARS = [
     0, 1, 8, 16, 17, group.ORDER - 8, group.ORDER - 1, group.ORDER, group.ORDER + 5,
     group.ORDER + 8, 2**256 - 1, NEITHER_SIGN_FITS, ONLY_NEXT_MISFITS,
@@ -131,9 +155,10 @@ def _assert_mul_matches_base(n, k, torsion=group._IDENTITY):
 
 
 def test_constructed_scalars_reach_the_retry():
-    m = NEITHER_SIGN_FITS * pow(8, -1, group.ORDER) % group.ORDER
-    assert group._clamped(m) is None
-    assert group._clamped(7) is not None and group._clamped(8) is None
+    inv16 = pow(16, -1, group.ORDER)
+    assert group._clamped(NEITHER_SIGN_FITS * inv16 % group.ORDER) is None
+    m = ONLY_NEXT_MISFITS * inv16 % group.ORDER
+    assert group._clamped(m) is not None and group._clamped(m + 1) is None
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -189,6 +214,25 @@ def test_multi_mult_property(pairs):
        st.sampled_from([group._IDENTITY] + TORSION_4))
 def test_mul_property(n, k, torsion):
     _assert_mul_matches_base(n, k, torsion)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**256 - 1), st.integers(0, 2**256 - 1),
+       st.integers(1, group.ORDER - 1), st.sampled_from([group._IDENTITY] + TORSION_4))
+def test_encode_matches_sqrt_encoder(a, b, k, torsion):
+    p = group.GroupElement(group._add(window_base_mult(k)._pt, torsion))
+    q = window_base_mult(k + 1)
+    identities = [
+        group.multi_mult([0, 0], [p, q]),
+        group.multi_mult([a, group.ORDER - a], [p, p]),
+    ]
+    for e in identities:
+        assert e.encode() == bytes(32)
+    no_half = [p, p + q, group.GENERATOR + group.GENERATOR,
+               group.hash_to_group(k.to_bytes(32, "little"), b"dst")]
+    products = [p * a, group.base_mult(a), group.multi_mult([a, b], [p, q])]
+    for e in identities + no_half + products:
+        assert e.encode() == sqrt_encode(e._pt)
 
 
 def test_decode_encode_roundtrip():

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from nebula import oprf
-from nebula.encode import submission_wire_size
+from nebula.encode import TAG_SIZE, parse_randomness, submission_wire_size
 from nebula.harness import value_randomness
 from nebula.multidim import (
     MAX_ATTRIBUTES,
@@ -134,6 +134,31 @@ class TestEncodeMultidim:
         rng = random.Random(4)
         super_sub = encode_record([b"one", b"two", b"three"], params, shared_kp, rng)
         assert SuperSubmission.from_bytes(super_sub.to_bytes()) == super_sub
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP open item 12")
+def test_wrapped_blobs_never_share_a_keystream(shared_kp):
+    # Two records under one prefix wrap different layer-2 submissions (each
+    # has its own share x) under one key.  With one nonce they share a
+    # keystream, so the XOR of the blobs is the XOR of the submissions, and
+    # at the tag's offset that is the XOR of the layer-2 tags: zero exactly
+    # when the second attributes match.  No aligned 32-byte window of the
+    # blobs may show that XOR.
+    params = make_params(20)
+    rng = random.Random(12)
+    records = [[b"east", b"north"], [b"east", b"south"]]
+    a, b = (encode_record(r, params, shared_kp, rng) for r in records)
+    tag_a, tag_b = (
+        parse_randomness(value_randomness(make_prefixes(r).prefixes[1], shared_kp)).r3
+        for r in records
+    )
+    tags_xor = bytes(x ^ y for x, y in zip(tag_a, tag_b))
+    blob_a, blob_b = a.wrapped_layers[0], b.wrapped_layers[0]
+    for at in range(min(len(blob_a), len(blob_b)) - TAG_SIZE + 1):
+        window_xor = bytes(
+            x ^ y for x, y in zip(blob_a[at:at + TAG_SIZE], blob_b[at:at + TAG_SIZE])
+        )
+        assert window_xor != tags_xor, f"shared keystream at offset {at}"
 
 
 class TestDecodeMultidim:
