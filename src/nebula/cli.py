@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from . import harness, service
-from .params import DpBudget, derive_params, params_from_config, params_to_config
+from .params import DpBudget, ParameterError, derive_params, params_from_config, params_to_config
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,33 +56,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(command: str, message: object) -> int:
+    """Report bad input as one line on stderr; the exit status is 2."""
+    print(f"nebula {command}: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     overrides = {}
     if args.tau_override is not None:
         overrides["threshold"] = args.tau_override
     if args.shift_override is not None:
         overrides["tsdlap_shift"] = args.shift_override
-    budget = DpBudget(
-        eps_revealed=args.eps,
-        delta_revealed=args.delta,
-        eps_unrevealed=args.eps_unrevealed if args.eps_unrevealed is not None else args.eps,
-        delta_unrevealed=args.delta_unrevealed if args.delta_unrevealed is not None else args.delta,
-        alpha=args.alpha,
-    )
-    params = derive_params(budget, overrides)
+    eps_unrevealed = args.eps if args.eps_unrevealed is None else args.eps_unrevealed
+    delta_unrevealed = args.delta if args.delta_unrevealed is None else args.delta_unrevealed
+    try:
+        budget = DpBudget(args.eps, args.delta, eps_unrevealed, delta_unrevealed, args.alpha)
+        params = derive_params(budget, overrides)
+    except ParameterError as exc:
+        return _fail("run", exc)
 
     columns = args.columns.split(",") if args.columns else None
     geo = tuple(args.geo_columns.split(",")) if args.geo_columns else None
     if geo is not None and len(geo) != 3:
-        print("--geo-columns needs exactly country,lat,lon", file=sys.stderr)
-        return 2
+        return _fail("run", "--geo-columns needs exactly country,lat,lon")
     try:
         dataset = harness.load_dataset(
             args.dataset, columns=columns, geo_columns=geo, bin_bits=args.bin_bits
         )
     except ValueError as exc:  # a dataset spec or --bin-bits that cannot apply
-        print(f"nebula run: {exc}", file=sys.stderr)
-        return 2
+        return _fail("run", exc)
+    # A single-attribute record is itself the OPRF input, which must be non-empty.
+    if not args.multidim and dataset.num_attributes == 1 and (b"",) in dataset.records:
+        row = dataset.records.index((b"",)) + 1
+        return _fail("run", f"column {dataset.schema[0]!r} is empty in record {row}")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -121,24 +128,32 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)
+    # Every input is checked before a daemon serves or a log is sealed, so
+    # no error raised after that point is reported as bad input.
     if args.command == "randomness-server":
         if args.key_seed_file is None:
-            print("--key-seed-file (or NEBULA_KEY_SEED_FILE) required", file=sys.stderr)
-            return 2
+            return _fail(args.command, "--key-seed-file (or NEBULA_KEY_SEED_FILE) required")
+        try:
+            service.parse_listen(args.listen)
+        except ValueError as exc:
+            return _fail(args.command, exc)
         service.run_randomness_server(args.listen, args.key_seed_file)
         return 0
     if args.command == "aggregation-server":
         if args.log is None or args.params is None:
-            print("--log and --params (or env equivalents) required", file=sys.stderr)
-            return 2
+            return _fail(args.command, "--log and --params (or env equivalents) required")
+        try:
+            params = params_from_config(Path(args.params).read_text())
+            if not args.seal_and_decode:
+                service.parse_listen(args.listen)
+        except (OSError, ValueError) as exc:
+            return _fail(args.command, exc)
         if not args.seal_and_decode:
             service.run_aggregation_server(args.listen, args.log, args.params, args.report)
             return 0
         # Sealing is permanent, so a mistyped path must not seal a new log.
         if not Path(args.log).is_file():
-            print(f"--seal-and-decode: no log at {args.log}", file=sys.stderr)
-            return 2
-        params = params_from_config(Path(args.params).read_text())
+            return _fail(args.command, f"--seal-and-decode: no log at {args.log}")
         _, out = service.seal_and_report(service.SubmissionLog(args.log), params, args.report)
         print(f"report written to {out}")
         return 0

@@ -136,15 +136,11 @@ def submission_at(data: bytes, offset: int, end: int) -> Submission:
 
 def parse_randomness(r: bytes) -> SubRandomness:
     """Split the oblivious randomness into three domain-separated values."""
-    parts = []
-    for index in (1, 2, 3):
-        h = hashlib.sha256()
-        h.update(len(DST_SUBRAND).to_bytes(2, "big"))
-        h.update(DST_SUBRAND)
-        h.update(r)
-        h.update(bytes([index]))
-        parts.append(h.digest())
-    return SubRandomness(r1=parts[0], r2=parts[1], r3=parts[2])
+    r1, r2, r3 = (
+        sharing.tagged_hash(hashlib.sha256, DST_SUBRAND, r, bytes([index]))
+        for index in (1, 2, 3)
+    )
+    return SubRandomness(r1=r1, r2=r2, r3=r3)
 
 
 def encryption_key(r1: bytes) -> bytes:
@@ -154,11 +150,7 @@ def encryption_key(r1: bytes) -> bytes:
 
 def key_from_field_secret(secret: int) -> bytes:
     """The key derivation, starting from a (possibly interpolated) field secret."""
-    h = hashlib.sha256()
-    h.update(len(DST_PRG_KEY).to_bytes(2, "big"))
-    h.update(DST_PRG_KEY)
-    h.update(sharing.encode_element(secret))
-    return h.digest()
+    return sharing.tagged_hash(hashlib.sha256, DST_PRG_KEY, sharing.encode_element(secret))
 
 
 def make_share(r1: bytes, r2: bytes, threshold: int, rng) -> KeyShare:

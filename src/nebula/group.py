@@ -16,7 +16,8 @@ and the point is mapped back to Edwards coordinates.  The kernel returns
 a torsion-free half H of the product, and an element keeps H beside its
 point: ``encode`` computes the encoding of 2H from H with one inversion
 and no square root (the batched double-and-encode of the ristretto.group
-notes).  Only decoding and the one-way map take square roots.
+notes).  Only decoding, the one-way map and the curve constants take
+square roots, all through RFC 9496's ``_sqrt_ratio_m1``.
 The ladder is constant-time; the Python before and after it (clamping,
 the inversion, the y-recovery) is not, and neither is anything else here
 (this is a research artifact, not a hardened library).
@@ -32,6 +33,8 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PublicKey,
 )
 
+from .sharing import tagged_hash
+
 P = 2**255 - 19
 # Group order (prime).
 ORDER = 2**252 + 27742317777372353535851937790883648493
@@ -45,24 +48,8 @@ def _even_root(x: int) -> int:
     return P - x if x & 1 else x
 
 
-def _sqrt(x: int) -> int:
-    """Square root mod P for quadratic residues (raises otherwise)."""
-    r = pow(x, (P + 3) // 8, P)
-    if (r * r - x) % P != 0:
-        r = r * SQRT_M1 % P
-    if (r * r - x) % P != 0:
-        raise ValueError("not a square")
-    return _even_root(r)
-
-
 SQRT_M1 = _even_root(pow(2, (P - 1) // 4, P))
 assert (SQRT_M1 * SQRT_M1 + 1) % P == 0
-
-# a = -1, so a*d - 1 = -d - 1.  The standard constant is the odd root.
-SQRT_AD_MINUS_ONE = P - _sqrt((-D - 1) % P)
-INVSQRT_A_MINUS_D = _sqrt(pow((-1 - D) % P, P - 2, P))
-ONE_MINUS_D_SQ = (1 - D * D) % P
-D_MINUS_ONE_SQ = (D - 1) * (D - 1) % P
 
 
 def _is_negative(x: int) -> bool:
@@ -82,6 +69,21 @@ def _sqrt_ratio_m1(u: int, v: int) -> tuple[bool, int]:
     if flipped_sign or flipped_sign_i:
         r = r * SQRT_M1 % P
     return correct_sign or flipped_sign, _even_root(r)
+
+
+def _sqrt_ratio(u: int, v: int) -> int:
+    """The non-negative square root of u/v (raises if u/v is not a square)."""
+    was_square, r = _sqrt_ratio_m1(u, v)
+    if not was_square:
+        raise ValueError("not a square")
+    return r
+
+
+# a = -1, so a*d - 1 = -d - 1.  The standard constant is the odd root.
+SQRT_AD_MINUS_ONE = P - _sqrt_ratio((-D - 1) % P, 1)
+INVSQRT_A_MINUS_D = _sqrt_ratio(1, (-1 - D) % P)
+ONE_MINUS_D_SQ = (1 - D * D) % P
+D_MINUS_ONE_SQ = (D - 1) * (D - 1) % P
 
 
 # Extended coordinates (X, Y, Z, T) with x = X/Z, y = Y/Z, T = X*Y/Z.
@@ -334,8 +336,7 @@ class GroupElement:
 
 def _base_point() -> _Point:
     y = 4 * pow(5, P - 2, P) % P
-    xx = (y * y - 1) * pow(D * y * y + 1, P - 2, P) % P
-    x = _sqrt(xx)
+    x = _sqrt_ratio((y * y - 1) % P, (D * y * y + 1) % P)
     return (x, y, 1, x * y % P)
 
 
@@ -377,20 +378,12 @@ def multi_mult(scalars: Sequence[int], points: Sequence[GroupElement]) -> GroupE
 
 def hash_to_group(data: bytes, domain: bytes) -> GroupElement:
     """Map arbitrary bytes to a group element via 64 uniform hash bytes."""
-    h = hashlib.sha512()
-    h.update(len(domain).to_bytes(2, "big"))
-    h.update(domain)
-    h.update(data)
-    return GroupElement.from_uniform_bytes(h.digest())
+    return GroupElement.from_uniform_bytes(tagged_hash(hashlib.sha512, domain, data))
 
 
 def hash_to_scalar(data: bytes, domain: bytes) -> int:
     """Map arbitrary bytes to a scalar in [0, ORDER) with negligible bias."""
-    h = hashlib.sha512()
-    h.update(len(domain).to_bytes(2, "big"))
-    h.update(domain)
-    h.update(data)
-    return int.from_bytes(h.digest(), "little") % ORDER
+    return int.from_bytes(tagged_hash(hashlib.sha512, domain, data), "little") % ORDER
 
 
 def random_scalar(rng) -> int:

@@ -193,15 +193,19 @@ _GEO_SCHEMA = ("country", "g1", "g2", "g3", "g4", "g5", "g6", "g7")
 # --- synthetic stand-ins ----------------------------------------------------
 
 
+def _zipf_draws(rng: np.random.Generator, size: int, skew: float, n: int) -> np.ndarray:
+    """``n`` indices in [0, size), index i drawn with weight (i + 1)^-skew."""
+    ranks = np.arange(1, size + 1, dtype=np.float64)
+    probs = ranks ** (-skew)
+    probs /= probs.sum()
+    return rng.choice(size, size=n, p=probs)
+
+
 def synthetic_zipf(
     n_records: int, domain_size: int, skew: float = 1.0, seed: int = 0
 ) -> Dataset:
     """Single-attribute records with Zipf-distributed values (word-like)."""
-    rng = np_substream(seed, "synthetic-zipf")
-    ranks = np.arange(1, domain_size + 1, dtype=np.float64)
-    probs = ranks ** (-skew)
-    probs /= probs.sum()
-    idx = rng.choice(domain_size, size=n_records, p=probs)
+    idx = _zipf_draws(np_substream(seed, "synthetic-zipf"), domain_size, skew, n_records)
     width = len(str(domain_size))
     pool = [f"w{i:0{width}d}".encode() for i in range(domain_size)]
     records = tuple((pool[i],) for i in idx)
@@ -226,12 +230,7 @@ def synthetic_correlated(
         raise ValueError("need at least one level")
     rng = np_substream(seed, "synthetic-chain")
     # Per-level Zipf index draws, permuted per parent path.
-    draws = []
-    for size in branching:
-        ranks = np.arange(1, size + 1, dtype=np.float64)
-        probs = ranks ** (-skew)
-        probs /= probs.sum()
-        draws.append(rng.choice(size, size=n_records, p=probs))
+    draws = [_zipf_draws(rng, size, skew, n_records) for size in branching]
     perms: dict[tuple, np.ndarray] = {}
     records = []
     for row in range(n_records):

@@ -216,7 +216,6 @@ class LogIndex:
     chained: bool  # whether any record is a SUPER_SUBMISSION
 
 
-_HEADER = struct.Struct("<BBI")
 # The field prime as two big-endian 8-byte words (high, low).
 _PRIME_WORDS = (np.uint64(sharing.FIELD_PRIME >> 64), np.uint64(sharing.FIELD_PRIME & (2**64 - 1)))
 
@@ -226,7 +225,7 @@ def _frame_offsets(data: bytes) -> tuple[np.ndarray, int]:
     and where the walk stopped: at the end, or at the first frame with a bad
     header, another record type or a torn tail."""
     offsets = array("q")
-    append, unpack = offsets.append, _HEADER.unpack_from
+    append, unpack = offsets.append, wire.HEADER.unpack_from
     size, last = len(data), len(data) - wire.HEADER_SIZE
     version, plain, chained = wire.VERSION, wire.MSG_SUBMISSION, wire.MSG_SUPER_SUBMISSION
     limit = wire.MAX_PAYLOAD_SIZE

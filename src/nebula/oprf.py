@@ -42,6 +42,7 @@ from .group import (
     random_scalar,
     scalar_inverse,
 )
+from .sharing import tagged_hash
 
 # Domain-separation personalization strings (random-oracle hygiene).
 DST_HASH_TO_GROUP = b"nebula:v1:hash-to-group"
@@ -106,18 +107,23 @@ def keygen(seed: bytes) -> ServerKeypair:
     return ServerKeypair(msk=msk, mpk=base_mult(msk))
 
 
+def _hash_input(x: bytes) -> GroupElement:
+    """The group element an evaluation of ``x`` starts from."""
+    if not x:
+        raise ValueError("input value must be non-empty")
+    return hash_to_group(x, DST_HASH_TO_GROUP)
+
+
 def blind(x: bytes, rng, blind_scalar: int | None = None) -> tuple[GroupElement, BlindState]:
     """Hash the value to the group and mask it with a fresh exponent.
 
     ``blind_scalar`` is a test hook pinning the exponent (1 makes the output
     equal the bare hash).
     """
-    if not x:
-        raise ValueError("input value must be non-empty")
+    h = _hash_input(x)
     r = blind_scalar if blind_scalar is not None else random_scalar(rng)
     if not 0 < r < ORDER:
         raise ValueError("blinding scalar out of range")
-    h = hash_to_group(x, DST_HASH_TO_GROUP)
     if h.is_identity():  # pragma: no cover - negligible
         raise ValueError("value hashes to the identity")
     b = h * r
@@ -182,12 +188,7 @@ def evaluate_batch(blinded: Sequence[GroupElement], kp: ServerKeypair) -> BatchE
 
 
 def _randomness(w: GroupElement, x: bytes) -> bytes:
-    h = hashlib.sha256()
-    h.update(len(DST_RANDOMNESS).to_bytes(2, "big"))
-    h.update(DST_RANDOMNESS)
-    h.update(w.encode())
-    h.update(x)
-    return h.digest()
+    return tagged_hash(hashlib.sha256, DST_RANDOMNESS, w.encode(), x)
 
 
 def finalize_batch(
@@ -224,7 +225,4 @@ def evaluate_directly(x: bytes, kp: ServerKeypair) -> bytes:
     Equals what any client obtains for ``x`` through blind/evaluate_batch/finalize_batch
     against this keypair; the blinding exponent cancels.
     """
-    if not x:
-        raise ValueError("input value must be non-empty")
-    w = hash_to_group(x, DST_HASH_TO_GROUP) * kp.msk
-    return _randomness(w, x)
+    return _randomness(_hash_input(x) * kp.msk, x)

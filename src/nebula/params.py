@@ -84,19 +84,16 @@ class DpBudget:
             raise ParameterError("delta_unrevealed must not exceed delta_revealed")
 
 
+# Each derivation reads fields of a DpBudget, which has checked their ranges.
+
+
 def sampling_rate(eps_revealed: float, alpha: float) -> float:
     """Bernoulli participation probability for the revealed-path guarantee."""
-    if eps_revealed <= 0:
-        raise ParameterError("eps_revealed must be positive")
-    if not 0 < alpha <= 1:
-        raise ParameterError("alpha must lie in (0, 1]")
     return alpha * (1.0 - math.exp(-eps_revealed))
 
 
 def alpha_constant(alpha: float) -> float:
     """Rate constant C_alpha = ln(1/alpha) - 1/(1+alpha) used by the threshold."""
-    if not 0 < alpha <= 1:
-        raise ParameterError("alpha must lie in (0, 1]")
     return math.log(1.0 / alpha) - 1.0 / (1.0 + alpha)
 
 
@@ -106,8 +103,6 @@ def derive_threshold(delta_revealed: float, alpha: float) -> int:
     The real-valued formula ln(1/delta)/C_alpha is rounded up; a larger
     threshold only suppresses more, so the ceiling is privacy-conservative.
     """
-    if not 0 < delta_revealed < 1:
-        raise ParameterError("delta_revealed must lie in (0, 1)")
     c = alpha_constant(alpha)
     if c <= 0:
         # ln(1/a) = 1/(1+a) around a ~ 0.52; beyond that the threshold
@@ -120,14 +115,10 @@ def derive_threshold(delta_revealed: float, alpha: float) -> int:
 
 
 def derive_noise_scale(eps_unrevealed: float) -> float:
-    if eps_unrevealed <= 0:
-        raise ParameterError("eps_unrevealed must be positive")
     return SENSITIVITY / eps_unrevealed
 
 
 def derive_noise_shift(eps_unrevealed: float, delta_unrevealed: float) -> int:
-    if not 0 < delta_unrevealed < 1:
-        raise ParameterError("delta_unrevealed must lie in (0, 1)")
     scale = derive_noise_scale(eps_unrevealed)
     return math.ceil(SENSITIVITY + scale * math.log(2.0 / delta_unrevealed))
 
@@ -205,6 +196,10 @@ def derive_params(
 @lru_cache(maxsize=64)
 def _tsdlap_table(scale: float, shift: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """(pmf, cdf) over the support {0, ..., 2*shift}."""
+    if scale <= 0:
+        raise ParameterError("scale must be positive")
+    if shift < 0:
+        raise ParameterError("shift must be non-negative")
     weights = [math.exp(-abs(c - shift) / scale) for c in range(2 * shift + 1)]
     total = 1.0 + 2.0 * sum(math.exp(-c / scale) for c in range(1, shift + 1))
     pmf = tuple(w / total for w in weights)
@@ -219,13 +214,8 @@ def _tsdlap_table(scale: float, shift: int) -> tuple[tuple[float, ...], tuple[fl
 
 def tsdlap_pmf(c: int, scale: float, shift: int) -> float:
     """Probability of count ``c`` under the truncated shifted discrete Laplace."""
-    if scale <= 0:
-        raise ParameterError("scale must be positive")
-    if shift < 0:
-        raise ParameterError("shift must be non-negative")
-    if not 0 <= c <= 2 * shift:
-        return 0.0
-    return _tsdlap_table(scale, shift)[0][c]
+    pmf, _ = _tsdlap_table(scale, shift)
+    return pmf[c] if 0 <= c <= 2 * shift else 0.0
 
 
 def tsdlap_sample(rng: random.Random, scale: float, shift: int) -> int:
@@ -234,10 +224,6 @@ def tsdlap_sample(rng: random.Random, scale: float, shift: int) -> int:
     Exact (no rejection) and deterministic given the rng state; the caller
     owns exclusive access to ``rng``.
     """
-    if scale <= 0:
-        raise ParameterError("scale must be positive")
-    if shift < 0:
-        raise ParameterError("shift must be non-negative")
     _, cdf = _tsdlap_table(scale, shift)
     return bisect.bisect_right(cdf, rng.random())
 

@@ -45,67 +45,57 @@ from .params import DpParams, params_from_config
 # --- connection handling ----------------------------------------------------
 
 
-class _FrameConnection:
-    """Frames received on a socket, with lazily flushed response batching.
+def _frames(sock: socket.socket, before_recv: Callable[[], None]):
+    """Yield (msg_type, payload) received on ``sock`` until EOF; raises
+    FrameError on bad input.
 
-    ``before_send`` runs before each batch of responses leaves, so a server
-    can make what the batch acknowledges survive its own death first.
+    ``before_recv`` runs each time the walk is about to block on the
+    socket.  EOF inside a header ends the stream quietly; inside a payload
+    it is an error.
     """
-
-    def __init__(self, sock: socket.socket, before_send: Callable[[], None] = lambda: None):
-        self.sock = sock
-        self.before_send = before_send
-        self.pending: list[bytes] = []
-
-    def queue(self, frame: bytes) -> None:
-        self.pending.append(frame)
-
-    def flush(self) -> None:
-        if self.pending:
-            self.before_send()
-            self.sock.sendall(b"".join(self.pending))
-            self.pending.clear()
-
-    def frames(self):
-        """Yield (msg_type, payload) until EOF; raises FrameError on bad input.
-
-        EOF inside a header ends the stream quietly; inside a payload it is
-        an error.
-        """
-        buf = b""
-        while True:
-            end = 0
-            for msg_type, payload, end in wire.iter_frames(buf):
-                yield msg_type, payload
-            buf = buf[end:]
-            # About to block on the socket: deliver everything queued so far.
-            self.flush()
-            chunk = self.sock.recv(1 << 16)
-            if not chunk:
-                if len(buf) >= wire.HEADER_SIZE:
-                    raise wire.FrameError("connection closed mid-frame")
-                return
-            buf += chunk
+    buf = b""
+    while True:
+        end = 0
+        for msg_type, payload, end in wire.iter_frames(buf):
+            yield msg_type, payload
+        buf = buf[end:]
+        before_recv()
+        chunk = sock.recv(1 << 16)
+        if not chunk:
+            if len(buf) >= wire.HEADER_SIZE:
+                raise wire.FrameError("connection closed mid-frame")
+            return
+        buf += chunk
 
 
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self) -> None:  # pragma: no cover - exercised via integration
         server: _BaseServer = self.server  # type: ignore[assignment]
-        conn = _FrameConnection(self.request, server.before_reply)
+        sock: socket.socket = self.request
+        pending: list[bytes] = []
+
+        def send_pending() -> None:
+            # Replies leave as one batch once the walk would block, after
+            # ``before_reply`` has made what they acknowledge durable.
+            if pending:
+                server.before_reply()
+                sock.sendall(b"".join(pending))
+                pending.clear()
+
         try:
-            for msg_type, payload in conn.frames():
+            for msg_type, payload in _frames(sock, send_pending):
                 try:
                     response = server.dispatch(msg_type, payload)
                 except wire.FrameError as exc:
                     response = wire.error_frame(wire.ERR_MALFORMED, str(exc))
                 except Exception as exc:  # never crash the daemon
                     response = wire.error_frame(wire.ERR_INTERNAL, str(exc))
-                conn.queue(response)
+                pending.append(response)
         except wire.FrameError:
             # Unrecoverable framing breakage: report and drop the connection.
-            conn.queue(wire.error_frame(wire.ERR_MALFORMED, "bad frame"))
+            pending.append(wire.error_frame(wire.ERR_MALFORMED, "bad frame"))
         try:
-            conn.flush()
+            send_pending()
         except OSError:
             pass
 
@@ -370,7 +360,7 @@ class ServiceClient:
 
     def __init__(self, host: str, port: int, timeout: float = 30.0):
         self.sock = socket.create_connection((host, port), timeout=timeout)
-        self._frames = _FrameConnection(self.sock).frames()
+        self._frames = _frames(self.sock, lambda: None)
         self._failure: Optional[Exception] = None
 
     def close(self) -> None:
@@ -483,8 +473,8 @@ class ServiceClient:
 
 def parse_listen(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise ValueError(f"listen address must be host:port, got {text!r}")
+    if not host or not port.isdigit() or int(port) > 65535:
+        raise ValueError(f"listen address must be host:port with port 0..65535, got {text!r}")
     return host, int(port)
 
 

@@ -6,6 +6,9 @@ polynomial, fewer are consistent with every candidate secret.  Coefficients
 above the constant term are derived deterministically from a per-client
 seed, so independent shares of the same (secret, seed) pair lie on one
 polynomial and interpolate together.
+
+``tagged_hash`` is the package's one domain-separated hash; this module
+imports nothing else from the package, so every module can use it.
 """
 
 from __future__ import annotations
@@ -20,13 +23,19 @@ DST_SECRET = b"nebula:v1:share-secret"
 DST_COEFF = b"nebula:v1:share-coeff"
 
 
+def tagged_hash(hash_ctor, domain: bytes, *parts: bytes) -> bytes:
+    """Digest of len(domain) as 2 big-endian bytes, then domain, then parts.
+
+    ``hash_ctor`` is a hashlib constructor (``hashlib.sha256``, ...).  The
+    length prefix keeps (domain, data) pairs with the same concatenation
+    apart.
+    """
+    return hash_ctor(b"".join((len(domain).to_bytes(2, "big"), domain, *parts))).digest()
+
+
 def field_element_from_hash(domain: bytes, data: bytes) -> int:
     """Map bytes to a field element (256-bit digest mod p; bias ~2^-128)."""
-    h = hashlib.sha256()
-    h.update(len(domain).to_bytes(2, "big"))
-    h.update(domain)
-    h.update(data)
-    return int.from_bytes(h.digest(), "big") % FIELD_PRIME
+    return int.from_bytes(tagged_hash(hashlib.sha256, domain, data), "big") % FIELD_PRIME
 
 
 def secret_from_key_seed(r1: bytes) -> int:

@@ -31,7 +31,9 @@ import struct
 from dataclasses import dataclass
 
 VERSION = 1
-HEADER_SIZE = 6
+# version, type, payload length
+HEADER = struct.Struct("<BBI")
+HEADER_SIZE = HEADER.size
 MAX_FRAME_SIZE = 64 * 1024
 MAX_PAYLOAD_SIZE = MAX_FRAME_SIZE - HEADER_SIZE
 
@@ -71,14 +73,14 @@ def encode_frame(msg_type: int, payload: bytes = b"") -> bytes:
         raise FrameError(f"unknown message type {msg_type}")
     if len(payload) > MAX_PAYLOAD_SIZE:
         raise FrameError("payload exceeds maximum frame size")
-    return struct.pack("<BBI", VERSION, msg_type, len(payload)) + payload
+    return HEADER.pack(VERSION, msg_type, len(payload)) + payload
 
 
 def parse_header(header: bytes) -> tuple[int, int]:
     """Validate a 6-byte header; returns (msg_type, payload_length)."""
     if len(header) != HEADER_SIZE:
         raise FrameError("short frame header")
-    version, msg_type, length = struct.unpack("<BBI", header)
+    version, msg_type, length = HEADER.unpack(header)
     if version != VERSION:
         raise FrameError(f"unsupported frame version {version}")
     if msg_type not in _KNOWN_TYPES:

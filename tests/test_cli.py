@@ -191,3 +191,83 @@ def test_bin_bits_on_multi_attribute_dataset_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "single-attribute" in err
     assert not (tmp_path / "out").exists()
+
+
+# --- bad input: one line on stderr, exit status 2, nothing written -----------
+
+
+def _one_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--eps", "1", "--alpha", "0.9"], "non-positive rate constant"),
+        (["--eps", "-1"], "eps_revealed must be positive"),
+        (["--eps", "1", "--eps-unrevealed", "2"], "eps_unrevealed must not exceed eps_revealed"),
+        (["--eps", "1", "--tau-override", "0"], "threshold must be a positive integer"),
+    ],
+)
+def test_run_refuses_bad_parameters(tmp_path, capsys, flags, message):
+    out = tmp_path / "out"
+    rc = main(["run", "--dataset", "synthetic:zipf,n=100,domain=5,seed=0", *flags,
+               "--seed", "0", "--out", str(out)])
+    assert rc == 2
+    assert message in _one_line(capsys)
+    assert not out.exists()
+
+
+def test_run_refuses_empty_single_attribute_value(tmp_path, capsys):
+    data = tmp_path / "words.csv"
+    data.write_text("word,other\napple,x\n,y\n")
+    out = tmp_path / "out"
+    rc = main(["run", "--dataset", str(data), "--columns", "word", "--eps", "1",
+               "--seed", "0", "--out", str(out)])
+    assert rc == 2
+    err = _one_line(capsys)
+    assert "'word'" in err and "record 2" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("listen", ["nope", "127.0.0.1:70000"])
+def test_randomness_server_refuses_bad_listen(tmp_path, capsys, listen):
+    seed = tmp_path / "seed"
+    seed.write_bytes(b"\x01" * 32)
+    rc = main(["randomness-server", "--listen", listen, "--key-seed-file", str(seed)])
+    assert rc == 2
+    assert listen in _one_line(capsys)
+
+
+def test_aggregation_server_refuses_bad_listen(tmp_path, capsys):
+    cfg, _ = _write_log(tmp_path)
+    log_path = tmp_path / "new.log"
+    rc = main(["aggregation-server", "--listen", "127.0.0.1:70000", "--log", str(log_path),
+               "--params", str(cfg)])
+    assert rc == 2
+    assert "127.0.0.1:70000" in _one_line(capsys)
+    assert not log_path.exists()
+
+
+def test_aggregation_server_refuses_incomplete_params(tmp_path, capsys):
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text("eps_revealed = 1.0\n")
+    log_path = tmp_path / "new.log"
+    rc = main(["aggregation-server", "--listen", "127.0.0.1:0", "--log", str(log_path),
+               "--params", str(cfg)])
+    assert rc == 2
+    assert "config missing fields" in _one_line(capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["params.cfg"]
+
+
+def test_seal_and_decode_refuses_incomplete_params(tmp_path, capsys):
+    cfg, log_path = _write_log(tmp_path)
+    cfg.write_text("eps_revealed = 1.0\n")
+    before = sorted(tmp_path.iterdir())
+    rc = main(["aggregation-server", "--log", str(log_path), "--params", str(cfg),
+               "--report", str(tmp_path / "report.csv"), "--seal-and-decode"])
+    assert rc == 2
+    assert "config missing fields" in _one_line(capsys)
+    assert sorted(tmp_path.iterdir()) == before

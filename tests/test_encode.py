@@ -1,5 +1,6 @@
 """Client encoding tests: sub-randomness, shares, ciphertexts, submissions."""
 
+import hashlib
 import random
 
 import pytest
@@ -33,6 +34,30 @@ def params():
 @pytest.fixture(scope="module")
 def kp():
     return oprf.keygen(b"\x21" * 32)
+
+
+class TestTaggedHash:
+    @given(
+        st.sampled_from([hashlib.sha256, hashlib.sha512]),
+        st.binary(max_size=40),
+        st.lists(st.binary(max_size=40), max_size=3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_explicit_framing(self, ctor, domain, parts):
+        framed = len(domain).to_bytes(2, "big") + domain + b"".join(parts)
+        assert sharing.tagged_hash(ctor, domain, *parts) == ctor(framed).digest()
+
+    @given(st.binary(max_size=40), st.binary(min_size=1, max_size=40), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_length_prefix_separates_domains(self, domain, data, draw):
+        # Move the boundary between domain and data: the concatenation stays
+        # the same, and only the length prefix tells the pairs apart.
+        cut = draw.draw(st.integers(1, len(data)))
+        other_domain, other_data = domain + data[:cut], data[cut:]
+        assert domain + data == other_domain + other_data
+        assert sharing.tagged_hash(hashlib.sha256, domain, data) != sharing.tagged_hash(
+            hashlib.sha256, other_domain, other_data
+        )
 
 
 class TestParseRandomness:

@@ -5,11 +5,13 @@ recovery rule, sharing no decode code with the program: it parses every
 record into tuples, groups them with a dict, sorts each group by (x, y),
 takes the first threshold distinct x, interpolates by textbook Lagrange,
 decrypts, re-derives the header and recurses per recovered branch.  It
-reuses only the key derivation and the AEAD, which are the specification.
+derives the AEAD key and the header's field secret with ``hashlib`` from
+README.md's tagged-hash framing, and reuses only the AEAD.
 A Hypothesis strategy builds multisets with the program's encoder, perturbs
 them, and ``service.decode_log`` must give the oracle's reports and CSV.
 """
 
+import hashlib
 import random
 import struct
 from dataclasses import replace
@@ -21,17 +23,10 @@ from hypothesis import strategies as st
 
 from nebula import dummy, service, wire
 from nebula.aggregate import HistogramReport, reports_to_csv
-from nebula.encode import (
-    KeyShare,
-    build_submission,
-    encryption_key,
-    key_from_field_secret,
-    parse_randomness,
-)
+from nebula.encode import KeyShare, build_submission, encryption_key, parse_randomness
 from nebula.harness import value_randomness
 from nebula.multidim import SuperSubmission, encode_multidim, make_prefixes
 from nebula.params import DpBudget, derive_params
-from nebula.sharing import secret_from_key_seed
 
 # --- the reference decoder --------------------------------------------------
 
@@ -75,6 +70,19 @@ def parse_log(log: bytes):
     return records, chained
 
 
+def tagged_sha256(domain: bytes, data: bytes) -> bytes:
+    """SHA-256 of the DST's 2-byte big-endian length, the DST, then the data."""
+    return hashlib.sha256(len(domain).to_bytes(2, "big") + domain + data).digest()
+
+
+def aead_key(secret: int) -> bytes:
+    return tagged_sha256(b"nebula:v1:prg-key", secret.to_bytes(16, "big"))
+
+
+def field_secret(r1: bytes) -> int:
+    return int.from_bytes(tagged_sha256(b"nebula:v1:share-secret", r1), "big") % PRIME
+
+
 def lagrange_at_zero(points) -> int:
     secret = 0
     for j, (xj, yj) in enumerate(points):
@@ -97,12 +105,12 @@ def recover(group, threshold):
     if len(points) < threshold:
         return None
     secret = lagrange_at_zero(points[:threshold])
-    key = key_from_field_secret(secret)
+    key = aead_key(secret)
     try:
         plain = ChaCha20Poly1305(key).decrypt(bytes(12), group[0][0][3], None)
     except InvalidTag:
         return None
-    if len(plain) < 32 or secret_from_key_seed(plain[:32]) != secret:
+    if len(plain) < 32 or field_secret(plain[:32]) != secret:
         return None
     return plain[32:], key
 
