@@ -135,7 +135,8 @@ def main(argv: list[str] | None = None) -> int:
             return _fail(args.command, "--key-seed-file (or NEBULA_KEY_SEED_FILE) required")
         try:
             service.parse_listen(args.listen)
-        except ValueError as exc:
+            Path(args.key_seed_file).read_bytes()
+        except (OSError, ValueError) as exc:
             return _fail(args.command, exc)
         service.run_randomness_server(args.listen, args.key_seed_file)
         return 0
@@ -149,6 +150,8 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, ValueError) as exc:
             return _fail(args.command, exc)
         if not args.seal_and_decode:
+            if not Path(args.log).parent.is_dir():
+                return _fail(args.command, f"no directory for --log {args.log}")
             service.run_aggregation_server(args.listen, args.log, args.params, args.report)
             return 0
         # Sealing is permanent, so a mistyped path must not seal a new log.

@@ -30,7 +30,7 @@ from __future__ import annotations
 import struct
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 from cryptography.exceptions import InvalidTag
@@ -220,16 +220,15 @@ class LogIndex:
 _PRIME_WORDS = (np.uint64(sharing.FIELD_PRIME >> 64), np.uint64(sharing.FIELD_PRIME & (2**64 - 1)))
 
 
-def _frame_offsets(data: bytes) -> tuple[np.ndarray, int]:
-    """Payload offsets of the whole submission frames that open ``data``,
-    and where the walk stopped: at the end, or at the first frame with a bad
-    header, another record type or a torn tail."""
+def _frame_offsets(data: bytes, at: int) -> tuple[np.ndarray, int]:
+    """Payload offsets of the whole submission frames that open
+    ``data[at:]``, and where the walk stopped: at the end, or at the first
+    frame with a bad header, another record type or a torn tail."""
     offsets = array("q")
     append, unpack = offsets.append, wire.HEADER.unpack_from
     size, last = len(data), len(data) - wire.HEADER_SIZE
     version, plain, chained = wire.VERSION, wire.MSG_SUBMISSION, wire.MSG_SUPER_SUBMISSION
     limit = wire.MAX_PAYLOAD_SIZE
-    at = 0
     while at <= last:
         frame_version, msg_type, length = unpack(data, at)
         end = at + wire.HEADER_SIZE + length
@@ -243,17 +242,6 @@ def _frame_offsets(data: bytes) -> tuple[np.ndarray, int]:
         append(at + wire.HEADER_SIZE)
         at = end
     return np.frombuffer(offsets, dtype=np.int64), at
-
-
-def _raise_at_stop(data: bytes, at: int) -> None:
-    """Raise what stopped the header walk at ``at``, as the frame walker and
-    ``check_record`` word it."""
-    if len(data) - at >= wire.HEADER_SIZE:
-        msg_type, length = wire.parse_header(data[at : at + wire.HEADER_SIZE])
-        payload = at + wire.HEADER_SIZE
-        if payload + length <= len(data):
-            check_record(data, msg_type, payload, payload + length)
-    raise wire.FrameError("truncated log record")
 
 
 def _at_least_prime(data: bytes, offsets: np.ndarray) -> np.ndarray:
@@ -290,31 +278,55 @@ def _breaks_rules(
     return bad, cursors
 
 
-def read_log(data: bytes) -> LogIndex:
-    """Check every record of a submission log in place and index it.
+def check_frames(
+    data: bytes, at: int
+) -> tuple[LogIndex, np.ndarray, int, Iterator[tuple[int, ValueError]]]:
+    """Walk and check the whole submission frames that open ``data[at:]``,
+    for ingest and the log reader alike; returns their index, payload
+    offsets, where the walk stopped and each refusal as (record, error).
 
-    One header walk collects the payload offsets; ``check_record``'s rules
-    then run over all records at once, as array operations on the log
-    bytes.  They only flag: ``check_record`` on the first flagged record in
-    log order raises its error, so a log fails as a record-by-record walk
-    would.  Raises ValueError for any record ingest would refuse and
-    FrameError for an unexpected record type or a truncated tail.
+    ``check_record``'s rules run over all records at once as array
+    operations.  They only flag: ``check_record`` words each flagged
+    record's error, lazily and in order, and refuses only what it refuses.
     """
-    payloads, stop = _frame_offsets(data)
+    payloads, stop = _frame_offsets(data, at)
     ends = np.empty_like(payloads)
     ends[:-1] = payloads[1:] - wire.HEADER_SIZE
     ends[-1:] = stop
     types = column(data, "u1", payloads - wire.HEADER_SIZE + 1)
-    is_chained = types == wire.MSG_SUPER_SUBMISSION
-    starts = payloads + is_chained
-    depths = np.where(is_chained, column(data, "u1", payloads), np.uint8(1))
+    chained = types == wire.MSG_SUPER_SUBMISSION
+    starts = payloads + chained
+    depths = np.where(chained, column(data, "u1", payloads), np.uint8(1))
     bad, cursors = _breaks_rules(data, starts, depths, ends)
-    for i in np.flatnonzero(bad).tolist():
-        check_record(data, int(types[i]), int(payloads[i]), int(ends[i]))
-    if stop != len(data):
-        _raise_at_stop(data, stop)
+
+    def refusals():
+        for i in np.flatnonzero(bad).tolist():
+            try:
+                check_record(data, int(types[i]), int(payloads[i]), int(ends[i]))
+            except ValueError as exc:
+                yield i, exc
+
     layers = int(depths.max()) if len(depths) else 1
-    return LogIndex(data, starts, cursors, depths, layers, bool(is_chained.any()))
+    index = LogIndex(data, starts, cursors, depths, layers, bool(chained.any()))
+    return index, payloads, stop, refusals()
+
+
+def read_log(data: bytes) -> LogIndex:
+    """Check every record of a submission log in place and index it.
+
+    The first refused record in log order raises, so a log fails as a
+    record-by-record walk would: ValueError for any record ingest would
+    refuse, FrameError for an unexpected record type or a truncated tail.
+    """
+    index, _, stop, refusals = check_frames(data, 0)
+    for _, error in refusals:
+        raise error
+    if stop != len(data):
+        # What stopped the walk, as the frame walker and check_record word it.
+        for msg_type, payload, end in wire.iter_frames(memoryview(data)[stop:]):
+            check_record(data, msg_type, stop + end - len(payload), stop + end)
+        raise wire.FrameError("truncated log record")
+    return index
 
 
 def _as_log(messages: Iterable[SuperSubmission | Submission]) -> bytes:

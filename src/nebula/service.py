@@ -10,14 +10,14 @@ The ingestion front models an anonymizing proxy: peer addresses are never
 recorded anywhere, and the stored log contains only the submission payloads
 (which themselves carry no client identifiers).
 
-Every frame stream (a server connection, a client connection, the log) is
-walked by ``wire.iter_frames``.  Acknowledgements are batched: pending
-responses are flushed exactly when the socket would block, which gives
-per-message latency for interactive clients and large write batches for bulk
-streams (a million-submission ingest is a few syscalls per 64 KiB, not per
-frame).  The aggregation server flushes its log to the OS before each such
-batch, so an acknowledged submission survives the daemon being killed; the
-seal fsyncs it.
+A daemon answers each receive buffer at once.  The aggregation daemon checks
+each run of submission frames in it with the log reader's columnar check and
+logs each stretch of good records as one slice of the received bytes, so a
+million-submission ingest is a few calls per 64 KiB, not per frame.  Replies
+leave exactly when the socket would block, after the aggregation server has
+flushed its log to the OS: an acknowledged submission survives the daemon
+being killed; the seal fsyncs it.  A client counts a run of ACKs in one
+comparison.
 
 Each daemon prints one line once it listens, ``<name> listening on
 host:port`` with the port it bound, so ``--listen host:0`` lets the OS pick
@@ -38,59 +38,55 @@ from . import aggregate, multidim, oprf, wire
 # times their ``from_bytes`` through this module's names.
 from .encode import Submission  # noqa: F401
 from .group import DecodeError, GroupElement
-from .multidim import SuperSubmission, check_record, read_log  # noqa: F401
+from .multidim import SuperSubmission, check_frames, read_log  # noqa: F401
 from .params import DpParams, params_from_config
 
 
 # --- connection handling ----------------------------------------------------
 
 
-def _frames(sock: socket.socket, before_recv: Callable[[], None]):
-    """Yield (msg_type, payload) received on ``sock`` until EOF; raises
-    FrameError on bad input.
+def _recv(sock: socket.socket, held: int) -> bytes:
+    """The next chunk received on ``sock``, b"" at EOF.  With ``held`` bytes
+    of a frame held, EOF inside a header is quiet, inside a payload an error."""
+    chunk = sock.recv(1 << 16)
+    if not chunk and held >= wire.HEADER_SIZE:
+        raise wire.FrameError("connection closed mid-frame")
+    return chunk
 
-    ``before_recv`` runs each time the walk is about to block on the
-    socket.  EOF inside a header ends the stream quietly; inside a payload
-    it is an error.
-    """
-    buf = b""
-    while True:
-        end = 0
-        for msg_type, payload, end in wire.iter_frames(buf):
-            yield msg_type, payload
-        buf = buf[end:]
-        before_recv()
-        chunk = sock.recv(1 << 16)
-        if not chunk:
-            if len(buf) >= wire.HEADER_SIZE:
-                raise wire.FrameError("connection closed mid-frame")
-            return
-        buf += chunk
+
+def _answer(respond: Callable[[int, bytes], bytes], msg_type: int, payload: bytes) -> bytes:
+    """``respond``'s reply to one frame, or the ERROR frame for what it raised."""
+    try:
+        return respond(msg_type, payload)
+    except wire.FrameError as exc:
+        return wire.error_frame(wire.ERR_MALFORMED, str(exc))
+    except Exception as exc:  # never crash the daemon
+        return wire.error_frame(wire.ERR_INTERNAL, str(exc))
 
 
 class _Handler(socketserver.BaseRequestHandler):
-    def handle(self) -> None:  # pragma: no cover - exercised via integration
+    """Hands each receive buffer to ``server.dispatch(buf, replies)``, which
+    appends the replies to its whole frames and returns the offset past them
+    (a bad header raises FrameError after the replies before it).  Replies
+    leave once no whole frame is left, after ``before_reply``."""
+
+    def handle(self) -> None:
         server: _BaseServer = self.server  # type: ignore[assignment]
         sock: socket.socket = self.request
         pending: list[bytes] = []
 
         def send_pending() -> None:
-            # Replies leave as one batch once the walk would block, after
-            # ``before_reply`` has made what they acknowledge durable.
             if pending:
                 server.before_reply()
                 sock.sendall(b"".join(pending))
                 pending.clear()
 
+        buf = b""
         try:
-            for msg_type, payload in _frames(sock, send_pending):
-                try:
-                    response = server.dispatch(msg_type, payload)
-                except wire.FrameError as exc:
-                    response = wire.error_frame(wire.ERR_MALFORMED, str(exc))
-                except Exception as exc:  # never crash the daemon
-                    response = wire.error_frame(wire.ERR_INTERNAL, str(exc))
-                pending.append(response)
+            while chunk := _recv(sock, len(buf)):
+                buf += chunk
+                buf = buf[server.dispatch(buf, pending) :]
+                send_pending()
         except wire.FrameError:
             # Unrecoverable framing breakage: report and drop the connection.
             pending.append(wire.error_frame(wire.ERR_MALFORMED, "bad frame"))
@@ -107,9 +103,6 @@ class _BaseServer(socketserver.ThreadingTCPServer):
     def __init__(self, address: tuple[str, int]):
         super().__init__(address, _Handler)
         self._thread: Optional[threading.Thread] = None
-
-    def dispatch(self, msg_type: int, payload: bytes) -> bytes:
-        raise NotImplementedError
 
     def before_reply(self) -> None:
         """Runs before each batch of responses is sent; nothing by default."""
@@ -141,7 +134,13 @@ class RandomnessServer(_BaseServer):
         super().__init__(address)
         self.keypair = oprf.keygen(key_seed)
 
-    def dispatch(self, msg_type: int, payload: bytes) -> bytes:
+    def dispatch(self, buf: bytes, replies: list[bytes]) -> int:
+        end = 0
+        for msg_type, payload, end in wire.iter_frames(buf):
+            replies.append(_answer(self._respond, msg_type, payload))
+        return end
+
+    def _respond(self, msg_type: int, payload: bytes) -> bytes:
         if msg_type == wire.MSG_PUBLIC_KEY_REQUEST:
             return wire.encode_frame(
                 wire.MSG_PUBLIC_KEY_RESPONSE, self.keypair.mpk.encode()
@@ -209,14 +208,14 @@ class SubmissionLog:
     def sealed(self) -> bool:
         return self._sealed
 
-    def append(self, msg_type: int, payload: bytes) -> None:
-        record = wire.encode_frame(msg_type, payload)
+    def append(self, frames: bytes) -> None:
+        """Append whole submission frames, already checked, as they are."""
         with self._lock:
             if self._sealed:
                 raise SealedError("submission log is sealed")
             if self._file is None:
                 raise ValueError("submission log is closed")
-            self._file.write(record)
+            self._file.write(frames)
 
     def flush(self) -> None:
         """Hand appended records to the OS (no fsync): they then survive the
@@ -314,18 +313,42 @@ class AggregationServer(_BaseServer):
         super().stop()
         self.log.close()
 
-    def dispatch(self, msg_type: int, payload: bytes) -> bytes:
-        if msg_type in (wire.MSG_SUBMISSION, wire.MSG_SUPER_SUBMISSION):
-            # Check before persisting so the log never holds garbage.
-            try:
-                check_record(payload, msg_type, 0, len(payload))
-            except ValueError as exc:
-                raise wire.FrameError(f"bad submission: {exc}") from exc
-            try:
-                self.log.append(msg_type, payload)
-            except SealedError:
-                return wire.error_frame(wire.ERR_SEALED, "log sealed")
-            return _ACK
+    def dispatch(self, buf: bytes, replies: list[bytes]) -> int:
+        """Ingest each run of submission frames of ``buf`` as one checked
+        batch; any other frame splits the batch and is answered alone."""
+        at = 0
+        while True:
+            # Check before persisting so the log never holds garbage: each
+            # refused record gets its ERROR, each stretch of good records
+            # around them is logged as it was received.
+            _, payloads, at, refusals = check_frames(buf, at)
+            heads = (payloads - wire.HEADER_SIZE).tolist() + [at]  # frame offsets
+            first = 0
+            for i, error in refusals:
+                if i > first:
+                    replies.append(self._log_frames(buf[heads[first] : heads[i]], i - first))
+                replies.append(wire.error_frame(wire.ERR_MALFORMED, f"bad submission: {error}"))
+                first = i + 1
+            if first < len(payloads):
+                replies.append(self._log_frames(buf[heads[first] : at], len(payloads) - first))
+            frame = next(wire.iter_frames(memoryview(buf)[at:]), None)
+            if frame is None:
+                return at
+            msg_type, payload, end = frame
+            replies.append(_answer(self._respond, msg_type, bytes(payload)))
+            at += end
+
+    def _log_frames(self, frames: bytes, count: int) -> bytes:
+        """Append ``count`` checked frames to the log; returns their replies."""
+        try:
+            self.log.append(frames)
+        except SealedError:
+            return wire.error_frame(wire.ERR_SEALED, "log sealed") * count
+        except Exception as exc:  # never crash the daemon
+            return wire.error_frame(wire.ERR_INTERNAL, str(exc)) * count
+        return _ACK * count
+
+    def _respond(self, msg_type: int, payload: bytes) -> bytes:
         if msg_type == wire.MSG_SEAL_DECODE:
             reports, _ = seal_and_report(self.log, self.params, self.report_path)
             first = reports[0]
@@ -360,7 +383,7 @@ class ServiceClient:
 
     def __init__(self, host: str, port: int, timeout: float = 30.0):
         self.sock = socket.create_connection((host, port), timeout=timeout)
-        self._frames = _frames(self.sock, lambda: None)
+        self._buf = bytearray()  # received bytes not yet read as replies
         self._failure: Optional[Exception] = None
 
     def close(self) -> None:
@@ -379,14 +402,20 @@ class ServiceClient:
     def read_frame(self) -> wire.WireFrame:
         self._check_usable()
         try:
-            frame = next(self._frames, None)
+            while (frame := next(wire.iter_frames(self._buf), None)) is None:
+                chunk = _recv(self.sock, len(self._buf))
+                if not chunk:
+                    break
+                self._buf += chunk
         except Exception as exc:
             self._failure = exc
             self.close()
             raise
         if frame is None:
             raise ConnectionError("server closed connection")
-        return wire.WireFrame(*frame)
+        msg_type, payload, end = frame
+        del self._buf[:end]
+        return wire.WireFrame(msg_type, bytes(payload))
 
     def request(self, msg_type: int, payload: bytes = b"") -> wire.WireFrame:
         self._check_usable()
@@ -437,21 +466,47 @@ class ServiceClient:
         """Send ``count`` pre-framed messages from one buffer; returns
         (acks, errors).
 
-        A reader thread drains exactly ``count`` responses while the writer
+        A reader thread counts exactly ``count`` replies while the writer
         streams, so neither side's socket buffer can deadlock the connection.
+        A run of bare ACKs at the head of the receive buffer is counted in
+        one comparison; any other reply, and the replies before it in that
+        buffer, are walked as frames.  Bytes past the ``count``-th reply stay
+        buffered for ``read_frame``.
         """
         self._check_usable()
+        acks = memoryview(_ACK * count)
         result = {"acks": 0, "errors": 0}
         fail: list[Exception] = []
 
         def drain() -> None:
             try:
-                for _ in range(count):
-                    frame = self.read_frame()
-                    if frame.msg_type == wire.MSG_ACK:
-                        result["acks"] += 1
-                    else:
-                        result["errors"] += 1
+                while left := count - result["acks"] - result["errors"]:
+                    run = min(left, len(self._buf) // len(_ACK))
+                    if run and self._buf.startswith(acks[: run * len(_ACK)]):
+                        del self._buf[: run * len(_ACK)]
+                        result["acks"] += run
+                        continue
+                    # Walk frame by frame up to a bare ACK that follows another
+                    # reply, where a run may start.  With no whole frame walked,
+                    # read_frame receives, or raises the bad header that stopped
+                    # the walk and closes the client.
+                    end, other = 0, False
+                    try:
+                        for msg_type, payload, stop in wire.iter_frames(self._buf):
+                            bare = msg_type == wire.MSG_ACK and not payload
+                            if bare and other:
+                                break
+                            other = other or not bare
+                            result["acks" if msg_type == wire.MSG_ACK else "errors"] += 1
+                            end, left = stop, left - 1
+                            if not left:
+                                break
+                    except wire.FrameError:
+                        pass
+                    del self._buf[:end]
+                    if not end:
+                        frame = self.read_frame()
+                        result["acks" if frame.msg_type == wire.MSG_ACK else "errors"] += 1
             except Exception as exc:  # surfaced after join
                 fail.append(exc)
 

@@ -9,8 +9,8 @@ Frame layout (all integers little-endian):
 
 Unknown version or type, or an oversized length, is rejected from the
 6-byte header alone, before any payload is read.  Total frame size is
-capped at 64 KiB.  ``iter_frames`` is the one walker over this layout: the
-daemons' receive loops, the client and the submission log all use it.
+capped at 64 KiB.  ``iter_frames`` walks any frame stream; runs of
+submission frames are walked as columns by ``multidim.check_frames``.
 
 Payload layouts:
 

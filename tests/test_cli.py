@@ -76,9 +76,9 @@ def _write_log(tmp_path):
     rng = random.Random(0)
     r = value_randomness(b"cli-value", kp)
     for _ in range(4):
-        log.append(
+        log.append(wire.encode_frame(
             wire.MSG_SUBMISSION, build_submission(b"cli-value", r, params, rng).to_bytes()
-        )
+        ))
     log.close()
     return cfg, log_path
 
@@ -249,6 +249,24 @@ def test_aggregation_server_refuses_bad_listen(tmp_path, capsys):
     assert rc == 2
     assert "127.0.0.1:70000" in _one_line(capsys)
     assert not log_path.exists()
+
+
+def test_randomness_server_refuses_missing_seed_file(tmp_path, capsys):
+    seed = tmp_path / "missing.seed"
+    rc = main(["randomness-server", "--listen", "127.0.0.1:0", "--key-seed-file", str(seed)])
+    assert rc == 2
+    assert "missing.seed" in _one_line(capsys)
+
+
+def test_aggregation_server_refuses_log_in_missing_directory(tmp_path, capsys):
+    cfg, _ = _write_log(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    log_path = tmp_path / "absent" / "new.log"
+    rc = main(["aggregation-server", "--listen", "127.0.0.1:0", "--log", str(log_path),
+               "--params", str(cfg)])
+    assert rc == 2
+    assert str(log_path) in _one_line(capsys)
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_aggregation_server_refuses_incomplete_params(tmp_path, capsys):

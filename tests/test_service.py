@@ -21,7 +21,8 @@ from nebula.aggregate import decode_submissions, report_to_csv
 from nebula.encode import KeyShare, Submission, build_submission, submission_end
 from nebula.harness import value_randomness
 from nebula.multidim import (
-    SuperSubmission, decode_multidim, encode_multidim, layered_reports_to_csv, make_prefixes,
+    SuperSubmission, check_record, decode_multidim, encode_multidim, layered_reports_to_csv,
+    make_prefixes,
 )
 from nebula.params import DpBudget, derive_params
 from nebula.service import (
@@ -422,6 +423,13 @@ _BAD_RECORDS = {
 }
 
 
+def _dispatch_one(server, msg_type: int, payload: bytes) -> bytes:
+    """The daemon's replies to one frame received alone."""
+    replies: list[bytes] = []
+    server.dispatch(wire.encode_frame(msg_type, payload), replies)
+    return b"".join(replies)
+
+
 class TestIngestValidation:
     @given(data=st.data())
     @settings(max_examples=400, deadline=None)
@@ -436,7 +444,7 @@ class TestIngestValidation:
         except ValueError:
             parsed = False
         try:
-            ingested = server.dispatch(msg_type, mutated) == wire.encode_frame(wire.MSG_ACK)
+            ingested = _dispatch_one(server, msg_type, mutated) == wire.encode_frame(wire.MSG_ACK)
         except wire.FrameError:
             ingested = False
         assert ingested == parsed
@@ -446,7 +454,204 @@ class TestIngestValidation:
     def test_unmutated_payloads_ingested(self, ingest_case):
         server, payloads = ingest_case
         for msg_type, payload in payloads:
-            assert server.dispatch(msg_type, payload) == wire.encode_frame(wire.MSG_ACK)
+            assert _dispatch_one(server, msg_type, payload) == wire.encode_frame(wire.MSG_ACK)
+
+
+def reference_ingest(server, stream: bytes) -> bytes:
+    """The replies to ``stream`` by the per-frame path ingest used to take,
+    writing to ``server.log``: each submission frame checked, logged and
+    answered alone.  Any other frame goes to ``server.dispatch`` alone."""
+    replies: list[bytes] = []
+    end = 0
+    try:
+        for msg_type, payload, end in wire.iter_frames(stream):
+            if msg_type not in (wire.MSG_SUBMISSION, wire.MSG_SUPER_SUBMISSION):
+                server.dispatch(wire.encode_frame(msg_type, payload), replies)
+                continue
+            try:
+                check_record(payload, msg_type, 0, len(payload))
+            except ValueError as exc:
+                replies.append(wire.error_frame(wire.ERR_MALFORMED, f"bad submission: {exc}"))
+                continue
+            try:
+                server.log.append(wire.encode_frame(msg_type, payload))
+            except SealedError:
+                replies.append(wire.error_frame(wire.ERR_SEALED, "log sealed"))
+            except ValueError as exc:  # the log is closed
+                replies.append(wire.error_frame(wire.ERR_INTERNAL, str(exc)))
+            else:
+                replies.append(wire.encode_frame(wire.MSG_ACK))
+        if len(stream) - end >= wire.HEADER_SIZE:
+            raise wire.FrameError("connection closed mid-frame")
+    except wire.FrameError:
+        replies.append(wire.error_frame(wire.ERR_MALFORMED, "bad frame"))
+    return b"".join(replies)
+
+
+class _Socket:
+    """A connection whose peer sends ``chunks``, one per ``recv``, then
+    closes; what is sent to it is kept in ``sent``."""
+
+    def __init__(self, chunks):
+        self.chunks = list(chunks)
+        self.sent = bytearray()
+
+    def recv(self, size: int) -> bytes:
+        assert not self.chunks or len(self.chunks[0]) <= size
+        return self.chunks.pop(0) if self.chunks else b""
+
+    def sendall(self, data) -> None:
+        self.sent += data
+
+    def close(self) -> None:
+        pass
+
+
+def _cut(data, stream: bytes) -> list[bytes]:
+    """``stream`` split at random points, mid-header and mid-payload too."""
+    cuts = data.draw(st.lists(st.integers(1, max(1, len(stream) - 1)), max_size=8))
+    bounds = [0, *sorted(set(cuts)), len(stream)]
+    return [stream[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
+
+
+_OTHER_FRAMES = {
+    "randomness_request": wire.encode_frame(
+        wire.MSG_RANDOMNESS_REQUEST, wire.pack_randomness_request([bytes(32)])
+    ),
+    "seal": wire.encode_frame(wire.MSG_SEAL_DECODE),
+    "bad_version": wire.HEADER.pack(9, wire.MSG_SUBMISSION, 0),
+    "oversized": wire.HEADER.pack(1, wire.MSG_SUBMISSION, wire.MAX_PAYLOAD_SIZE + 1),
+}
+
+
+class TestBatchIngest:
+    """The daemon takes each receive buffer as one checked batch; its replies
+    and log equal those of the per-frame reference for any stream, however
+    the stream arrives."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_batch_ingest_matches_per_frame_reference(self, data):
+        frames = []
+        for kind in data.draw(st.lists(st.sampled_from(
+            ["good"] * 4 + ["mutated", "bad_record", "randomness_request", "seal", "header"]
+        ), max_size=14)):
+            if kind == "good":
+                frames.append(wire.encode_frame(*data.draw(_RECORDS)))
+            elif kind == "mutated":
+                msg_type, payload = data.draw(_RECORDS)
+                chained = msg_type == wire.MSG_SUPER_SUBMISSION
+                frames.append(wire.encode_frame(msg_type, _mutate(payload, chained, data)[1]))
+            elif kind == "bad_record":
+                bad = data.draw(st.sampled_from(sorted(set(_BAD_RECORDS) - {"truncated_tail"})))
+                frames.append(_BAD_RECORDS[bad]())
+            elif kind == "header":
+                bad = data.draw(st.sampled_from(["bad_version", "oversized"]))
+                frames.append(_OTHER_FRAMES[bad])
+            else:
+                frames.append(_OTHER_FRAMES[kind])
+        stream = b"".join(frames)
+        if data.draw(st.booleans()):  # a torn tail at EOF
+            tail = wire.encode_frame(*data.draw(_RECORDS))
+            stream += tail[: data.draw(st.integers(1, len(tail) - 1))]
+        closed = data.draw(st.booleans())  # the daemon was stopped
+
+        root = Path(tempfile.mkdtemp())
+        servers = [
+            AggregationServer(("127.0.0.1", 0), root / f"{n}.log", PARAMS, root / f"{n}.csv")
+            for n in ("batch", "reference")
+        ]
+        try:
+            if closed:
+                for server in servers:
+                    server.log.close()
+            sock = _Socket(_cut(data, stream))
+            servers[0].finish_request(sock, ("client", 0))
+            expected = reference_ingest(servers[1], stream)
+            for server in servers:
+                server.log.flush()
+            assert bytes(sock.sent) == expected
+            assert servers[0].log.path.read_bytes() == servers[1].log.path.read_bytes()
+        finally:
+            for server in servers:
+                server.stop()
+            shutil.rmtree(root, ignore_errors=True)
+
+    def test_good_stretches_are_logged_as_received(self, tmp_path, monkeypatch):
+        # Two good runs around a refused record: two writes, each the
+        # received bytes, and one reply batch in frame order.
+        good = [wire.encode_frame(*r) for r in _model_payloads()[:5]]
+        bad = _BAD_RECORDS["x_zero"]()
+        server = AggregationServer(("127.0.0.1", 0), tmp_path / "log.bin", PARAMS)
+        writes = []
+        append = SubmissionLog.append
+
+        def recording_append(log, frames):
+            writes.append(bytes(frames))
+            append(log, frames)
+
+        monkeypatch.setattr(SubmissionLog, "append", recording_append)
+        try:
+            replies: list[bytes] = []
+            stream = b"".join(good[:2]) + bad + b"".join(good[2:])
+            assert server.dispatch(stream, replies) == len(stream)
+        finally:
+            server.stop()
+        assert writes == [b"".join(good[:2]), b"".join(good[2:])]
+        ack = wire.encode_frame(wire.MSG_ACK)
+        error = wire.error_frame(wire.ERR_MALFORMED, "bad submission: zero x-coordinate")
+        assert b"".join(replies) == ack * 2 + error + ack * 3
+
+
+def _client_reading(chunks) -> ServiceClient:
+    """A client whose server sends ``chunks``, one per receive, then closes."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        client = ServiceClient("127.0.0.1", listener.getsockname()[1])
+    client.sock.close()
+    client.sock = _Socket(chunks)
+    return client
+
+
+_REPLIES = [wire.encode_frame(wire.MSG_ACK)] * 6 + [
+    wire.encode_frame(wire.MSG_ACK, b"revealed=1"),
+    wire.error_frame(wire.ERR_MALFORMED, "bad submission: zero x-coordinate"),
+    wire.error_frame(wire.ERR_SEALED, "log sealed"),
+]
+
+
+class TestSubmitRawReplies:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_counts_equal_a_per_frame_count(self, data):
+        replies = data.draw(st.lists(st.sampled_from(_REPLIES), min_size=1, max_size=60))
+        count = data.draw(st.integers(1, len(replies)))
+        frames = [wire.WireFrame(t, bytes(p)) for t, p, _ in wire.iter_frames(b"".join(replies))]
+        acks = sum(f.msg_type == wire.MSG_ACK for f in frames[:count])
+        with _client_reading(_cut(data, b"".join(replies))) as client:
+            assert client.submit_raw(b"", count) == (acks, count - acks)
+            # The replies past the count stay for the next reader, intact.
+            for frame in frames[count:]:
+                assert client.read_frame() == frame
+            with pytest.raises(ConnectionError, match="server closed connection"):
+                client.read_frame()
+
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_server_close_mid_run_is_connection_error(self, data):
+        replies = data.draw(st.lists(st.sampled_from(_REPLIES), max_size=40))
+        with _client_reading(_cut(data, b"".join(replies))) as client:
+            with pytest.raises(ConnectionError, match="server closed connection"):
+                client.submit_raw(b"", len(replies) + data.draw(st.integers(1, 3)))
+
+
+    @pytest.mark.parametrize("acks", [0, 3])
+    def test_bad_header_mid_run_closes_the_client(self, acks):
+        ack = wire.encode_frame(wire.MSG_ACK)
+        with _client_reading([ack * acks + _OTHER_FRAMES["bad_version"] + ack]) as client:
+            with pytest.raises(wire.FrameError):
+                client.submit_raw(b"", acks + 2)
+            with pytest.raises(ConnectionError, match="unusable after FrameError"):
+                client.read_frame()
 
 
 class TestLogLifecycle:
@@ -461,16 +666,16 @@ class TestLogLifecycle:
         log = SubmissionLog(tmp_path / "log.bin")
         log.seal()
         with pytest.raises(SealedError):
-            log.append(wire.MSG_SUBMISSION, b"\x00")
+            log.append(wire.encode_frame(wire.MSG_SUBMISSION, b"\x00"))
 
     def test_append_after_close_raises(self, tmp_path):
         subs = _make_submissions({b"x": 1})
         log = SubmissionLog(tmp_path / "log.bin")
-        log.append(wire.MSG_SUBMISSION, subs[0].to_bytes())
+        log.append(_log_of(subs))
         log.close()
         before = (tmp_path / "log.bin").read_bytes()
         with pytest.raises(ValueError, match="submission log is closed"):
-            log.append(wire.MSG_SUBMISSION, subs[0].to_bytes())
+            log.append(_log_of(subs))
         assert (tmp_path / "log.bin").read_bytes() == before == _log_of(subs)
 
     def test_seal_after_stop_is_an_error_not_a_seal(self, tmp_path):
@@ -489,8 +694,7 @@ class TestLogLifecycle:
     def test_seal_syncs_directory_and_leaves_no_temporary_file(self, tmp_path, monkeypatch):
         subs = _make_submissions({b"x": 3, b"y": 1})
         log = SubmissionLog(tmp_path / "log.bin")
-        for s in subs:
-            log.append(wire.MSG_SUBMISSION, s.to_bytes())
+        log.append(_log_of(subs))
         (tmp_path / "log.bin.report.csv").write_text("stale")
         synced = []
         fsync = os.fsync
@@ -516,8 +720,7 @@ class TestLogLifecycle:
     def test_decode_log_matches_in_process(self, tmp_path):
         subs = _make_submissions({b"x": 5, b"y": 2, b"z": 3})
         log = SubmissionLog(tmp_path / "log.bin")
-        for s in subs:
-            log.append(wire.MSG_SUBMISSION, s.to_bytes())
+        log.append(_log_of(subs))
         log.seal()
         _, csv_text = decode_log((tmp_path / "log.bin").read_bytes(), PARAMS)
         assert csv_text == report_to_csv(decode_submissions(subs, 3, PARAMS))
@@ -611,13 +814,12 @@ class TestLogLifecycle:
         subs = _make_submissions({b"x": 5, b"w": 1})
         path = tmp_path / "log.bin"
         log = SubmissionLog(path)
-        for s in subs[:4]:
-            log.append(wire.MSG_SUBMISSION, s.to_bytes())
+        log.append(_log_of(subs[:4]))
         log.close()
         with open(path, "r+b") as f:
             f.truncate(path.stat().st_size - 10)
         log = SubmissionLog(path)
-        log.append(wire.MSG_SUBMISSION, subs[4].to_bytes())
+        log.append(_log_of(subs[4:5]))
         log.seal()
         assert path.read_bytes() == _log_of(subs[:3] + subs[4:5])
         _, csv_text = decode_log(path.read_bytes(), PARAMS)
@@ -652,8 +854,7 @@ class TestLogLifecycle:
         subs = _make_submissions({b"x": 3})
         path = tmp_path / "log.bin"
         log = SubmissionLog(path)
-        for s in subs:
-            log.append(wire.MSG_SUBMISSION, s.to_bytes())
+        log.append(_log_of(subs))
         log.close()
         raw = bytearray(path.read_bytes())
         raw[len(wire.encode_frame(wire.MSG_SUBMISSION, subs[0].to_bytes()))] = 16
