@@ -74,11 +74,13 @@ def column(data: bytes, dtype: str, offsets: np.ndarray) -> np.ndarray:
     An offset whose word would run past ``data`` reads some other word of
     it; callers flag such records by their lengths and never trust it.
     """
-    width = np.dtype(dtype).itemsize
-    count = len(data) - width + 1
+    dtype = np.dtype(dtype)
+    count = len(data) - dtype.itemsize + 1
     if count <= 0:
-        return np.zeros(len(offsets), dtype)
-    view = np.ndarray(shape=(count,), dtype=dtype, buffer=data, strides=(1,))
+        return np.zeros(np.shape(offsets), dtype)
+    # (shape, dtype, buffer, offset, strides) passed by position: by keyword
+    # the view costs more than gathering a few words from it.
+    view = np.ndarray((count,), dtype, data, 0, (1,))
     return view[np.minimum(offsets, count - 1)]
 
 

@@ -218,14 +218,22 @@ class LogIndex:
 
 # The field prime as two big-endian 8-byte words (high, low).
 _PRIME_WORDS = (np.uint64(sharing.FIELD_PRIME >> 64), np.uint64(sharing.FIELD_PRIME & (2**64 - 1)))
+# Where the high and low words of a submission's x and y sit past its
+# start, as columns to broadcast against a row of starts.
+_X_WORDS = TAG_SIZE + np.array([[0], [8]])
+_Y_WORDS = _X_WORDS + sharing.FIELD_BYTES
+# Where a frame's type byte and its payload's first byte (a SUPER_SUBMISSION's
+# layer count) sit past the frame's start.
+_TYPE_AND_COUNT = np.array([[1], [wire.HEADER_SIZE]])
 
 
-def _frame_offsets(data: bytes, at: int) -> tuple[np.ndarray, int]:
-    """Payload offsets of the whole submission frames that open
-    ``data[at:]``, and where the walk stopped: at the end, or at the first
-    frame with a bad header, another record type or a torn tail."""
-    offsets = array("q")
-    append, unpack = offsets.append, wire.HEADER.unpack_from
+def _frame_bounds(data: bytes, at: int) -> np.ndarray:
+    """The offsets of the whole submission frames that open ``data[at:]``,
+    then where the walk stopped: at the end, or at the first frame with a
+    bad header, another record type or a torn tail.  Frame i spans
+    ``bounds[i]:bounds[i + 1]``."""
+    bounds = array("q")
+    append, unpack = bounds.append, wire.HEADER.unpack_from
     size, last = len(data), len(data) - wire.HEADER_SIZE
     version, plain, chained = wire.VERSION, wire.MSG_SUBMISSION, wire.MSG_SUPER_SUBMISSION
     limit = wire.MAX_PAYLOAD_SIZE
@@ -239,13 +247,16 @@ def _frame_offsets(data: bytes, at: int) -> tuple[np.ndarray, int]:
             or end > size
         ):
             break
-        append(at + wire.HEADER_SIZE)
+        append(at)
         at = end
-    return np.frombuffer(offsets, dtype=np.int64), at
+    append(at)
+    return np.frombuffer(bounds, dtype=np.int64)
 
 
-def _at_least_prime(data: bytes, offsets: np.ndarray) -> np.ndarray:
-    high, low = column(data, ">u8", offsets), column(data, ">u8", offsets + 8)
+def _at_least_prime(words: np.ndarray) -> np.ndarray:
+    """Which of the coordinates whose big-endian (high, low) words are the
+    rows of ``words`` are at least the field prime."""
+    high, low = words
     return (high > _PRIME_WORDS[0]) | (high == _PRIME_WORDS[0]) & (low >= _PRIME_WORDS[1])
 
 
@@ -258,45 +269,44 @@ def _breaks_rules(
 
     Returns which records break a rule, and each record's cursor: the offset
     just past its layer-1 submission.  Wrapped blob lengths are walked one
-    layer at a time over every record.
+    layer at a time over every record.  Each step moves a record's walk
+    forward by at least 4 bytes, so a walk that ever passes its record's end
+    ends past it: the one check that the walk ends exactly at the record's
+    end also catches a record too short for its submission or any blob.
+    Words read past a record's end are some other bytes of ``data``, and
+    only ever flag.
     """
-    bad = starts + CIPHERTEXT_AT > ends
-    bad |= (depths < 1) | (depths > MAX_ATTRIBUTES)
-    x = starts + TAG_SIZE
-    bad |= _at_least_prime(data, x) | _at_least_prime(data, x + sharing.FIELD_BYTES)
-    bad |= (column(data, ">u8", x) == 0) & (column(data, ">u8", x + 8) == 0)
+    bad = (depths < 1) | (depths > MAX_ATTRIBUTES)
+    x = column(data, ">u8", starts + _X_WORDS)  # one gather for both x rules
+    bad |= _at_least_prime(x) | ((x[0] | x[1]) == 0)
+    bad |= _at_least_prime(column(data, ">u8", starts + _Y_WORDS))
     cursors = starts + CIPHERTEXT_AT + column(data, "<u4", starts + SHARE_END)
-    bad |= cursors > ends
     at = cursors
-    for layer in range(2, MAX_ATTRIBUTES + 1):
-        walking = ~bad & (depths >= layer)
-        if not walking.any():
-            break
-        at = np.where(walking, at + 4 + column(data, "<u4", at), at)
-        bad |= at > ends
+    for layer in range(2, min(int(depths.max(initial=1)), MAX_ATTRIBUTES) + 1):
+        at = np.where(depths >= layer, at + 4 + column(data, "<u4", at), at)
     bad |= at != ends
     return bad, cursors
 
 
 def check_frames(
     data: bytes, at: int
-) -> tuple[LogIndex, np.ndarray, int, Iterator[tuple[int, ValueError]]]:
+) -> tuple[LogIndex, np.ndarray, Iterator[tuple[int, ValueError]]]:
     """Walk and check the whole submission frames that open ``data[at:]``,
-    for ingest and the log reader alike; returns their index, payload
-    offsets, where the walk stopped and each refusal as (record, error).
+    for ingest and the log reader alike; returns their index, their bounds
+    (each frame's offset, then where the walk stopped) and each refusal as
+    (record, error).
 
     ``check_record``'s rules run over all records at once as array
     operations.  They only flag: ``check_record`` words each flagged
     record's error, lazily and in order, and refuses only what it refuses.
     """
-    payloads, stop = _frame_offsets(data, at)
-    ends = np.empty_like(payloads)
-    ends[:-1] = payloads[1:] - wire.HEADER_SIZE
-    ends[-1:] = stop
-    types = column(data, "u1", payloads - wire.HEADER_SIZE + 1)
+    bounds = _frame_bounds(data, at)
+    heads, ends = bounds[:-1], bounds[1:]
+    payloads = heads + wire.HEADER_SIZE
+    types, counts = column(data, "u1", heads + _TYPE_AND_COUNT)
     chained = types == wire.MSG_SUPER_SUBMISSION
     starts = payloads + chained
-    depths = np.where(chained, column(data, "u1", payloads), np.uint8(1))
+    depths = np.where(chained, counts, np.uint8(1))
     bad, cursors = _breaks_rules(data, starts, depths, ends)
 
     def refusals():
@@ -306,9 +316,9 @@ def check_frames(
             except ValueError as exc:
                 yield i, exc
 
-    layers = int(depths.max()) if len(depths) else 1
+    layers = int(depths.max(initial=1))
     index = LogIndex(data, starts, cursors, depths, layers, bool(chained.any()))
-    return index, payloads, stop, refusals()
+    return index, bounds, refusals()
 
 
 def read_log(data: bytes) -> LogIndex:
@@ -318,9 +328,10 @@ def read_log(data: bytes) -> LogIndex:
     record-by-record walk would: ValueError for any record ingest would
     refuse, FrameError for an unexpected record type or a truncated tail.
     """
-    index, _, stop, refusals = check_frames(data, 0)
+    index, bounds, refusals = check_frames(data, 0)
     for _, error in refusals:
         raise error
+    stop = int(bounds[-1])
     if stop != len(data):
         # What stopped the walk, as the frame walker and check_record word it.
         for msg_type, payload, end in wire.iter_frames(memoryview(data)[stop:]):

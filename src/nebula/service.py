@@ -13,11 +13,14 @@ recorded anywhere, and the stored log contains only the submission payloads
 A daemon answers each receive buffer at once.  The aggregation daemon checks
 each run of submission frames in it with the log reader's columnar check and
 logs each stretch of good records as one slice of the received bytes, so a
-million-submission ingest is a few calls per 64 KiB, not per frame.  Replies
-leave exactly when the socket would block, after the aggregation server has
-flushed its log to the OS: an acknowledged submission survives the daemon
-being killed; the seal fsyncs it.  A client counts a run of ACKs in one
-comparison.
+million-submission ingest is a few calls per receive, not per frame.  A
+connection asks for 64 KiB (one maximum frame) per receive until a receive
+fills that, and for up to 1 MiB from then on: a lone request never pays for
+a 1 MiB receive buffer, and a stream is checked and logged a thousand or more
+frames at a time.  Replies leave exactly when the socket would block, after
+the aggregation server has flushed its log to the OS: an acknowledged
+submission survives the daemon being killed; the seal fsyncs it.  A client
+reads 64 KiB per receive and counts a run of ACKs in one comparison.
 
 Each daemon prints one line once it listens, ``<name> listening on
 host:port`` with the port it bound, so ``--listen host:0`` lets the OS pick
@@ -44,11 +47,17 @@ from .params import DpParams, params_from_config
 
 # --- connection handling ----------------------------------------------------
 
+# What a daemon connection asks for per receive once one receive has filled
+# the 64 KiB it asked for first.  Asking this much of every connection would
+# cost a lone request a 1 MiB allocation per receive.
+_LARGE_RECV = 1 << 20
 
-def _recv(sock: socket.socket, held: int) -> bytes:
-    """The next chunk received on ``sock``, b"" at EOF.  With ``held`` bytes
-    of a frame held, EOF inside a header is quiet, inside a payload an error."""
-    chunk = sock.recv(1 << 16)
+
+def _recv(sock: socket.socket, size: int, held: int) -> bytes:
+    """The next chunk of at most ``size`` bytes received on ``sock``, b"" at
+    EOF.  With ``held`` bytes of a frame held, EOF inside a header is quiet,
+    inside a payload an error."""
+    chunk = sock.recv(size)
     if not chunk and held >= wire.HEADER_SIZE:
         raise wire.FrameError("connection closed mid-frame")
     return chunk
@@ -68,7 +77,12 @@ class _Handler(socketserver.BaseRequestHandler):
     """Hands each receive buffer to ``server.dispatch(buf, replies)``, which
     appends the replies to its whole frames and returns the offset past them
     (a bad header raises FrameError after the replies before it).  Replies
-    leave once no whole frame is left, after ``before_reply``."""
+    leave once no whole frame is left, after ``before_reply``.
+
+    Receives ask for one maximum frame (64 KiB) until one fills what it
+    asked for, then for ``_LARGE_RECV``: the buffer holds at most that plus
+    the partial frame the last buffer ended in.
+    """
 
     def handle(self) -> None:
         server: _BaseServer = self.server  # type: ignore[assignment]
@@ -81,10 +95,13 @@ class _Handler(socketserver.BaseRequestHandler):
                 sock.sendall(b"".join(pending))
                 pending.clear()
 
-        buf = b""
+        size, buf = wire.MAX_FRAME_SIZE, b""
         try:
-            while chunk := _recv(sock, len(buf)):
-                buf += chunk
+            while chunk := _recv(sock, size, len(buf)):
+                if len(chunk) == size:
+                    size = _LARGE_RECV
+                buf = buf + chunk if buf else chunk
+                del chunk  # so a stream's receive is held once while it is checked
                 buf = buf[server.dispatch(buf, pending) :]
                 send_pending()
         except wire.FrameError:
@@ -208,7 +225,7 @@ class SubmissionLog:
     def sealed(self) -> bool:
         return self._sealed
 
-    def append(self, frames: bytes) -> None:
+    def append(self, frames: bytes | memoryview) -> None:
         """Append whole submission frames, already checked, as they are."""
         with self._lock:
             if self._sealed:
@@ -316,29 +333,30 @@ class AggregationServer(_BaseServer):
     def dispatch(self, buf: bytes, replies: list[bytes]) -> int:
         """Ingest each run of submission frames of ``buf`` as one checked
         batch; any other frame splits the batch and is answered alone."""
+        view = memoryview(buf)
         at = 0
         while True:
             # Check before persisting so the log never holds garbage: each
             # refused record gets its ERROR, each stretch of good records
-            # around them is logged as it was received.
-            _, payloads, at, refusals = check_frames(buf, at)
-            heads = (payloads - wire.HEADER_SIZE).tolist() + [at]  # frame offsets
+            # around them is logged as it was received, from ``buf`` itself.
+            _, bounds, refusals = check_frames(buf, at)
+            frames, at = len(bounds) - 1, int(bounds[-1])
             first = 0
             for i, error in refusals:
                 if i > first:
-                    replies.append(self._log_frames(buf[heads[first] : heads[i]], i - first))
+                    replies.append(self._log_frames(view[bounds[first] : bounds[i]], i - first))
                 replies.append(wire.error_frame(wire.ERR_MALFORMED, f"bad submission: {error}"))
                 first = i + 1
-            if first < len(payloads):
-                replies.append(self._log_frames(buf[heads[first] : at], len(payloads) - first))
-            frame = next(wire.iter_frames(memoryview(buf)[at:]), None)
+            if first < frames:
+                replies.append(self._log_frames(view[bounds[first] : at], frames - first))
+            frame = next(wire.iter_frames(view[at:]), None)
             if frame is None:
                 return at
             msg_type, payload, end = frame
             replies.append(_answer(self._respond, msg_type, bytes(payload)))
             at += end
 
-    def _log_frames(self, frames: bytes, count: int) -> bytes:
+    def _log_frames(self, frames: memoryview, count: int) -> bytes:
         """Append ``count`` checked frames to the log; returns their replies."""
         try:
             self.log.append(frames)
@@ -403,7 +421,7 @@ class ServiceClient:
         self._check_usable()
         try:
             while (frame := next(wire.iter_frames(self._buf), None)) is None:
-                chunk = _recv(self.sock, len(self._buf))
+                chunk = _recv(self.sock, wire.MAX_FRAME_SIZE, len(self._buf))
                 if not chunk:
                     break
                 self._buf += chunk

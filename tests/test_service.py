@@ -1,11 +1,13 @@
 """Daemon and wire tests: framing, endpoints, log lifecycle, isolation."""
 
 import functools
+import itertools
 import os
 import random
 import shutil
 import socket
 import stat
+import struct
 import tempfile
 from pathlib import Path
 
@@ -18,7 +20,9 @@ from hypothesis.stateful import (
 
 from nebula import oprf, sharing, wire
 from nebula.aggregate import decode_submissions, report_to_csv
-from nebula.encode import KeyShare, Submission, build_submission, submission_end
+from nebula.encode import (
+    CIPHERTEXT_AT, SHARE_END, KeyShare, Submission, build_submission, submission_end,
+)
 from nebula.harness import value_randomness
 from nebula.multidim import (
     SuperSubmission, check_record, decode_multidim, encode_multidim, layered_reports_to_csv,
@@ -300,6 +304,18 @@ class TestAggregationEndpoint:
             assert (acked, errors) == (80, 0)
             client.seal_and_decode()
 
+    def test_large_pipelined_stream(self, aggregation_server):
+        # Over 2 MiB through a kernel socket, so the daemon takes it in
+        # receives larger than 64 KiB; one refused record mid-stream.
+        frames = _interleaved(_maximum_frames(34))
+        bad = _BAD_RECORDS["x_zero"]()
+        stream = b"".join(frames[:35]) + bad + b"".join(frames[35:])
+        assert len(stream) >= 2 << 20
+        with ServiceClient("127.0.0.1", aggregation_server.port) as client:
+            assert client.submit_raw(stream, len(frames) + 1) == (len(frames), 1)
+        # Every ACK left after the log was flushed to the OS.
+        assert aggregation_server.log.path.read_bytes() == b"".join(frames)
+
     def test_zero_x_share_refused_report_survives(self, aggregation_server, tmp_path):
         # A share at x = 0 cannot be interpolated; accepting it would make
         # its whole group, and so the seal, fail for good.
@@ -490,13 +506,16 @@ def reference_ingest(server, stream: bytes) -> bytes:
 
 class _Socket:
     """A connection whose peer sends ``chunks``, one per ``recv``, then
-    closes; what is sent to it is kept in ``sent``."""
+    closes; what is sent to it is kept in ``sent``, and the size each
+    ``recv`` asked for in ``asked``."""
 
     def __init__(self, chunks):
         self.chunks = list(chunks)
         self.sent = bytearray()
+        self.asked: list[int] = []
 
     def recv(self, size: int) -> bytes:
+        self.asked.append(size)
         assert not self.chunks or len(self.chunks[0]) <= size
         return self.chunks.pop(0) if self.chunks else b""
 
@@ -524,10 +543,92 @@ _OTHER_FRAMES = {
 }
 
 
+_MIB = 1 << 20  # what a daemon connection asks for once a 64 KiB receive filled
+
+
+def _maximum_frames(count: int) -> list[bytes]:
+    """``count`` frames of the maximum size, each a record ingest accepts:
+    plain submissions and 2-layer chains, filled out by filler ciphertext
+    or wrapped blob bytes."""
+    sub = _model_payloads()[0][1]
+    rng = random.Random(17)
+    frames = []
+    for i in range(count):
+        if i % 2:
+            ct = rng.randbytes(wire.MAX_PAYLOAD_SIZE - CIPHERTEXT_AT)
+            payload = sub[:SHARE_END] + struct.pack("<I", len(ct)) + ct
+            frames.append(wire.encode_frame(wire.MSG_SUBMISSION, payload))
+        else:
+            blob = rng.randbytes(wire.MAX_PAYLOAD_SIZE - 1 - len(sub) - 4)
+            payload = bytes([2]) + sub + struct.pack("<I", len(blob)) + blob
+            frames.append(wire.encode_frame(wire.MSG_SUPER_SUBMISSION, payload))
+    assert {len(frame) for frame in frames} == {wire.MAX_FRAME_SIZE}
+    return frames
+
+
+def _interleaved(large: list[bytes]) -> list[bytes]:
+    """``large`` with a small good frame after each, so the large frames
+    drift off 64 KiB boundaries and straddle the receives of a stream."""
+    small = [wire.encode_frame(*r) for r in _model_payloads()]
+    return [f for i, frame in enumerate(large) for f in (frame, small[i % len(small)])]
+
+
 class TestBatchIngest:
     """The daemon takes each receive buffer as one checked batch; its replies
     and log equal those of the per-frame reference for any stream, however
     the stream arrives."""
+
+    @pytest.mark.parametrize("first", [wire.MAX_FRAME_SIZE, 1000])
+    def test_large_receives_match_per_frame_reference(self, tmp_path, first):
+        # Over 2.5 MiB: good frames around a refused record and a frame that
+        # is no submission, maximum-size frames cut across receives, and a
+        # torn tail at EOF.
+        frames = _interleaved(_maximum_frames(44))
+        frames[41:41] = [_BAD_RECORDS["x_zero"](), _OTHER_FRAMES["randomness_request"]]
+        stream = b"".join(frames) + frames[-1][:-1]
+        assert len(stream) >= 2.5 * _MIB
+        # The peer sends all that each receive asks for, but for a short
+        # first receive of ``first`` bytes.
+        cuts = [0, first] + ([first + wire.MAX_FRAME_SIZE] if first < wire.MAX_FRAME_SIZE else [])
+        while cuts[-1] < len(stream):
+            cuts.append(min(cuts[-1] + _MIB, len(stream)))
+        chunks = [stream[a:b] for a, b in zip(cuts, cuts[1:])]
+        heads = [0, *itertools.accumulate(map(len, frames))]
+        spans = [(h, h + len(f)) for h, f in zip(heads, frames) if len(f) == wire.MAX_FRAME_SIZE]
+        assert sum(a < cut < b for cut in cuts for a, b in spans) >= 2
+
+        servers = [
+            AggregationServer(("127.0.0.1", 0), tmp_path / f"{n}.log", PARAMS)
+            for n in ("batch", "reference")
+        ]
+        try:
+            sock = _Socket(chunks)
+            servers[0].finish_request(sock, ("client", 0))
+            expected = reference_ingest(servers[1], stream)
+            for server in servers:
+                server.log.flush()
+            assert bytes(sock.sent) == expected
+            assert servers[0].log.path.read_bytes() == servers[1].log.path.read_bytes()
+        finally:
+            for server in servers:
+                server.stop()
+        small = 1 + (first < wire.MAX_FRAME_SIZE)  # receives before one fills 64 KiB
+        assert sock.asked == [wire.MAX_FRAME_SIZE] * small + [_MIB] * (len(chunks) + 1 - small)
+
+    @pytest.mark.parametrize("split", [None, 7, -1])
+    def test_lone_frame_asks_for_64_kib(self, tmp_path, split):
+        # An interactive client's frame, whole or in two receives, never
+        # costs the daemon a receive larger than 64 KiB.
+        frame = wire.encode_frame(*_model_payloads()[-2])
+        chunks = [frame] if split is None else [frame[:split], frame[split:]]
+        server = AggregationServer(("127.0.0.1", 0), tmp_path / "log.bin", PARAMS)
+        try:
+            sock = _Socket(chunks)
+            server.finish_request(sock, ("client", 0))
+        finally:
+            server.stop()
+        assert bytes(sock.sent) == wire.encode_frame(wire.MSG_ACK)
+        assert sock.asked == [wire.MAX_FRAME_SIZE] * (len(chunks) + 1)
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
