@@ -316,6 +316,18 @@ class TestAggregationEndpoint:
         # Every ACK left after the log was flushed to the OS.
         assert aggregation_server.log.path.read_bytes() == b"".join(frames)
 
+    def test_connections_send_without_nagle(self, tmp_path):
+        # A short batch of ACKs after an unacknowledged one must leave at
+        # once, not when the client's delayed ACK fires.
+        server = AggregationServer(("127.0.0.1", 0), tmp_path / "log.bin", PARAMS)
+        try:
+            with socket.create_connection(("127.0.0.1", server.port)):
+                conn, _ = server.get_request()
+                with conn:
+                    assert conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        finally:
+            server.stop()
+
     def test_zero_x_share_refused_report_survives(self, aggregation_server, tmp_path):
         # A share at x = 0 cannot be interpolated; accepting it would make
         # its whole group, and so the seal, fail for good.
