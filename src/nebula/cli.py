@@ -128,36 +128,37 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)
-    # Every input is checked before a daemon serves or a log is sealed, so
-    # no error raised after that point is reported as bad input.
+    # Each daemon is built (its inputs read, its log opened, its socket
+    # bound) before it serves, and a log opened before it is sealed, so no
+    # error raised after that point is reported as bad input.
     if args.command == "randomness-server":
         if args.key_seed_file is None:
             return _fail(args.command, "--key-seed-file (or NEBULA_KEY_SEED_FILE) required")
         try:
-            service.parse_listen(args.listen)
-            Path(args.key_seed_file).read_bytes()
+            server = service.randomness_server(args.listen, args.key_seed_file)
         except (OSError, ValueError) as exc:
             return _fail(args.command, exc)
-        service.run_randomness_server(args.listen, args.key_seed_file)
+        service.serve(server)
         return 0
     if args.command == "aggregation-server":
         if args.log is None or args.params is None:
             return _fail(args.command, "--log and --params (or env equivalents) required")
-        try:
-            params = params_from_config(Path(args.params).read_text())
-            if not args.seal_and_decode:
-                service.parse_listen(args.listen)
-        except (OSError, ValueError) as exc:
-            return _fail(args.command, exc)
         if not args.seal_and_decode:
-            if not Path(args.log).parent.is_dir():
-                return _fail(args.command, f"no directory for --log {args.log}")
-            service.run_aggregation_server(args.listen, args.log, args.params, args.report)
+            try:
+                server = service.aggregation_server(args.listen, args.log, args.params, args.report)
+            except (OSError, ValueError) as exc:
+                return _fail(args.command, exc)
+            service.serve(server)
             return 0
         # Sealing is permanent, so a mistyped path must not seal a new log.
         if not Path(args.log).is_file():
             return _fail(args.command, f"--seal-and-decode: no log at {args.log}")
-        _, out = service.seal_and_report(service.SubmissionLog(args.log), params, args.report)
+        try:
+            params = params_from_config(Path(args.params).read_text())
+            log = service.SubmissionLog(args.log)
+        except (OSError, ValueError) as exc:
+            return _fail(args.command, exc)
+        _, out = service.seal_and_report(log, params, args.report)
         print(f"report written to {out}")
         return 0
     return 2

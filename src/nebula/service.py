@@ -13,15 +13,14 @@ recorded anywhere, and the stored log contains only the submission payloads
 A daemon answers each receive buffer at once.  The aggregation daemon checks
 each run of submission frames in it with the log reader's columnar check and
 logs each stretch of good records as one slice of the received bytes, so a
-million-submission ingest is a few calls per receive, not per frame.  A
-connection asks for 64 KiB (one maximum frame) per receive until a receive
-fills that, and for up to 1 MiB from then on: a lone request never pays for
-a 1 MiB receive buffer, and a stream is checked and logged a thousand or more
-frames at a time.  Replies leave exactly when the socket would block, after
-the aggregation server has flushed its log to the OS, and with Nagle off, so
-a short batch never waits out the client's delayed ACK: an acknowledged
-submission survives the daemon being killed; the seal fsyncs it.  A client
-reads 64 KiB per receive and counts a run of ACKs in one comparison.
+million-submission ingest is a few calls per receive, not per frame.  Every
+receive, the daemons' and the clients', asks for up to 1 MiB, so a stream is
+checked and logged a thousand or more frames at a time.  Replies leave
+exactly when the socket would block, with Nagle off, so a short batch never
+waits out the client's delayed ACK.  The aggregation daemon flushes its log
+to the OS before it hands back any ACK, so an acknowledged submission
+survives the daemon being killed; the seal fsyncs it.  A client counts a run
+of ACKs by comparing it whole, halving the run until it matches.
 
 Each daemon prints one line once it listens, ``<name> listening on
 host:port`` with the port it bound, so ``--listen host:0`` lets the OS pick
@@ -34,6 +33,7 @@ import os
 import socket
 import socketserver
 import threading
+import traceback
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -48,17 +48,16 @@ from .params import DpParams, params_from_config
 
 # --- connection handling ----------------------------------------------------
 
-# What a daemon connection asks for per receive once one receive has filled
-# the 64 KiB it asked for first.  Asking this much of every connection would
-# cost a lone request a 1 MiB allocation per receive.
-_LARGE_RECV = 1 << 20
+# What every receive asks for: a stream is checked a thousand or more frames
+# at a time, and a connection holds at most this plus one partial frame.
+_RECV = 1 << 20
 
 
-def _recv(sock: socket.socket, size: int, held: int) -> bytes:
-    """The next chunk of at most ``size`` bytes received on ``sock``, b"" at
-    EOF.  With ``held`` bytes of a frame held, EOF inside a header is quiet,
-    inside a payload an error."""
-    chunk = sock.recv(size)
+def _recv(sock: socket.socket, held: int) -> bytes:
+    """The next chunk received on ``sock``, b"" at EOF.  With ``held`` bytes
+    of a frame held, EOF inside a header is quiet, inside a payload an
+    error."""
+    chunk = sock.recv(_RECV)
     if not chunk and held >= wire.HEADER_SIZE:
         raise wire.FrameError("connection closed mid-frame")
     return chunk
@@ -78,43 +77,35 @@ class _Handler(socketserver.BaseRequestHandler):
     """Hands each receive buffer to ``server.dispatch(buf, replies)``, which
     appends the replies to its whole frames and returns the offset past them
     (a bad header raises FrameError after the replies before it).  Replies
-    leave once no whole frame is left, after ``before_reply``.
-
-    Receives ask for one maximum frame (64 KiB) until one fills what it
-    asked for, then for ``_LARGE_RECV``: the buffer holds at most that plus
-    the partial frame the last buffer ended in.
+    leave once no whole frame is left; the buffer holds at most one receive
+    plus the partial frame the last buffer ended in.  A peer that resets
+    the connection has left: the handler ends quietly.
     """
 
     def handle(self) -> None:
         server: _BaseServer = self.server  # type: ignore[assignment]
         sock: socket.socket = self.request
-        pending: list[bytes] = []
-
-        def send_pending() -> None:
-            if pending:
-                server.before_reply()
-                sock.sendall(b"".join(pending))
-                pending.clear()
-
-        size, buf = wire.MAX_FRAME_SIZE, b""
+        replies: list[bytes] = []
+        buf = b""
         try:
-            while chunk := _recv(sock, size, len(buf)):
-                if len(chunk) == size:
-                    size = _LARGE_RECV
-                buf = buf + chunk if buf else chunk
-                del chunk  # so a stream's receive is held once while it is checked
-                buf = buf[server.dispatch(buf, pending) :]
-                send_pending()
-        except wire.FrameError:
-            # Unrecoverable framing breakage: report and drop the connection.
-            pending.append(wire.error_frame(wire.ERR_MALFORMED, "bad frame"))
-        try:
-            send_pending()
-        except OSError:
+            try:
+                while chunk := _recv(sock, len(buf)):
+                    buf = buf + chunk if buf else chunk
+                    del chunk  # so a stream's receive is held once while it is checked
+                    buf = buf[server.dispatch(buf, replies) :]
+                    if replies:
+                        sock.sendall(b"".join(replies))
+                        replies.clear()
+            except wire.FrameError:
+                # Unrecoverable framing breakage: report and drop the connection.
+                replies.append(wire.error_frame(wire.ERR_MALFORMED, "bad frame"))
+                sock.sendall(b"".join(replies))
+        except (ConnectionError, TimeoutError):
             pass
 
 
 class _BaseServer(socketserver.ThreadingTCPServer):
+    name: str  # printed when it listens
     allow_reuse_address = True
     daemon_threads = True
 
@@ -130,8 +121,9 @@ class _BaseServer(socketserver.ThreadingTCPServer):
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return sock, address
 
-    def before_reply(self) -> None:
-        """Runs before each batch of responses is sent; nothing by default."""
+    def handle_error(self, request, client_address) -> None:
+        # socketserver's own prints the peer's address with the traceback.
+        traceback.print_exc()
 
     @property
     def port(self) -> int:
@@ -155,6 +147,8 @@ class _BaseServer(socketserver.ThreadingTCPServer):
 
 class RandomnessServer(_BaseServer):
     """Stateless OPRF evaluation daemon; the keypair never leaves it."""
+
+    name = "randomness server"
 
     def __init__(self, address: tuple[str, int], key_seed: bytes):
         super().__init__(address)
@@ -217,7 +211,7 @@ class SubmissionLog:
         end, buf = 0, b""  # file offset of ``buf``: just past the last whole frame
         with open(self.path, "rb") as f:
             # Walk in chunks so a restart on a large log stays small in memory.
-            while chunk := f.read(1 << 20):
+            while chunk := f.read(_RECV):
                 buf += chunk
                 done = 0
                 for _, _, done in wire.iter_frames(buf):
@@ -319,6 +313,8 @@ _ACK = wire.encode_frame(wire.MSG_ACK)
 class AggregationServer(_BaseServer):
     """Ingestion daemon: log submissions, seal, decode, persist the report."""
 
+    name = "aggregation server"
+
     def __init__(
         self,
         address: tuple[str, int],
@@ -327,13 +323,13 @@ class AggregationServer(_BaseServer):
         report_path: str | Path | None = None,
     ):
         super().__init__(address)
-        self.log = SubmissionLog(log_path)
+        try:
+            self.log = SubmissionLog(log_path)
+        except BaseException:
+            self.server_close()  # a log that cannot open leaves no socket bound
+            raise
         self.params = params
         self.report_path = report_path
-
-    def before_reply(self) -> None:
-        # An ACK promises the submission survives a daemon crash.
-        self.log.flush()
 
     def stop(self) -> None:
         super().stop()
@@ -341,29 +337,34 @@ class AggregationServer(_BaseServer):
 
     def dispatch(self, buf: bytes, replies: list[bytes]) -> int:
         """Ingest each run of submission frames of ``buf`` as one checked
-        batch; any other frame splits the batch and is answered alone."""
+        batch; any other frame splits the batch and is answered alone.  The
+        log is flushed to the OS before this returns or raises, so an ACK
+        appended here promises its submission survives a daemon crash."""
         view = memoryview(buf)
         at = 0
-        while True:
-            # Check before persisting so the log never holds garbage: each
-            # refused record gets its ERROR, each stretch of good records
-            # around them is logged as it was received, from ``buf`` itself.
-            _, bounds, refusals = check_frames(buf, at)
-            frames, at = len(bounds) - 1, int(bounds[-1])
-            first = 0
-            for i, error in refusals:
-                if i > first:
-                    replies.append(self._log_frames(view[bounds[first] : bounds[i]], i - first))
-                replies.append(wire.error_frame(wire.ERR_MALFORMED, f"bad submission: {error}"))
-                first = i + 1
-            if first < frames:
-                replies.append(self._log_frames(view[bounds[first] : at], frames - first))
-            frame = next(wire.iter_frames(view[at:]), None)
-            if frame is None:
-                return at
-            msg_type, payload, end = frame
-            replies.append(_answer(self._respond, msg_type, bytes(payload)))
-            at += end
+        try:
+            while True:
+                # Check before persisting so the log never holds garbage: each
+                # refused record gets its ERROR, each stretch of good records
+                # around them is logged as it was received, from ``buf`` itself.
+                _, bounds, refusals = check_frames(buf, at)
+                frames, at = len(bounds) - 1, int(bounds[-1])
+                first = 0
+                for i, error in refusals:
+                    if i > first:
+                        replies.append(self._log_frames(view[bounds[first] : bounds[i]], i - first))
+                    replies.append(wire.error_frame(wire.ERR_MALFORMED, f"bad submission: {error}"))
+                    first = i + 1
+                if first < frames:
+                    replies.append(self._log_frames(view[bounds[first] : at], frames - first))
+                frame = next(wire.iter_frames(view[at:]), None)
+                if frame is None:
+                    return at
+                msg_type, payload, end = frame
+                replies.append(_answer(self._respond, msg_type, bytes(payload)))
+                at += end
+        finally:
+            self.log.flush()
 
     def _log_frames(self, frames: memoryview, count: int) -> bytes:
         """Append ``count`` checked frames to the log; returns their replies."""
@@ -430,7 +431,7 @@ class ServiceClient:
         self._check_usable()
         try:
             while (frame := next(wire.iter_frames(self._buf), None)) is None:
-                chunk = _recv(self.sock, wire.MAX_FRAME_SIZE, len(self._buf))
+                chunk = _recv(self.sock, len(self._buf))
                 if not chunk:
                     break
                 self._buf += chunk
@@ -495,10 +496,10 @@ class ServiceClient:
 
         A reader thread counts exactly ``count`` replies while the writer
         streams, so neither side's socket buffer can deadlock the connection.
-        A run of bare ACKs at the head of the receive buffer is counted in
-        one comparison; any other reply, and the replies before it in that
-        buffer, are walked as frames.  Bytes past the ``count``-th reply stay
-        buffered for ``read_frame``.
+        A run of bare ACKs that opens the receive buffer is counted by
+        comparing the longest run it could be, halved until it matches; any
+        other reply is read with ``read_frame``.  Bytes past the
+        ``count``-th reply stay buffered for ``read_frame``.
         """
         self._check_usable()
         acks = memoryview(_ACK * count)
@@ -508,30 +509,13 @@ class ServiceClient:
         def drain() -> None:
             try:
                 while left := count - result["acks"] - result["errors"]:
-                    run = min(left, len(self._buf) // len(_ACK))
-                    if run and self._buf.startswith(acks[: run * len(_ACK)]):
+                    run = self._buf.startswith(_ACK) and min(left, len(self._buf) // len(_ACK))
+                    while run and not self._buf.startswith(acks[: run * len(_ACK)]):
+                        run //= 2
+                    if run:
                         del self._buf[: run * len(_ACK)]
                         result["acks"] += run
-                        continue
-                    # Walk frame by frame up to a bare ACK that follows another
-                    # reply, where a run may start.  With no whole frame walked,
-                    # read_frame receives, or raises the bad header that stopped
-                    # the walk and closes the client.
-                    end, other = 0, False
-                    try:
-                        for msg_type, payload, stop in wire.iter_frames(self._buf):
-                            bare = msg_type == wire.MSG_ACK and not payload
-                            if bare and other:
-                                break
-                            other = other or not bare
-                            result["acks" if msg_type == wire.MSG_ACK else "errors"] += 1
-                            end, left = stop, left - 1
-                            if not left:
-                                break
-                    except wire.FrameError:
-                        pass
-                    del self._buf[:end]
-                    if not end:
+                    else:
                         frame = self.read_frame()
                         result["acks" if frame.msg_type == wire.MSG_ACK else "errors"] += 1
             except Exception as exc:  # surfaced after join
@@ -560,22 +544,32 @@ def parse_listen(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def _serve(name: str, server: _BaseServer) -> None:  # pragma: no cover
+def randomness_server(listen: str, key_seed_file: str) -> RandomnessServer:
+    """The randomness daemon, bound but not yet serving; a bad address or
+    seed file raises OSError or ValueError."""
+    return RandomnessServer(parse_listen(listen), Path(key_seed_file).read_bytes())
+
+
+def aggregation_server(
+    listen: str, log_path: str, params_path: str, report_path: Optional[str]
+) -> AggregationServer:
+    """The aggregation daemon, bound with its log open but not yet serving;
+    a bad address, parameter file or log raises OSError or ValueError."""
+    params = params_from_config(Path(params_path).read_text())
+    return AggregationServer(parse_listen(listen), log_path, params, report_path)
+
+
+def serve(server: _BaseServer) -> None:  # pragma: no cover
     host, port = server.server_address[:2]
-    print(f"{name} listening on {host}:{port}", flush=True)
+    print(f"{server.name} listening on {host}:{port}", flush=True)
     server.serve_forever()
 
 
 def run_randomness_server(listen: str, key_seed_file: str) -> None:  # pragma: no cover
-    seed = Path(key_seed_file).read_bytes()
-    _serve("randomness server", RandomnessServer(parse_listen(listen), seed))
+    serve(randomness_server(listen, key_seed_file))
 
 
 def run_aggregation_server(
     listen: str, log_path: str, params_path: str, report_path: Optional[str] = None
 ) -> None:  # pragma: no cover
-    params = params_from_config(Path(params_path).read_text())
-    _serve(
-        "aggregation server",
-        AggregationServer(parse_listen(listen), log_path, params, report_path),
-    )
+    serve(aggregation_server(listen, log_path, params_path, report_path))

@@ -1,10 +1,12 @@
-"""CLI surface tests: the run command and the offline seal-and-decode path."""
+"""CLI surface tests: the run command, the offline seal-and-decode path and
+the daemons' start-up checks."""
 
 import random
+import socket
 
 import pytest
 
-from nebula import wire
+from nebula import service, wire
 from nebula.cli import main
 from nebula.params import params_from_config
 from nebula.service import SubmissionLog
@@ -289,3 +291,54 @@ def test_seal_and_decode_refuses_incomplete_params(tmp_path, capsys):
     assert rc == 2
     assert "config missing fields" in _one_line(capsys)
     assert sorted(tmp_path.iterdir()) == before
+
+
+# --- start-up failures: also one line and exit status 2 ---------------------
+
+
+def test_randomness_server_refuses_busy_port(tmp_path, capsys):
+    seed = tmp_path / "seed"
+    seed.write_bytes(b"\x01" * 32)
+    with socket.create_server(("127.0.0.1", 0)) as busy:
+        listen = f"127.0.0.1:{busy.getsockname()[1]}"
+        rc = main(["randomness-server", "--listen", listen, "--key-seed-file", str(seed)])
+    assert rc == 2
+    assert "Address already in use" in _one_line(capsys)
+
+
+def test_aggregation_server_refuses_busy_port(tmp_path, capsys):
+    cfg, _ = _write_log(tmp_path)
+    log_path = tmp_path / "new.log"
+    with socket.create_server(("127.0.0.1", 0)) as busy:
+        listen = f"127.0.0.1:{busy.getsockname()[1]}"
+        rc = main(["aggregation-server", "--listen", listen, "--log", str(log_path),
+                   "--params", str(cfg)])
+    assert rc == 2
+    assert "Address already in use" in _one_line(capsys)
+    assert not log_path.exists()
+
+
+def test_randomness_server_refuses_unresolvable_host(tmp_path, capsys, monkeypatch):
+    # The failed lookup is simulated: a real one would query a resolver.
+    def server_bind(server):
+        raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+    monkeypatch.setattr(service.RandomnessServer, "server_bind", server_bind)
+    seed = tmp_path / "seed"
+    seed.write_bytes(b"\x01" * 32)
+    rc = main(["randomness-server", "--listen", "nowhere:0", "--key-seed-file", str(seed)])
+    assert rc == 2
+    assert "Name or service not known" in _one_line(capsys)
+
+
+@pytest.mark.parametrize("seal", [False, True])
+def test_aggregation_server_refuses_log_with_bad_first_header(tmp_path, capsys, seal):
+    cfg, log_path = _write_log(tmp_path)
+    log_path.write_bytes(wire.HEADER.pack(9, wire.MSG_SUBMISSION, 0) + log_path.read_bytes())
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    flags = ["--seal-and-decode"] if seal else ["--listen", "127.0.0.1:0"]
+    rc = main(["aggregation-server", "--log", str(log_path), "--params", str(cfg),
+               "--report", str(tmp_path / "report.csv"), *flags])
+    assert rc == 2
+    assert "version" in _one_line(capsys)
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before

@@ -9,6 +9,7 @@ import socket
 import stat
 import struct
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,7 @@ from nebula.service import (
     ServiceClient,
     ServiceError,
     SubmissionLog,
+    _RECV,
     decode_log,
     parse_listen,
     read_log,
@@ -306,7 +308,7 @@ class TestAggregationEndpoint:
 
     def test_large_pipelined_stream(self, aggregation_server):
         # Over 2 MiB through a kernel socket, so the daemon takes it in
-        # receives larger than 64 KiB; one refused record mid-stream.
+        # many receives; one refused record mid-stream.
         frames = _interleaved(_maximum_frames(34))
         bad = _BAD_RECORDS["x_zero"]()
         stream = b"".join(frames[:35]) + bad + b"".join(frames[35:])
@@ -347,6 +349,57 @@ class TestAggregationEndpoint:
         assert aggregation_server.log.path.read_bytes() == _log_of(subs)
         expected = report_to_csv(decode_submissions(subs, 3, PARAMS))
         assert (tmp_path / "report.csv").read_text() == expected
+
+
+def _when_handled(server) -> threading.Event:
+    """An event set once ``server`` has closed a connection it served."""
+    done = threading.Event()
+    shutdown_request = server.shutdown_request
+
+    def shut_down(request):
+        shutdown_request(request)
+        done.set()
+
+    server.shutdown_request = shut_down
+    return done
+
+
+class TestNoPeerInOutput:
+    """No byte a daemon prints identifies a client, whatever the client does."""
+
+    @pytest.mark.parametrize("daemon", ["randomness_server", "aggregation_server"])
+    def test_reset_mid_frame_prints_nothing(self, request, capfd, daemon):
+        server = request.getfixturevalue(daemon)
+        done = _when_handled(server)
+        client = ServiceClient("127.0.0.1", server.port)
+        with pytest.raises(ServiceError):  # no daemon takes an ACK; the handler runs
+            client.request(wire.MSG_ACK)
+        client.sock.sendall(wire.encode_frame(*_model_payloads()[0])[:40])
+        client.sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        client.close()  # a reset, not a FIN
+        assert done.wait(10)
+        with ServiceClient("127.0.0.1", server.port) as again:
+            with pytest.raises(ServiceError, match="unexpected message type"):
+                again.request(wire.MSG_ACK)
+        assert capfd.readouterr().err == ""
+
+    def test_internal_error_prints_traceback_without_peer(
+        self, aggregation_server, capfd, monkeypatch
+    ):
+        done = _when_handled(aggregation_server)
+
+        def dispatch(buf, replies):
+            raise RuntimeError("forced failure")
+
+        monkeypatch.setattr(aggregation_server, "dispatch", dispatch)
+        with ServiceClient("127.0.0.1", aggregation_server.port) as client:
+            host, port = client.sock.getsockname()
+            with pytest.raises(ConnectionError):
+                client.request(wire.MSG_ACK)
+        assert done.wait(10)
+        err = capfd.readouterr().err
+        assert "RuntimeError: forced failure" in err
+        assert host not in err and str(port) not in err
 
 
 def _ingest_payloads():
@@ -518,13 +571,16 @@ def reference_ingest(server, stream: bytes) -> bytes:
 
 class _Socket:
     """A connection whose peer sends ``chunks``, one per ``recv``, then
-    closes; what is sent to it is kept in ``sent``, and the size each
-    ``recv`` asked for in ``asked``."""
+    closes; what is sent to it is kept in ``sent``, the size each ``recv``
+    asked for in ``asked`` and, given a ``log`` path, that file's bytes at
+    each send in ``logged``."""
 
-    def __init__(self, chunks):
+    def __init__(self, chunks, log=None):
         self.chunks = list(chunks)
         self.sent = bytearray()
         self.asked: list[int] = []
+        self.log = log
+        self.logged: list[bytes] = []
 
     def recv(self, size: int) -> bytes:
         self.asked.append(size)
@@ -532,6 +588,8 @@ class _Socket:
         return self.chunks.pop(0) if self.chunks else b""
 
     def sendall(self, data) -> None:
+        if self.log is not None:
+            self.logged.append(self.log.read_bytes())
         self.sent += data
 
     def close(self) -> None:
@@ -553,9 +611,6 @@ _OTHER_FRAMES = {
     "bad_version": wire.HEADER.pack(9, wire.MSG_SUBMISSION, 0),
     "oversized": wire.HEADER.pack(1, wire.MSG_SUBMISSION, wire.MAX_PAYLOAD_SIZE + 1),
 }
-
-
-_MIB = 1 << 20  # what a daemon connection asks for once a 64 KiB receive filled
 
 
 def _maximum_frames(count: int) -> list[bytes]:
@@ -580,7 +635,7 @@ def _maximum_frames(count: int) -> list[bytes]:
 
 def _interleaved(large: list[bytes]) -> list[bytes]:
     """``large`` with a small good frame after each, so the large frames
-    drift off 64 KiB boundaries and straddle the receives of a stream."""
+    drift off frame-size boundaries and straddle the receives of a stream."""
     small = [wire.encode_frame(*r) for r in _model_payloads()]
     return [f for i, frame in enumerate(large) for f in (frame, small[i % len(small)])]
 
@@ -598,12 +653,12 @@ class TestBatchIngest:
         frames = _interleaved(_maximum_frames(44))
         frames[41:41] = [_BAD_RECORDS["x_zero"](), _OTHER_FRAMES["randomness_request"]]
         stream = b"".join(frames) + frames[-1][:-1]
-        assert len(stream) >= 2.5 * _MIB
+        assert len(stream) >= 2.5 * _RECV
         # The peer sends all that each receive asks for, but for a short
         # first receive of ``first`` bytes.
-        cuts = [0, first] + ([first + wire.MAX_FRAME_SIZE] if first < wire.MAX_FRAME_SIZE else [])
+        cuts = [0, first]
         while cuts[-1] < len(stream):
-            cuts.append(min(cuts[-1] + _MIB, len(stream)))
+            cuts.append(min(cuts[-1] + _RECV, len(stream)))
         chunks = [stream[a:b] for a, b in zip(cuts, cuts[1:])]
         heads = [0, *itertools.accumulate(map(len, frames))]
         spans = [(h, h + len(f)) for h, f in zip(heads, frames) if len(f) == wire.MAX_FRAME_SIZE]
@@ -624,13 +679,12 @@ class TestBatchIngest:
         finally:
             for server in servers:
                 server.stop()
-        small = 1 + (first < wire.MAX_FRAME_SIZE)  # receives before one fills 64 KiB
-        assert sock.asked == [wire.MAX_FRAME_SIZE] * small + [_MIB] * (len(chunks) + 1 - small)
+        assert sock.asked == [_RECV] * (len(chunks) + 1)
 
     @pytest.mark.parametrize("split", [None, 7, -1])
-    def test_lone_frame_asks_for_64_kib(self, tmp_path, split):
-        # An interactive client's frame, whole or in two receives, never
-        # costs the daemon a receive larger than 64 KiB.
+    def test_lone_frame_is_answered_once_whole(self, tmp_path, split):
+        # An interactive client's frame, whole or in two receives, gets its
+        # one reply once the receive that completes it is in.
         frame = wire.encode_frame(*_model_payloads()[-2])
         chunks = [frame] if split is None else [frame[:split], frame[split:]]
         server = AggregationServer(("127.0.0.1", 0), tmp_path / "log.bin", PARAMS)
@@ -640,7 +694,22 @@ class TestBatchIngest:
         finally:
             server.stop()
         assert bytes(sock.sent) == wire.encode_frame(wire.MSG_ACK)
-        assert sock.asked == [wire.MAX_FRAME_SIZE] * (len(chunks) + 1)
+        assert sock.asked == [_RECV] * (len(chunks) + 1)
+
+    @pytest.mark.parametrize("tail", [b"", _OTHER_FRAMES["bad_version"]])
+    def test_acks_leave_after_their_records_reach_the_file(self, tmp_path, tail):
+        # Good records, then maybe a bad header, in one receive: the one
+        # send that ACKs them finds them all in the log file already.
+        good = b"".join(wire.encode_frame(*r) for r in _model_payloads()[:5])
+        server = AggregationServer(("127.0.0.1", 0), tmp_path / "log.bin", PARAMS)
+        try:
+            sock = _Socket([good + tail], server.log.path)
+            server.finish_request(sock, ("client", 0))
+        finally:
+            server.stop()
+        bad = wire.error_frame(wire.ERR_MALFORMED, "bad frame") if tail else b""
+        assert bytes(sock.sent) == wire.encode_frame(wire.MSG_ACK) * 5 + bad
+        assert sock.logged == [good]
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -764,6 +833,23 @@ class TestSubmitRawReplies:
             with pytest.raises(wire.FrameError):
                 client.submit_raw(b"", acks + 2)
             with pytest.raises(ConnectionError, match="unusable after FrameError"):
+                client.read_frame()
+
+    @pytest.mark.parametrize("count", [20_003, 12_345])
+    def test_long_ack_runs_across_receives(self, count):
+        # Runs of thousands of ACKs, far past the lists above, so the
+        # halving probes deep; receives cut them mid-frame.
+        ack, bad, sealed = _REPLIES[0], _REPLIES[-2], _REPLIES[-1]
+        stream = b"".join([ack * 7_001, bad, ack * 4_999, sealed, ack * 3, bad, ack * 7_997])
+        cuts = sorted(random.Random(5).sample(range(1, len(stream)), 12))
+        bounds = [0, *cuts, len(stream)]
+        frames = [wire.WireFrame(t, bytes(p)) for t, p, _ in wire.iter_frames(stream)]
+        acks = sum(f.msg_type == wire.MSG_ACK for f in frames[:count])
+        with _client_reading([stream[a:b] for a, b in zip(bounds, bounds[1:])]) as client:
+            assert client.submit_raw(b"", count) == (acks, count - acks)
+            for frame in frames[count:]:
+                assert client.read_frame() == frame
+            with pytest.raises(ConnectionError, match="server closed connection"):
                 client.read_frame()
 
 
