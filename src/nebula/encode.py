@@ -79,36 +79,10 @@ class Submission:
 
     @staticmethod
     def from_bytes(data: bytes) -> "Submission":
-        if submission_size_at(data, 0) != len(data):
-            raise ValueError("submission ciphertext length mismatch")
+        from .multidim import check_payload  # multidim builds on this module
+
+        check_payload(data, chained=False)
         return submission_at(data, 0, len(data))
-
-
-# Big-endian bytes of the field prime: a 16-byte coordinate is canonical
-# exactly when it compares below these.
-_PRIME_BYTES = sharing.encode_element(sharing.FIELD_PRIME)
-_ZERO_ELEMENT = bytes(sharing.FIELD_BYTES)
-
-
-def submission_size_at(data: bytes, offset: int) -> int:
-    """Declared size of the serialized submission at ``offset``.
-
-    The rules every submission obeys, checked on the raw bytes: the fixed
-    prefix fits in ``data``, both share coordinates are canonical field
-    elements and x is nonzero.  The caller checks that the declared size
-    fits what it holds.
-    """
-    if offset + CIPHERTEXT_AT > len(data):
-        raise ValueError("truncated submission")
-    x_at = offset + TAG_SIZE
-    y_at = x_at + sharing.FIELD_BYTES
-    x = data[x_at:y_at]
-    if x >= _PRIME_BYTES or data[y_at : y_at + sharing.FIELD_BYTES] >= _PRIME_BYTES:
-        raise ValueError("non-canonical field element")
-    if x == _ZERO_ELEMENT:
-        raise ValueError("zero x-coordinate")
-    (ct_len,) = struct.unpack_from("<I", data, offset + SHARE_END)
-    return CIPHERTEXT_AT + ct_len
 
 
 def submission_end(data: bytes, offset: int) -> int:
@@ -119,8 +93,8 @@ def submission_end(data: bytes, offset: int) -> int:
 
 
 def submission_at(data: bytes, offset: int, end: int) -> Submission:
-    """The submission in ``data[offset:end]``, already checked by
-    ``submission_size_at``; only slices and decodes integers."""
+    """The submission in ``data[offset:end]``, already checked; only
+    slices and decodes integers."""
     x_at = offset + TAG_SIZE
     y_at = x_at + sharing.FIELD_BYTES
     share = KeyShare(

@@ -30,7 +30,7 @@ from __future__ import annotations
 import struct
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from cryptography.exceptions import InvalidTag
@@ -55,7 +55,6 @@ from .encode import (
     parse_randomness,
     submission_at,
     submission_end,
-    submission_size_at,
 )
 from .params import DpParams
 
@@ -86,64 +85,14 @@ class SuperSubmission:
 
     @staticmethod
     def from_bytes(data: bytes) -> "SuperSubmission":
-        num_layers = check_record(data, wire.MSG_SUPER_SUBMISSION, 0, len(data))
-        layer1_end = submission_end(data, 1)
-        return SuperSubmission(
-            layer1=submission_at(data, 1, layer1_end),
-            wrapped_layers=tuple(
-                bytes(data[start:stop])
-                for start, stop in _blob_spans(data, layer1_end, num_layers - 1, len(data))
-            ),
-        )
-
-
-def check_record(data: bytes, msg_type: int, start: int, end: int) -> int:
-    """Check the payload ``data[start:end]`` of a ``msg_type`` record in place
-    and return its layer count; builds nothing.
-
-    Ingest, the log reader and the inner-layer decode all apply these rules.
-    A SUBMISSION is the one-layer record, with no count byte and no wrapped
-    layers.  Raises FrameError for a type that is no submission record and
-    ValueError for a payload that breaks a rule.
-    """
-    if msg_type == wire.MSG_SUBMISSION:
-        if end - start < CIPHERTEXT_AT:
-            raise ValueError("submission too short")
-        if start + submission_size_at(data, start) != end:
-            raise ValueError("submission ciphertext length mismatch")
-        return 1
-    if msg_type != wire.MSG_SUPER_SUBMISSION:
-        raise wire.FrameError(f"unexpected record type {msg_type}")
-    if start >= end:
-        raise ValueError("empty super-submission")
-    num_layers = data[start]
-    if not 1 <= num_layers <= MAX_ATTRIBUTES:
-        raise ValueError("bad layer count")
-    # Against ``end``, not ``len(data)``: in a log the next frame follows.
-    if start + 1 + CIPHERTEXT_AT > end:
-        raise ValueError("truncated submission")
-    at = start + 1 + submission_size_at(data, start + 1)
-    if at > end:
-        raise ValueError("truncated submission")
-    for _, at in _blob_spans(data, at, num_layers - 1, end):
-        pass
-    if at != end:
-        raise ValueError("trailing bytes after super-submission")
-    return num_layers
-
-
-def _blob_spans(data: bytes, at: int, count: int, end: int):
-    """Yield the ``(start, stop)`` of ``count`` length-prefixed wrapped blobs
-    laid out from ``at``; ValueError if one runs past ``end``."""
-    for _ in range(count):
-        start = at + 4
-        if start > end:
-            raise ValueError("truncated wrapped layer")
-        (blob_len,) = struct.unpack_from("<I", data, at)
-        at = start + blob_len
-        if at > end:
-            raise ValueError("truncated wrapped layer")
-        yield start, at
+        check_payload(data, chained=True)
+        at = layer1_end = submission_end(data, 1)
+        blobs = []
+        for _ in range(data[0] - 1):
+            (blob_len,) = struct.unpack_from("<I", data, at)
+            blobs.append(bytes(data[at + 4 : at + 4 + blob_len]))
+            at += 4 + blob_len
+        return SuperSubmission(submission_at(data, 1, layer1_end), tuple(blobs))
 
 
 def make_prefixes(attributes: Sequence[bytes]) -> PrefixChain:
@@ -260,82 +209,130 @@ def _at_least_prime(words: np.ndarray) -> np.ndarray:
     return (high > _PRIME_WORDS[0]) | (high == _PRIME_WORDS[0]) & (low >= _PRIME_WORDS[1])
 
 
-def _breaks_rules(
-    data: bytes, starts: np.ndarray, depths: np.ndarray, ends: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``check_record``'s rules as array operations over many records of
-    ``data`` at once: the records whose layer-1 submissions sit at
-    ``starts``, with ``depths`` layers and ending at ``ends``.
+# What a submission record that breaks each rule is refused with, in the
+# order the rules are checked: a record is refused for the first rule it
+# breaks.  A SUBMISSION answers to rules 0 and 4-6; a SUPER_SUBMISSION to
+# every other rule, its layer-1 submission to rules 3-5 and 7.
+_REFUSALS = (
+    "submission too short",
+    "empty super-submission",
+    "bad layer count",
+    "truncated submission",
+    "non-canonical field element",
+    "zero x-coordinate",
+    "submission ciphertext length mismatch",
+    "truncated submission",
+    "truncated wrapped layer",
+    "trailing bytes after super-submission",
+)
+_KEPT = len(_REFUSALS)  # the rule index of a record that keeps them all
 
-    Returns which records break a rule, and each record's cursor: the offset
+
+def _breaks_rules(
+    data: bytes, starts: np.ndarray, depths: np.ndarray, ends: np.ndarray, chained: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The record rules as array operations over many records of ``data``
+    at once: the records whose layer-1 submissions sit at ``starts``, with
+    ``depths`` layers and ending at ``ends``, SUPER_SUBMISSIONs where
+    ``chained``.
+
+    Returns the first rule each record breaks, as an index into
+    ``_REFUSALS`` (``_KEPT`` if none), and each record's cursor: the offset
     just past its layer-1 submission.  Wrapped blob lengths are walked one
     layer at a time over every record.  Each step moves a record's walk
     forward by at least 4 bytes, so a walk that ever passes its record's end
-    ends past it: the one check that the walk ends exactly at the record's
-    end also catches a record too short for its submission or any blob.
-    Words read past a record's end are some other bytes of ``data``, and
-    only ever flag.
+    ends past it.  Words read past a record's end are some other bytes of
+    ``data``: every rule holds exactly for a record that keeps the rules
+    before it, and the first broken rule is the one a record-by-record
+    check would word.
     """
-    bad = (depths < 1) | (depths > MAX_ATTRIBUTES)
     x = column(data, ">u8", starts + _X_WORDS)  # one gather for both x rules
-    bad |= _at_least_prime(x) | ((x[0] | x[1]) == 0)
-    bad |= _at_least_prime(column(data, ">u8", starts + _Y_WORDS))
     cursors = starts + CIPHERTEXT_AT + column(data, "<u4", starts + SHARE_END)
     at = cursors
     for layer in range(2, min(int(depths.max(initial=1)), MAX_ATTRIBUTES) + 1):
         at = np.where(depths >= layer, at + 4 + column(data, "<u4", at), at)
-    bad |= at != ends
-    return bad, cursors
+    short = ends - starts < CIPHERTEXT_AT
+    broken = (  # one mask per rule, in the order of _REFUSALS
+        short & ~chained,
+        starts > ends,
+        (depths < 1) | (depths > MAX_ATTRIBUTES),
+        short,
+        _at_least_prime(x) | _at_least_prime(column(data, ">u8", starts + _Y_WORDS)),
+        (x[0] | x[1]) == 0,
+        (at != ends) & ~chained,
+        cursors > ends,
+        at > ends,
+        at != ends,
+    )
+    rules = np.full(len(starts), _KEPT)
+    for rule in range(_KEPT - 1, -1, -1):  # so the first broken rule is written last
+        rules[broken[rule]] = rule
+    return rules, cursors
 
 
 def check_frames(
     data: bytes, at: int
-) -> tuple[LogIndex, np.ndarray, Iterator[tuple[int, ValueError]]]:
+) -> tuple[LogIndex, np.ndarray, list[tuple[int, str]]]:
     """Walk and check the whole submission frames that open ``data[at:]``,
     for ingest and the log reader alike; returns their index, their bounds
-    (each frame's offset, then where the walk stopped) and each refusal as
-    (record, error).
+    (each frame's offset, then where the walk stopped) and each refusal in
+    frame order as (record, message).
 
-    ``check_record``'s rules run over all records at once as array
-    operations.  They only flag: ``check_record`` words each flagged
-    record's error, lazily and in order, and refuses only what it refuses.
+    The record rules run over all records at once as array operations, and
+    each refused record is worded by the first rule it breaks.
     """
     bounds = _frame_bounds(data, at)
     heads, ends = bounds[:-1], bounds[1:]
-    payloads = heads + wire.HEADER_SIZE
     types, counts = column(data, "u1", heads + _TYPE_AND_COUNT)
     chained = types == wire.MSG_SUPER_SUBMISSION
-    starts = payloads + chained
+    starts = heads + wire.HEADER_SIZE + chained
     depths = np.where(chained, counts, np.uint8(1))
-    bad, cursors = _breaks_rules(data, starts, depths, ends)
-
-    def refusals():
-        for i in np.flatnonzero(bad).tolist():
-            try:
-                check_record(data, int(types[i]), int(payloads[i]), int(ends[i]))
-            except ValueError as exc:
-                yield i, exc
-
+    rules, cursors = _breaks_rules(data, starts, depths, ends, chained)
+    refused = np.flatnonzero(rules != _KEPT)
+    refusals = [(i, _REFUSALS[rule]) for i, rule in zip(refused.tolist(), rules[refused].tolist())]
     layers = int(depths.max(initial=1))
     index = LogIndex(data, starts, cursors, depths, layers, bool(chained.any()))
-    return index, bounds, refusals()
+    return index, bounds, refusals
+
+
+def check_payload(payload: bytes, chained: bool) -> None:
+    """Refuse one record's payload, a SUPER_SUBMISSION's if ``chained``, as
+    ingest would: ValueError worded by the first rule it breaks."""
+    depths = np.array([payload[0] if chained and payload else 1], np.uint8)
+    ends, flags = np.array([len(payload)]), np.array([chained])
+    rules, _ = _breaks_rules(payload, np.array([int(chained)]), depths, ends, flags)
+    if rules[0] != _KEPT:
+        raise ValueError(_REFUSALS[rules[0]])
+
+
+def check_log(data: bytes) -> tuple[LogIndex, int]:
+    """Check the whole frames that open the submission log ``data`` in
+    place; returns their index and where they end: at the end of ``data``,
+    or where a frame cut short begins.
+
+    What stops the check raises as a record-by-record walk would: the first
+    refused record in log order a ValueError worded as ingest words it, a
+    whole frame past the last record a FrameError worded from its header
+    alone (the frame walker's error for a bad header, else ``unexpected
+    record type N``).
+    """
+    index, bounds, refusals = check_frames(data, 0)
+    for _, refusal in refusals:
+        raise ValueError(refusal)
+    stop = int(bounds[-1])
+    for msg_type, _, _ in wire.iter_frames(memoryview(data)[stop:]):
+        raise wire.FrameError(f"unexpected record type {msg_type}")
+    return index, stop
 
 
 def read_log(data: bytes) -> LogIndex:
     """Check every record of a submission log in place and index it.
 
-    The first refused record in log order raises, so a log fails as a
-    record-by-record walk would: ValueError for any record ingest would
-    refuse, FrameError for an unexpected record type or a truncated tail.
+    A log fails as ``check_log`` fails, and one that ends inside a frame
+    with FrameError ``truncated log record``.
     """
-    index, bounds, refusals = check_frames(data, 0)
-    for _, error in refusals:
-        raise error
-    stop = int(bounds[-1])
+    index, stop = check_log(data)
     if stop != len(data):
-        # What stopped the walk, as the frame walker and check_record word it.
-        for msg_type, payload, end in wire.iter_frames(memoryview(data)[stop:]):
-            check_record(data, msg_type, stop + end - len(payload), stop + end)
         raise wire.FrameError("truncated log record")
     return index
 
@@ -444,8 +441,9 @@ def _unwrap_layer(
     ends = np.cumsum(sizes)
     starts = ends - sizes
     buf = b"".join(parts)
-    bad, _ = _breaks_rules(buf, starts, np.ones(len(parts), np.uint8), ends)
-    kept = np.flatnonzero(~bad)
+    plain = np.zeros(len(parts), bool)  # an inner layer is a plain submission
+    rules, _ = _breaks_rules(buf, starts, np.ones(len(parts), np.uint8), ends, plain)
+    kept = np.flatnonzero(rules == _KEPT)
     report.malformed_groups += len(cursors) - len(kept)
     members = np.array(opened, dtype=np.intp)[kept]
     return buf, starts[kept], nexts[members], depths[members]

@@ -42,7 +42,7 @@ from . import aggregate, multidim, oprf, wire
 # times their ``from_bytes`` through this module's names.
 from .encode import Submission  # noqa: F401
 from .group import DecodeError, GroupElement
-from .multidim import SuperSubmission, check_frames, read_log  # noqa: F401
+from .multidim import SuperSubmission, check_frames, check_log, read_log  # noqa: F401
 from .params import DpParams, params_from_config
 
 
@@ -197,26 +197,29 @@ class SubmissionLog:
         self.path = Path(path)
         self._lock = threading.Lock()
         self._sealed = self.seal_marker.exists()
-        if not self._sealed and self.path.exists():
-            self._trim_torn_tail()
+        if self.path.exists():
+            self._check()
         self._file = None if self._sealed else open(self.path, "ab")
 
-    def _trim_torn_tail(self) -> None:
-        """Cut a trailing record that a crash left short.
+    def _check(self) -> None:
+        """Refuse a log holding what ingest would refuse, as ``read_log``
+        words it, and cut a trailing frame that a crash left short.
 
-        Records are only ever appended, so a header or payload that runs past
-        the end of the file can only be the last write, cut off mid-way.  A
-        bad header before that is corruption and raises FrameError.
+        Records are only ever appended, so a frame that runs past the end of
+        the file can only be the last write, cut off mid-way.  An unsealed
+        log drops it; a sealed log, flushed whole before its marker, is
+        refused.
         """
         end, buf = 0, b""  # file offset of ``buf``: just past the last whole frame
         with open(self.path, "rb") as f:
-            # Walk in chunks so a restart on a large log stays small in memory.
+            # A receive's worth at a time, as ingest checks a stream, so a
+            # restart on a large log stays small in memory.
             while chunk := f.read(_RECV):
                 buf += chunk
-                done = 0
-                for _, _, done in wire.iter_frames(buf):
-                    pass
+                _, done = check_log(buf)
                 end, buf = end + done, buf[done:]
+        if buf and self._sealed:
+            raise wire.FrameError("truncated log record")
         if buf:
             os.truncate(self.path, end)
 

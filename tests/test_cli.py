@@ -342,3 +342,43 @@ def test_aggregation_server_refuses_log_with_bad_first_header(tmp_path, capsys, 
     assert rc == 2
     assert "version" in _one_line(capsys)
     assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def _zero_x(log: bytes) -> bytes:
+    """``log`` and then its first record again, with a zero x-coordinate."""
+    _, payload, _ = next(wire.iter_frames(log))
+    return log + wire.encode_frame(wire.MSG_SUBMISSION, payload[:32] + bytes(16) + payload[48:])
+
+
+@pytest.mark.parametrize("seal", [False, True], ids=["daemon", "seal-and-decode"])
+@pytest.mark.parametrize(
+    "refused, sealed, message",
+    [
+        (_zero_x, False, "zero x-coordinate"),
+        (_zero_x, True, "zero x-coordinate"),
+        (lambda log: log + wire.encode_frame(wire.MSG_ACK), False, "unexpected record type 6"),
+        (lambda log: wire.HEADER.pack(9, wire.MSG_SUBMISSION, 0) + log, True,
+         "unsupported frame version 9"),
+        (lambda log: log[:-1], True, "truncated log record"),
+    ],
+    ids=["zero_x", "zero_x_sealed", "other_record_type", "bad_first_header_sealed",
+         "torn_tail_sealed"],
+)
+def test_aggregation_server_refuses_log_holding_a_refused_record(
+    tmp_path, capsys, monkeypatch, refused, sealed, message, seal
+):
+    # The log is checked when it opens, sealed or not, so nothing is sealed,
+    # cut or decoded: a seal cannot fail on what the log holds.
+    cfg, log_path = _write_log(tmp_path)
+    log_path.write_bytes(refused(log_path.read_bytes()))
+    if sealed:
+        (tmp_path / "log.bin.sealed").touch()
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    # A daemon that starts returns at once instead of serving.
+    monkeypatch.setattr(service, "serve", lambda server: server.server_close())
+    flags = ["--seal-and-decode"] if seal else ["--listen", "127.0.0.1:0"]
+    rc = main(["aggregation-server", "--log", str(log_path), "--params", str(cfg),
+               "--report", str(tmp_path / "report.csv"), *flags])
+    assert rc == 2
+    assert _one_line(capsys) == f"nebula aggregation-server: {message}\n"
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before

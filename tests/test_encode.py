@@ -5,12 +5,15 @@ import random
 
 import pytest
 from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nebula import oprf, sharing
 from nebula.encode import (
+    HEADER_SIZE,
     MAX_VALUE_SIZE,
+    ZERO_NONCE,
     Submission,
     build_submission,
     decrypt_with_key,
@@ -208,6 +211,13 @@ class TestEncryptValue:
     def test_oversize_value_rejected(self):
         with pytest.raises(ValueError):
             encrypt_value(b"\x44" * 32, b"x" * (MAX_VALUE_SIZE + 1))
+
+    def test_plaintext_shorter_than_header_rejected(self):
+        # Authentic under the key, but too short to hold the key seed.
+        key = encryption_key(b"\x55" * 32)
+        ct = ChaCha20Poly1305(key).encrypt(ZERO_NONCE, bytes(HEADER_SIZE - 1), None)
+        with pytest.raises(ValueError, match="^plaintext shorter than key-seed header$"):
+            decrypt_with_key(key, ct)
 
 
 class TestParticipate:

@@ -154,6 +154,16 @@ def _assert_mul_matches_base(n, k, torsion=group._IDENTITY):
     assert (p * n).encode() == window_base_mult(n * k).encode()
 
 
+def test_mul_negates_r_for_m_of_order_minus_one():
+    # n = ORDER - 16 makes m = n/16 = ORDER - 1, which _mul answers by
+    # negating R without a ladder.
+    n = group.ORDER - 16
+    assert n * pow(group._DIV, -1, group.ORDER) % group.ORDER == group.ORDER - 1
+    assert (group.GENERATOR * n).encode() == window_base_mult(n).encode()
+    for torsion in [group._IDENTITY] + TORSION_4:
+        _assert_mul_matches_base(n, 0xDEADBEEF, torsion)
+
+
 def test_constructed_scalars_reach_the_retry():
     inv16 = pow(16, -1, group.ORDER)
     assert group._clamped(NEITHER_SIGN_FITS * inv16 % group.ORDER) is None
@@ -298,6 +308,12 @@ def test_hash_to_group_domain_separation():
     a = group.hash_to_group(b"x", b"domain-1")
     b = group.hash_to_group(b"x", b"domain-2")
     assert a.encode() != b.encode()
+
+
+@pytest.mark.parametrize("size", [0, 31, 33])
+def test_decode_scalar_refuses_wrong_length(size):
+    with pytest.raises(group.DecodeError, match="^scalar encoding must be 32 bytes$"):
+        group.decode_scalar(bytes(size))
 
 
 def test_scalar_encoding():

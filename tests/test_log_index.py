@@ -1,9 +1,12 @@
 """``read_log``'s columnar checks against the record-by-record walk.
 
 The reference is the walk ``read_log`` used to be: ``wire.iter_frames`` and
-``check_record`` per frame.  On logs with injected faults the columnar index
-must raise the same exception class with the same message, for the first
-faulty record in log order, and on clean logs index the same records.
+``check_record`` per frame.  ``check_record`` is the scalar statement of the
+record rules the program checks as array operations; it lives here, and
+the ingest tests in ``test_service.py`` take it as their reference too.  On
+logs with injected faults the columnar index must raise the same exception
+class with the same message, for the first faulty record in log order, and
+on clean logs index the same records.
 """
 
 import random
@@ -14,8 +17,84 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from nebula import sharing, wire
-from nebula.encode import submission_end
-from nebula.multidim import MAX_ATTRIBUTES, check_record, read_log
+from nebula.encode import CIPHERTEXT_AT, SHARE_END, TAG_SIZE, Submission, submission_end
+from nebula.multidim import MAX_ATTRIBUTES, SuperSubmission, check_frames, read_log
+
+
+def check_record(data: bytes, msg_type: int, start: int, end: int) -> int:
+    """Check the payload ``data[start:end]`` of a ``msg_type`` record in place
+    and return its layer count; builds nothing.
+
+    Ingest, the log reader and the inner-layer decode all apply these rules.
+    A SUBMISSION is the one-layer record, with no count byte and no wrapped
+    layers.  Raises FrameError for a type that is no submission record and
+    ValueError for a payload that breaks a rule.
+    """
+    if msg_type == wire.MSG_SUBMISSION:
+        if end - start < CIPHERTEXT_AT:
+            raise ValueError("submission too short")
+        if start + submission_size_at(data, start) != end:
+            raise ValueError("submission ciphertext length mismatch")
+        return 1
+    if msg_type != wire.MSG_SUPER_SUBMISSION:
+        raise wire.FrameError(f"unexpected record type {msg_type}")
+    if start >= end:
+        raise ValueError("empty super-submission")
+    num_layers = data[start]
+    if not 1 <= num_layers <= MAX_ATTRIBUTES:
+        raise ValueError("bad layer count")
+    # Against ``end``, not ``len(data)``: in a log the next frame follows.
+    if start + 1 + CIPHERTEXT_AT > end:
+        raise ValueError("truncated submission")
+    at = start + 1 + submission_size_at(data, start + 1)
+    if at > end:
+        raise ValueError("truncated submission")
+    for _, at in _blob_spans(data, at, num_layers - 1, end):
+        pass
+    if at != end:
+        raise ValueError("trailing bytes after super-submission")
+    return num_layers
+
+
+def _blob_spans(data: bytes, at: int, count: int, end: int):
+    """Yield the ``(start, stop)`` of ``count`` length-prefixed wrapped blobs
+    laid out from ``at``; ValueError if one runs past ``end``."""
+    for _ in range(count):
+        start = at + 4
+        if start > end:
+            raise ValueError("truncated wrapped layer")
+        (blob_len,) = struct.unpack_from("<I", data, at)
+        at = start + blob_len
+        if at > end:
+            raise ValueError("truncated wrapped layer")
+        yield start, at
+
+
+# Big-endian bytes of the field prime: a 16-byte coordinate is canonical
+# exactly when it compares below these.
+_PRIME_BYTES = sharing.encode_element(sharing.FIELD_PRIME)
+_ZERO_ELEMENT = bytes(sharing.FIELD_BYTES)
+
+
+def submission_size_at(data: bytes, offset: int) -> int:
+    """Declared size of the serialized submission at ``offset``.
+
+    The rules every submission obeys, checked on the raw bytes: the fixed
+    prefix fits in ``data``, both share coordinates are canonical field
+    elements and x is nonzero.  The caller checks that the declared size
+    fits what it holds.
+    """
+    if offset + CIPHERTEXT_AT > len(data):
+        raise ValueError("truncated submission")
+    x_at = offset + TAG_SIZE
+    y_at = x_at + sharing.FIELD_BYTES
+    x = data[x_at:y_at]
+    if x >= _PRIME_BYTES or data[y_at : y_at + sharing.FIELD_BYTES] >= _PRIME_BYTES:
+        raise ValueError("non-canonical field element")
+    if x == _ZERO_ELEMENT:
+        raise ValueError("zero x-coordinate")
+    (ct_len,) = struct.unpack_from("<I", data, offset + SHARE_END)
+    return CIPHERTEXT_AT + ct_len
 
 
 def reference_read_log(data: bytes):
@@ -42,6 +121,15 @@ def outcome(read, data: bytes):
         assert result.cursors.tolist() == [submission_end(data, s) for s in result.starts.tolist()]
         return result.starts.tolist(), result.layers, result.chained
     return result
+
+
+def refusal(check, payload: bytes) -> tuple[type, str] | None:
+    """The exception class and message ``check(payload)`` raises, if any."""
+    try:
+        check(payload)
+    except Exception as exc:  # the class and text are what is compared
+        return type(exc), str(exc)
+    return None
 
 
 def submission(rng: random.Random, ct_len: int) -> bytes:
@@ -141,6 +229,42 @@ def test_read_log_fails_as_the_record_walk_does(log):
     expected = outcome(reference_read_log, log)
     event(expected[1] if isinstance(expected[1], str) else "indexed")
     assert outcome(read_log, log) == expected
+
+
+def walked_records(data: bytes) -> list[tuple[int, bytes]]:
+    """The (type, payload) of each submission record that opens ``data``,
+    up to the first frame that is none or is cut short."""
+    records = []
+    try:
+        for msg_type, payload, _ in wire.iter_frames(data):
+            if msg_type not in (wire.MSG_SUBMISSION, wire.MSG_SUPER_SUBMISSION):
+                break
+            records.append((msg_type, bytes(payload)))
+    except wire.FrameError:
+        pass
+    return records
+
+
+@given(log=faulty_logs())
+@settings(max_examples=300, deadline=None)
+def test_each_record_refused_as_the_record_walk_refuses(log):
+    # Ingest's check words each refused record, and each ``from_bytes``
+    # refuses its payload, with the reference's exception class and message.
+    records = walked_records(log)
+    _, bounds, refusals = check_frames(log, 0)
+    assert len(bounds) - 1 == len(records)
+    expected = [
+        (i, refusal(lambda p: check_record(p, msg_type, 0, len(p)), payload))
+        for i, (msg_type, payload) in enumerate(records)
+    ]
+    assert [(i, (ValueError, message)) for i, message in refusals] == [
+        (i, refused) for i, refused in expected if refused is not None
+    ]
+    for (msg_type, payload), (_, refused) in zip(records, expected):
+        parse = (SuperSubmission if msg_type == wire.MSG_SUPER_SUBMISSION else Submission).from_bytes
+        assert refusal(parse, payload) == refused
+        if refused is None:
+            assert parse(payload).to_bytes() == payload
 
 
 _CLEAN = wire.encode_frame(wire.MSG_SUBMISSION, submission(random.Random(1), 10))

@@ -75,6 +75,11 @@ class TestEvaluate:
         with pytest.raises(oprf.VerificationError):
             oprf.finalize_batch([b"value"], [st], bad, kp.mpk)
 
+    @pytest.mark.parametrize("size", [0, 63, 65])
+    def test_proof_of_wrong_length_rejected(self, size):
+        with pytest.raises(oprf.DecodeError, match="^proof must be 64 bytes$"):
+            oprf.DleqProof.from_bytes(bytes(size))
+
     def test_tampered_element_rejected(self, kp):
         rng = random.Random(5)
         b, st = oprf.blind(b"value", rng)

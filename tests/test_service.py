@@ -26,8 +26,7 @@ from nebula.encode import (
 )
 from nebula.harness import value_randomness
 from nebula.multidim import (
-    SuperSubmission, check_record, decode_multidim, encode_multidim, layered_reports_to_csv,
-    make_prefixes,
+    SuperSubmission, decode_multidim, encode_multidim, layered_reports_to_csv, make_prefixes,
 )
 from nebula.params import DpBudget, derive_params
 from nebula.service import (
@@ -43,6 +42,7 @@ from nebula.service import (
     read_log,
     seal_and_report,
 )
+from test_log_index import check_record, refusal
 
 PARAMS = derive_params(
     DpBudget(1.0, 1e-8, 1.0, 1e-8, 1 / 6),
@@ -106,6 +106,39 @@ class TestWireFormat:
     def test_batch_cap(self):
         with pytest.raises(wire.FrameError):
             wire.pack_randomness_request([b"\x00" * 32] * 9)
+
+    # How the client refuses what an untrusted randomness server sends, and
+    # how either side refuses a frame it cannot carry: the class and message.
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: wire.pack_randomness_request([]), "batch size must be 1..8"),
+            (lambda: wire.pack_randomness_request([bytes(32)] * 9), "batch size must be 1..8"),
+            (lambda: wire.pack_randomness_request([bytes(31)]), "blinded elements must be 32 bytes"),
+            (lambda: wire.unpack_randomness_request(b""), "empty randomness request"),
+            (lambda: wire.unpack_randomness_request(b"\x00"), "batch size must be 1..8"),
+            (lambda: wire.unpack_randomness_request(bytes([9]) + bytes(9 * 32)),
+             "batch size must be 1..8"),
+            (lambda: wire.unpack_randomness_request(bytes([2]) + bytes(32)),
+             "randomness request length mismatch"),
+            (lambda: wire.pack_randomness_response([bytes(33)], bytes(64)),
+             "evaluated elements must be 32 bytes"),
+            (lambda: wire.pack_randomness_response([bytes(32)], bytes(63)), "proof must be 64 bytes"),
+            (lambda: wire.unpack_randomness_response(bytes(95)), "randomness response too short"),
+            (lambda: wire.unpack_randomness_response(bytes(97)),
+             "randomness response length mismatch"),
+            (lambda: wire.unpack_randomness_response(bytes(9 * 32 + 64)), "batch size must be 1..8"),
+            (lambda: wire.unpack_error(b""), "empty error payload"),
+            (lambda: wire.encode_frame(0), "unknown message type 0"),
+            (lambda: wire.encode_frame(10, b"x"), "unknown message type 10"),
+            (lambda: wire.encode_frame(wire.MSG_SUBMISSION, bytes(wire.MAX_PAYLOAD_SIZE + 1)),
+             "payload exceeds maximum frame size"),
+            (lambda: wire.parse_header(bytes(wire.HEADER_SIZE - 1)), "short frame header"),
+        ],
+    )
+    def test_refusals(self, call, message):
+        with pytest.raises(wire.FrameError, match=f"^{message}$"):
+            call()
 
 
 class TestIterFrames:
@@ -514,23 +547,23 @@ def _dispatch_one(server, msg_type: int, payload: bytes) -> bytes:
 class TestIngestValidation:
     @given(data=st.data())
     @settings(max_examples=400, deadline=None)
-    def test_ingest_rejects_exactly_what_from_bytes_rejects(self, ingest_case, data):
+    def test_ingest_refuses_exactly_what_the_record_rules_refuse(self, ingest_case, data):
+        # Ingest and ``from_bytes`` refuse as the reference check does, with
+        # its exception class and message.
         server, payloads = ingest_case
         msg_type, payload = data.draw(st.sampled_from(payloads))
         chained = msg_type == wire.MSG_SUPER_SUBMISSION
         kind, mutated = _mutate(payload, chained, data)
-        try:
-            (SuperSubmission if chained else Submission).from_bytes(mutated)
-            parsed = True
-        except ValueError:
-            parsed = False
-        try:
-            ingested = _dispatch_one(server, msg_type, mutated) == wire.encode_frame(wire.MSG_ACK)
-        except wire.FrameError:
-            ingested = False
-        assert ingested == parsed
+        expected = refusal(lambda p: check_record(p, msg_type, 0, len(p)), mutated)
+        parse = (SuperSubmission if chained else Submission).from_bytes
+        assert refusal(parse, mutated) == expected
+        reply = _dispatch_one(server, msg_type, mutated)
+        if expected is None:
+            assert reply == wire.encode_frame(wire.MSG_ACK)
+        else:
+            assert reply == wire.error_frame(wire.ERR_MALFORMED, f"bad submission: {expected[1]}")
         if kind in _ALWAYS_BAD or (kind == "ct_len" and not chained):
-            assert not parsed
+            assert expected is not None
 
     def test_unmutated_payloads_ingested(self, ingest_case):
         server, payloads = ingest_case
@@ -1061,6 +1094,46 @@ class TestLogLifecycle:
         with pytest.raises(wire.FrameError):
             SubmissionLog(path)
 
+    @pytest.mark.parametrize("sealed", [False, True])
+    def test_log_checked_a_receive_at_a_time_when_it_opens(self, tmp_path, sealed):
+        # Over 2 MiB, with frames straddling the chunk bounds: a clean log
+        # opens unchanged, and what ingest would refuse in a later chunk is
+        # refused as read_log words it.
+        frames = _interleaved(_maximum_frames(36))
+        assert len(b"".join(frames)) > 2 * _RECV
+        path = tmp_path / "log.bin"
+        path.write_bytes(b"".join(frames))
+        if sealed:
+            (tmp_path / "log.bin.sealed").touch()
+        SubmissionLog(path).close()
+        assert path.read_bytes() == b"".join(frames)
+        for bad, message in [
+            (_BAD_RECORDS["x_zero"](), "zero x-coordinate"),
+            (_BAD_RECORDS["unknown_record_type"](), "unexpected record type 6"),
+            (_OTHER_FRAMES["bad_version"], "unsupported frame version 9"),
+        ]:
+            data = b"".join(frames[:-3]) + bad + b"".join(frames[-3:])
+            path.write_bytes(data)
+            with pytest.raises(ValueError, match=f"^{message}$") as raised:
+                SubmissionLog(path)
+            with pytest.raises(raised.type, match=f"^{message}$"):
+                read_log(data)
+            assert path.read_bytes() == data
+
+    def test_sealed_log_with_torn_tail_refused(self, tmp_path):
+        # A sealed log was flushed whole before its marker: a short last
+        # frame is damage, not a crash mid-write, and is kept for a look.
+        path = tmp_path / "log.bin"
+        log = SubmissionLog(path)
+        log.append(_log_of(_make_submissions({b"x": 3})))
+        log.seal()
+        with open(path, "r+b") as f:
+            f.truncate(path.stat().st_size - 10)
+        torn = path.read_bytes()
+        with pytest.raises(wire.FrameError, match="^truncated log record$"):
+            SubmissionLog(path)
+        assert path.read_bytes() == torn
+
 
 class TestDaemonIsolation:
     def test_processes_share_nothing(self, tmp_path):
@@ -1171,7 +1244,7 @@ class AggregationDaemonModel(RuleBasedStateMachine):
         self.server.stop()
 
     def _submit(self, msg_type: int, payload: bytes, valid: bool) -> None:
-        """Send one payload; ``valid`` says whether ``from_bytes`` accepts it."""
+        """Send one payload; ``valid`` says whether the record rules accept it."""
         try:
             self.client.request(msg_type, payload)
         except ServiceError as exc:
@@ -1198,7 +1271,7 @@ class AggregationDaemonModel(RuleBasedStateMachine):
         chained = msg_type == wire.MSG_SUPER_SUBMISSION
         _, mutated = _mutate(payload, chained, data)
         try:
-            (SuperSubmission if chained else Submission).from_bytes(mutated)
+            check_record(mutated, msg_type, 0, len(mutated))
             valid = True
         except ValueError:
             valid = False
