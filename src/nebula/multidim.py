@@ -20,13 +20,19 @@ a forged tag possible (README.md, "Known privacy gap"; ROADMAP open item 12).
 Decoding reads a submission log's bytes in place.  ``read_log`` checks
 every record as array operations over the log and keeps columns of
 offsets: each record's layer-1 submission and a cursor at its first
-wrapped blob; no record becomes an object.  Each recovered branch decrypts
-its members' next-layer blobs at their cursors into one buffer, moves the
-cursors past them and groups that buffer the same way.
+wrapped blob; no record becomes an object.  A layer's frontier is columns
+(cursor, depth, branch id) over every member of every branch recovered in
+the layer above, cut into batches of whole branches of at most
+``aggregate.BATCH_MEMBERS`` members.  Each batch decrypts its members'
+blobs at their cursors into one buffer, under one AEAD per branch, checks
+that buffer's records in one pass, groups it by branch and tag in one
+sort and recovers its groups in one batched call, so the per-member work
+runs per batch, not per branch.
 """
 
 from __future__ import annotations
 
+import itertools
 import struct
 from array import array
 from dataclasses import dataclass
@@ -38,17 +44,20 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from . import sharing, wire
 from .aggregate import (
+    X_WORDS,
+    Y_WORDS,
     HistogramReport,
     column,
     group_by_tag,
     recover_group,
     reports_from_csv,
     reports_to_csv,
+    select_points,
+    whole_batches,
 )
 from .encode import (
     CIPHERTEXT_AT,
     SHARE_END,
-    TAG_SIZE,
     Submission,
     build_submission,
     encryption_key,
@@ -167,10 +176,6 @@ class LogIndex:
 
 # The field prime as two big-endian 8-byte words (high, low).
 _PRIME_WORDS = (np.uint64(sharing.FIELD_PRIME >> 64), np.uint64(sharing.FIELD_PRIME & (2**64 - 1)))
-# Where the high and low words of a submission's x and y sit past its
-# start, as columns to broadcast against a row of starts.
-_X_WORDS = TAG_SIZE + np.array([[0], [8]])
-_Y_WORDS = _X_WORDS + sharing.FIELD_BYTES
 # Where a frame's type byte and its payload's first byte (a SUPER_SUBMISSION's
 # layer count) sit past the frame's start.
 _TYPE_AND_COUNT = np.array([[1], [wire.HEADER_SIZE]])
@@ -246,27 +251,28 @@ def _breaks_rules(
     before it, and the first broken rule is the one a record-by-record
     check would word.
     """
-    x = column(data, ">u8", starts + _X_WORDS)  # one gather for both x rules
+    # Rule i is worded _REFUSALS[i].  Each rule's mask is written as soon as
+    # it is made, the last rule first, so the first broken rule is written
+    # last and few masks are alive at once.
+    rules = np.full(len(starts), _KEPT, np.uint8)
+    x = column(data, ">u8", starts + X_WORDS)  # one gather for both x rules
     cursors = starts + CIPHERTEXT_AT + column(data, "<u4", starts + SHARE_END)
     at = cursors
     for layer in range(2, min(int(depths.max(initial=1)), MAX_ATTRIBUTES) + 1):
         at = np.where(depths >= layer, at + 4 + column(data, "<u4", at), at)
+    rules[at != ends] = 9
+    rules[at > ends] = 8
+    rules[cursors > ends] = 7
+    rules[(at != ends) & ~chained] = 6
+    del at
+    rules[(x[0] | x[1]) == 0] = 5
+    rules[_at_least_prime(x) | _at_least_prime(column(data, ">u8", starts + Y_WORDS))] = 4
+    del x
     short = ends - starts < CIPHERTEXT_AT
-    broken = (  # one mask per rule, in the order of _REFUSALS
-        short & ~chained,
-        starts > ends,
-        (depths < 1) | (depths > MAX_ATTRIBUTES),
-        short,
-        _at_least_prime(x) | _at_least_prime(column(data, ">u8", starts + _Y_WORDS)),
-        (x[0] | x[1]) == 0,
-        (at != ends) & ~chained,
-        cursors > ends,
-        at > ends,
-        at != ends,
-    )
-    rules = np.full(len(starts), _KEPT)
-    for rule in range(_KEPT - 1, -1, -1):  # so the first broken rule is written last
-        rules[broken[rule]] = rule
+    rules[short] = 3
+    rules[(depths < 1) | (depths > MAX_ATTRIBUTES)] = 2
+    rules[starts > ends] = 1
+    rules[short & ~chained] = 0
     return rules, cursors
 
 
@@ -370,73 +376,107 @@ def decode_multidim(
         for layer in range(1, index.layers + 1)
     ]
 
-    # Each layer regroups every recovered branch of the layer above by the
-    # tag of its members' submissions for this layer.  A branch is a
-    # (prefix path, key, member cursors, member depths) tuple, a cursor
-    # pointing at the member's next wrapped blob in the log; the root
-    # branch holds every record and no key, as layer 1 travels in the clear.
-    frontier = [((), None, index.cursors, index.depths)]
+    # A layer's frontier holds every member of every branch recovered in the
+    # layer above, as columns: each member's cursor at its next wrapped blob
+    # in the log, its depth and its branch id, members of one branch
+    # together and in branch order.  ``branches`` holds each branch's
+    # (prefix path, key); the root branch holds every record and no key, as
+    # layer 1 travels in the clear.
+    cursors, depths = index.cursors, index.depths
+    branch_of = np.broadcast_to(np.intp(0), len(cursors))
+    branches: list[tuple[tuple[bytes, ...], Optional[bytes]]] = [((), None)]
     for layer, report in enumerate(reports, start=1):
-        next_frontier = []
-        for path, key, cursors, depths in frontier:
-            if key is None:
-                buf, starts = index.data, index.starts
-            else:
-                buf, starts, cursors, depths = _unwrap_layer(
-                    index.data, cursors, depths, key, layer, report
+        if layer == 1:
+            batches = [(index.data, index.starts, branch_of, cursors, depths)]
+        else:
+            carried = np.flatnonzero(depths >= layer)
+            cursors, depths, branch_of = cursors[carried], depths[carried], branch_of[carried]
+            runs = np.searchsorted(branch_of, np.arange(len(branches) + 1))
+            batches = (
+                _unwrap(
+                    index.data,
+                    (cursors, depths, branch_of),
+                    runs[lo : hi + 1],
+                    [key for _, key in branches[lo:hi]],
+                    layer,
+                    report,
                 )
-            order, bounds = group_by_tag(buf, starts)
+                for lo, hi in whole_batches(runs)
+            )
+        frontier, next_branches = [], []
+        for buf, starts, batch_branch_of, batch_cursors, batch_depths in batches:
+            order, bounds = group_by_tag(buf, starts, batch_branch_of)
             sizes = bounds[1:] - bounds[:-1]
             below = sizes < threshold
             hist = report.unrevealed_multiplicities
             for count, groups in enumerate(np.bincount(sizes[below]).tolist()):
                 if groups:
                     hist[count] = hist.get(count, 0) + groups
-            for group in np.flatnonzero(~below).tolist():
-                members = order[bounds[group] : bounds[group + 1]]
-                outcome = recover_group(buf, starts[members].tolist(), threshold)
+            # The members of groups at or above the threshold, group by group.
+            above = order[np.repeat(~below, sizes)]
+            sizes = sizes[~below]
+            bounds = np.concatenate(([0], np.cumsum(sizes)))
+            firsts = above[bounds[:-1]]
+            recovered = np.zeros(len(sizes), bool)
+            for group, (first, branch, count, points) in enumerate(zip(
+                starts[firsts].tolist(),
+                batch_branch_of[firsts].tolist(),
+                sizes.tolist(),
+                select_points(buf, starts[above], bounds, threshold),
+            )):
+                outcome = recover_group(buf, first, count, points)
                 if outcome.status == "recovered":
-                    child = path + (outcome.value,)
-                    report.revealed[child] = report.revealed.get(child, 0) + outcome.count
-                    next_frontier.append((child, outcome.key, cursors[members], depths[members]))
+                    child = branches[branch][0] + (outcome.value,)
+                    report.revealed[child] = report.revealed.get(child, 0) + count
+                    next_branches.append((child, outcome.key))
+                    recovered[group] = True
                 else:
                     report.malformed_groups += 1
-        frontier = next_frontier
+            if layer < len(reports):  # the last layer opens no other
+                taken = above[np.repeat(recovered, sizes)]
+                frontier.append((batch_cursors[taken], batch_depths[taken], sizes[recovered]))
+        if layer == len(reports) or not next_branches:
+            break
+        # Recovered groups' members, group by group, are the next frontier.
+        cursors, depths, sizes = (np.concatenate(columns) for columns in zip(*frontier))
+        branch_of = np.repeat(np.arange(len(sizes)), sizes)
+        branches = next_branches
     return reports
 
 
-def _unwrap_layer(
+def _unwrap(
     data: bytes,
-    cursors: np.ndarray,
-    depths: np.ndarray,
-    key: bytes,
+    frontier: tuple[np.ndarray, np.ndarray, np.ndarray],
+    runs: np.ndarray,
+    keys: Sequence[bytes],
     layer: int,
     report: HistogramReport,
-) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray]:
-    """Decrypt the layer-``layer`` submissions of one recovered branch into
-    one buffer; its members' cursors point at their next wrapped blobs in
-    the log ``data``.
+) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Decrypt the layer-``layer`` submissions of one batch of whole
+    recovered branches into one buffer.  ``frontier`` holds the layer's
+    (cursors, depths, branch ids); members ``runs[i] : runs[i + 1]`` form
+    a branch whose key is ``keys[i]``, each cursor at a wrapped blob in the
+    log ``data`` that the key opens.
 
-    Returns the buffer, the offsets in it of the members whose blob opens
-    to a submission that keeps the rules, and those members' cursors moved
-    past the blob, and depths.  Every other member that carries this layer
-    counts one malformed group: an unreadable blob has no tag.
+    Returns the buffer, the offsets in it of the members whose blob opens to
+    a submission that keeps the rules, and those members' branch ids,
+    cursors moved past the blob, and depths.  Every other member counts one
+    malformed group: an unreadable blob has no tag.
     """
-    carried = depths >= layer
-    cursors, depths = cursors[carried], depths[carried]
+    cursors, depths, branch_of = (values[runs[0] : runs[-1]] for values in frontier)
     # read_log walked every blob length, so each blob lies in its record.
-    nexts = cursors + 4 + column(data, "<u4", cursors)
-    aead = ChaCha20Poly1305(key)
+    moved = cursors + 4 + column(data, "<u4", cursors)
     nonce = _wrap_nonce(layer)
     log = memoryview(data)
     parts: list[bytes] = []
-    opened: list[int] = []
-    for i, (start, stop) in enumerate(zip((cursors + 4).tolist(), nexts.tolist())):
-        try:
-            parts.append(aead.decrypt(nonce, log[start:stop], None))
-        except InvalidTag:
-            continue
-        opened.append(i)
+    blobs = zip((cursors + 4).tolist(), moved.tolist())
+    for key, members in zip(keys, (runs[1:] - runs[:-1]).tolist()):
+        decrypt = ChaCha20Poly1305(key).decrypt
+        for start, stop in itertools.islice(blobs, members):
+            try:
+                parts.append(decrypt(nonce, log[start:stop], None))
+            except InvalidTag:
+                parts.append(b"")  # refused below, as too short
     sizes = np.fromiter(map(len, parts), np.int64, len(parts))
     ends = np.cumsum(sizes)
     starts = ends - sizes
@@ -444,9 +484,8 @@ def _unwrap_layer(
     plain = np.zeros(len(parts), bool)  # an inner layer is a plain submission
     rules, _ = _breaks_rules(buf, starts, np.ones(len(parts), np.uint8), ends, plain)
     kept = np.flatnonzero(rules == _KEPT)
-    report.malformed_groups += len(cursors) - len(kept)
-    members = np.array(opened, dtype=np.intp)[kept]
-    return buf, starts[kept], nexts[members], depths[members]
+    report.malformed_groups += len(parts) - len(kept)
+    return buf, starts[kept], branch_of[kept], moved[kept], depths[kept]
 
 
 def layered_reports_to_csv(reports: Sequence[HistogramReport]) -> str:

@@ -25,6 +25,7 @@ from nebula.aggregate import (
     recover_group,
     report_from_csv,
     report_to_csv,
+    select_points,
 )
 from nebula.encode import (
     KeyShare,
@@ -223,9 +224,11 @@ def test_criterion_07_threshold_hiding():
         index = read_log(
             b"".join(wire.encode_frame(wire.MSG_SUBMISSION, s.to_bytes()) for s in forced)
         )
-        order, bounds = group_by_tag(index.data, index.starts)
+        order, bounds = group_by_tag(index.data, index.starts, np.zeros(tau, np.intp))
         assert bounds.tolist() == [0, tau]
-        outcome = recover_group(index.data, index.starts[order].tolist(), tau)
+        starts = index.starts[order]
+        [points] = select_points(index.data, starts, bounds, tau)
+        outcome = recover_group(index.data, int(starts[0]), tau, points)
         assert outcome.status == "malformed"
         fails += 1
     _report(

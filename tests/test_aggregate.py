@@ -1,5 +1,6 @@
 """Aggregation pipeline tests: grouping, recovery, reports, privacy mechanics."""
 
+import heapq
 import itertools
 import math
 import random
@@ -12,7 +13,7 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nebula import oprf, sharing, wire
+from nebula import aggregate, oprf, sharing, wire
 from nebula.aggregate import (
     HistogramReport,
     decode_submissions,
@@ -23,11 +24,19 @@ from nebula.aggregate import (
     report_to_csv,
     reports_from_csv,
     reports_to_csv,
-    select_shares,
+    select_points,
 )
 from nebula.encode import (
-    ZERO_NONCE, KeyShare, Submission, build_submission, key_from_field_secret, submission_end,
+    SHARE_END,
+    TAG_SIZE,
+    ZERO_NONCE,
+    KeyShare,
+    Submission,
+    build_submission,
+    key_from_field_secret,
+    submission_end,
 )
+from nebula.sharing import FIELD_BYTES
 from nebula.multidim import read_log
 from nebula.params import DpBudget, derive_params
 
@@ -54,17 +63,23 @@ def index_of(subs):
     return read_log(b"".join(wire.encode_frame(wire.MSG_SUBMISSION, s.to_bytes()) for s in subs))
 
 
-def groups_of(data, starts):
-    """``group_by_tag``'s groups as lists of member positions in ``starts``."""
-    order, bounds = group_by_tag(data, np.asarray(starts, dtype=np.int64))
+def groups_of(data, starts, branches=None):
+    """``group_by_tag``'s groups as lists of member positions in ``starts``,
+    all under one branch unless ``branches`` are given."""
+    branches = np.zeros(len(starts), np.intp) if branches is None else np.asarray(branches)
+    order, bounds = group_by_tag(data, np.asarray(starts, dtype=np.int64), branches)
     return [order[lo:hi].tolist() for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def one_group(subs):
-    """The log bytes and member offsets of the single tag group ``subs`` must form."""
+def recover(subs, threshold):
+    """Recover the single tag group ``subs`` must form as the decoder does:
+    ``select_points`` chooses its points and ``recover_group`` the rest."""
     index = index_of(subs)
     [group] = groups_of(index.data, index.starts)
-    return index.data, index.starts[group].tolist()
+    starts = index.starts[group]
+    assert len(starts) >= threshold
+    [points] = select_points(index.data, starts, np.array([0, len(starts)]), threshold)
+    return recover_group(index.data, int(starts[0]), len(starts), points)
 
 
 class TestGroupByTag:
@@ -97,22 +112,35 @@ class TestGroupByTag:
 
         assert by_tag(subs) == by_tag(shuffled)
 
+    def test_branch_is_the_most_significant_key(self, randomness_for):
+        # The same tags under two branches form one group per (branch, tag).
+        params = make_params(3)
+        subs = make_submissions({b"x": 3, b"y": 2}, params, randomness_for)
+        index = index_of(subs + subs)
+        branches = [0] * len(subs) + [1] * len(subs)
+        groups = groups_of(index.data, index.starts, branches)
+        assert sorted(len(g) for g in groups) == [2, 2, 3, 3]
+        assert all(len({branches[i] for i in g}) == 1 for g in groups)
+        assert [branches[g[0]] for g in groups] == [0, 0, 1, 1]
+
 
 class TestRecoverGroup:
     def test_exactly_threshold_recovers(self, randomness_for):
         params = make_params(5)
         subs = make_submissions({b"value": 5}, params, randomness_for)
-        outcome = recover_group(*one_group(subs), 5)
+        outcome = recover(subs, 5)
         assert outcome.status == "recovered"
         assert outcome.value == b"value"
         assert outcome.count == 5
 
     def test_below_threshold_unrevealed(self, randomness_for):
+        # A group under the threshold is never recovered: only its size counts.
         params = make_params(5)
         subs = make_submissions({b"value": 4}, params, randomness_for)
-        outcome = recover_group(*one_group(subs), 5)
-        assert outcome.status == "unrevealed"
-        assert outcome.count == 4
+        report = decode_submissions(subs, 5, params)
+        assert report.revealed == {}
+        assert report.unrevealed_multiplicities == {4: 1}
+        assert report.malformed_groups == 0
 
     def test_forced_dummy_group_malformed(self):
         # Random shares fail the authenticated-decryption consistency check.
@@ -132,7 +160,7 @@ class TestRecoverGroup:
             )
             for _ in range(5)
         ]
-        outcome = recover_group(*one_group(subs), 5)
+        outcome = recover(subs, 5)
         assert outcome.status == "malformed"
 
     def test_mixed_ciphertexts_malformed(self, randomness_for):
@@ -143,7 +171,7 @@ class TestRecoverGroup:
             share=good[0].share,
             tag=good[0].tag,
         )
-        assert recover_group(*one_group(good + [evil]), 3).status == "malformed"
+        assert recover(good + [evil], 3).status == "malformed"
 
     @pytest.mark.parametrize("honest_header", [True, False])
     def test_header_must_rederive_the_secret(self, honest_header):
@@ -164,20 +192,59 @@ class TestRecoverGroup:
             x = sharing.random_nonzero_element(rng)
             share = KeyShare(x, sharing.polynomial_eval(coeffs, x))
             subs.append(Submission(ciphertext=ct, share=share, tag=tag))
-        outcome = recover_group(*one_group(subs), 3)
+        outcome = recover(subs, 3)
         assert outcome.status == ("recovered" if honest_header else "malformed")
 
     def test_surplus_members_all_counted(self, randomness_for):
         params = make_params(4)
         subs = make_submissions({b"value": 9}, params, randomness_for)
-        outcome = recover_group(*one_group(subs), 4)
+        outcome = recover(subs, 4)
         assert outcome.status == "recovered"
         assert outcome.count == 9
 
 
+def select_shares(data, starts, threshold):
+    """The reference share selection, as recovery once ran it per group: the
+    first ``threshold`` shares with pairwise-distinct x in (x, y) order, or
+    all distinct x if fewer.
+
+    Shares are compared as their serialized x||y bytes, whose order is the
+    (x, y) order as both coordinates are fixed-width big-endian.  Only the
+    ``threshold`` smallest are taken, unless a duplicate x among them means
+    the rest must be looked at too.
+    """
+    for k in (threshold, len(starts)):
+        chosen = []
+        for share in heapq.nsmallest(k, (data[s + TAG_SIZE : s + SHARE_END] for s in starts)):
+            # Sorted, so a repeated x follows its first (smallest-y) share.
+            if not chosen or share[:FIELD_BYTES] != chosen[-1][:FIELD_BYTES]:
+                chosen.append(share)
+                if len(chosen) == threshold:
+                    break
+        if len(chosen) == threshold:
+            break
+    return [
+        (int.from_bytes(share[:FIELD_BYTES], "big"), int.from_bytes(share[FIELD_BYTES:], "big"))
+        for share in chosen
+    ]
+
+
+def reference_points(data, starts, threshold):
+    """What ``select_points`` must give one group: None if a member's
+    length-prefixed ciphertext differs from the first member's over its
+    width, or if ``select_shares`` finds fewer than ``threshold`` distinct x;
+    else ``select_shares``' points."""
+    first = data[starts[0] + SHARE_END : submission_end(data, starts[0])]
+    if any(data[s + SHARE_END : s + SHARE_END + len(first)] != first for s in starts):
+        return None
+    points = select_shares(data, starts, threshold)
+    return points if len(points) == threshold else None
+
+
 def check_share_selection(shares, threshold):
     """``select_shares`` against today's rule, written out as the oracle:
-    sort every share by (x, y), then take the first ``threshold`` distinct x."""
+    sort every share by (x, y), then take the first ``threshold`` distinct x;
+    ``select_points`` gives the same points, or None with too few."""
     subs = [Submission(ciphertext=b"ct", share=KeyShare(x, y), tag=b"t" * 32) for x, y in shares]
     index = index_of(subs)
     expected, seen = [], set()
@@ -188,9 +255,45 @@ def check_share_selection(shares, threshold):
             if len(expected) == threshold:
                 break
     assert select_shares(index.data, index.starts, threshold) == expected
+    bounds = np.array([0, len(shares)])
+    [points] = select_points(index.data, index.starts, bounds, threshold)
+    assert points == (expected if len(expected) == threshold else None)
     if len(expected) < threshold:
         # Too few distinct x: the (consistent) group cannot be interpolated.
-        assert recover_group(index.data, index.starts, threshold).status == "malformed"
+        assert recover_group(index.data, int(index.starts[0]), len(shares), points).status == "malformed"
+
+
+# x values whose high words agree in all but the lowest bits, so they tie in
+# the top bits of x that ``select_points`` sorts on and its exact (x, y)
+# order settles them.
+_TIED_HIGH = 0x1234_5678_9ABC_DEF0
+TIED_XS = [(_TIED_HIGH ^ flip) << 64 | low for flip in (0, 1, 2) for low in (5, 9)]
+
+
+@st.composite
+def share_groups(draw):
+    """Groups of submissions for one ``select_points`` call: each member a
+    (ciphertext, x, y), with duplicate x, x tied in the sort key's high
+    bits, foreign ciphertexts of the group's width and of another, and
+    groups with fewer distinct x than the threshold."""
+    threshold = draw(st.integers(1, 5))
+    xs = st.integers(1, 4) | st.sampled_from(TIED_XS) | st.integers(1, sharing.FIELD_PRIME - 1)
+    ys = st.integers(0, 2) | st.integers(0, sharing.FIELD_PRIME - 1)
+    groups = []
+    for g in range(draw(st.integers(1, 8))):
+        own = b"ct-%d" % (g % 3)  # groups 0 and 3 carry one ciphertext
+        cts = st.just(own) | st.sampled_from([b"ct-%d" % ((g + 1) % 3), own + b"!", b"c"])
+        foreign = draw(st.booleans())
+        members = draw(
+            st.lists(
+                st.tuples(cts if foreign else st.just(own), xs, ys),
+                min_size=threshold,
+                max_size=3 * threshold + 2,
+            )
+        )
+        members[0] = (own,) + members[0][1:]
+        groups.append(members)
+    return threshold, groups
 
 
 class TestSelectShares:
@@ -216,10 +319,33 @@ class TestSelectShares:
             ([(5, 5), (5, 5), (4, 4), (4, 4), (6, 6)], 3),  # duplicate whole shares
             ([(1, 1), (1, 2), (2, 1), (2, 2)], 3),  # fewer distinct x than threshold
             ([(2**127, 0), (1, 2**127), (2**127, 1)], 2),  # byte order is integer order
+            ([(x, 7 - i) for i, x in enumerate(TIED_XS)], 4),  # x tied in the key's high bits
         ],
     )
     def test_cases(self, shares, threshold):
         check_share_selection(shares, threshold)
+
+    @given(case=share_groups(), batch=st.integers(1, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_batches_of_groups_match_the_reference(self, case, batch):
+        """Many groups in one call, cut into batches as small as one member so
+        groups fall on both sides of a batch boundary: each group's points,
+        or None, are the reference's."""
+        threshold, groups = case
+        subs = [
+            Submission(ciphertext=ct, share=KeyShare(x, y), tag=b"t" * 32)
+            for members in groups
+            for ct, x, y in members
+        ]
+        index = index_of(subs)
+        bounds = np.cumsum([0] + [len(members) for members in groups])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(aggregate, "BATCH_MEMBERS", batch)
+            points = list(select_points(index.data, index.starts, bounds, threshold))
+        assert points == [
+            reference_points(index.data, index.starts[lo:hi].tolist(), threshold)
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
 
 
 class TestBuildReport:

@@ -12,16 +12,18 @@ them, and ``service.decode_log`` must give the oracle's reports and CSV.
 """
 
 import hashlib
+import itertools
 import random
 import struct
 from dataclasses import replace
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
+import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from nebula import dummy, service, wire
+from nebula import aggregate, dummy, service, wire
 from nebula.aggregate import HistogramReport, reports_to_csv
 from nebula.encode import KeyShare, build_submission, encryption_key, parse_randomness
 from nebula.harness import value_randomness
@@ -279,3 +281,65 @@ def test_oracle_sees_every_outcome(shared_kp):
     assert reports[0].unrevealed_multiplicities == {1: 1}
     assert reports[0].malformed_groups == 1
     assert reports[1].revealed == {(b"p", b"q"): 3}
+
+
+def chained_log(kp, threshold, records, rng):
+    """The params and the log of SUPER_SUBMISSIONs holding ``records``."""
+    params = derive_params(
+        DpBudget(1.0, 1e-8, 1.0, 1e-8, 1 / 6),
+        overrides={"threshold": threshold, "tsdlap_shift": 1},
+    )
+    messages = []
+    for values in records:
+        rs = [value_randomness(p, kp) for p in make_prefixes(values).prefixes]
+        messages.append(encode_multidim(values, rs, params, rng))
+    return messages, params
+
+
+def frames_of(messages):
+    return b"".join(wire.encode_frame(wire.MSG_SUPER_SUBMISSION, m.to_bytes()) for m in messages)
+
+
+def test_one_tag_under_two_branches(shared_kp):
+    """Layer-2 submissions of [p, q] re-wrapped under the layer-1 key of r:
+    one tag under two branches of layer 2 forms one group per branch."""
+    rng = random.Random(21)
+    messages, params = chained_log(shared_kp, 2, [[b"p", b"q"]] * 3 + [[b"r", b"s"]] * 3, rng)
+
+    def layer1_key(value):
+        return ChaCha20Poly1305(encryption_key(parse_randomness(value_randomness(value, shared_kp)).r1))
+
+    nonce = (2).to_bytes(12, "big")
+    for i in range(3):
+        inner = layer1_key(make_prefixes([b"p"]).prefixes[0]).decrypt(
+            nonce, messages[i].wrapped_layers[0], None
+        )
+        blob = layer1_key(make_prefixes([b"r"]).prefixes[0]).encrypt(nonce, inner, None)
+        messages[3 + i] = replace(messages[3 + i], wrapped_layers=(blob,))
+    log = frames_of(messages)
+    reports, csv_text = service.decode_log(log, params)
+    expected_reports, expected_csv = oracle_decode(log, params.threshold, params)
+    assert expected_reports[1].revealed == {(b"p", b"q"): 3, (b"r", b"q"): 3}
+    assert reports == expected_reports
+    assert csv_text == expected_csv
+
+
+@pytest.mark.parametrize("batch", [1, 5, 9])
+def test_layers_spread_over_batches(shared_kp, monkeypatch, batch):
+    """With a batch constant smaller than most branches, each inner layer is
+    decoded in several batches of whole branches, and the report is the
+    oracle's."""
+    rng = random.Random(22)
+    pairs = itertools.product((b"a", b"b", b"c", b"d"), (b"p", b"q"))
+    copies = [1, 3, 2, 6, 2, 4, 1, 3]
+    records = [[first, second, b"z"] for (first, second), n in zip(pairs, copies) for _ in range(n)]
+    messages, params = chained_log(shared_kp, 2, records, rng)
+    messages += [SuperSubmission(sub, ()) for sub in dummy.create_dummy_batch(params, rng).submissions]
+    rng.shuffle(messages)
+    log = frames_of(messages)
+    expected_reports, expected_csv = oracle_decode(log, params.threshold, params)
+    assert len(expected_reports[2].revealed) > 1
+    monkeypatch.setattr(aggregate, "BATCH_MEMBERS", batch)
+    reports, csv_text = service.decode_log(log, params)
+    assert reports == expected_reports
+    assert csv_text == expected_csv
