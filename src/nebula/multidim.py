@@ -17,9 +17,11 @@ which shows whether the deeper tags (attributes) match below a prefix that
 stayed under the threshold, and the reused Poly1305 one-time key makes
 a forged tag possible (README.md, "Known privacy gap"; ROADMAP open item 12).
 
-Decoding reads a submission log's bytes in place.  ``read_log`` checks
-every record as array operations over the log and keeps columns of
-offsets: each record's layer-1 submission and a cursor at its first
+Decoding reads a submission log's bytes in place.  ``read_log`` finds the
+frames from the bounds the log recorded, checked against their headers as
+array operations, and walks the headers only when it has none that check.
+It checks every record as array operations over the log and keeps columns
+of offsets: each record's layer-1 submission and a cursor at its first
 wrapped blob; no record becomes an object.  A layer's frontier is columns
 (cursor, depth, branch id) over every member of every branch recovered in
 the layer above, cut into batches of whole branches of at most
@@ -283,12 +285,22 @@ def check_frames(
     for ingest and the log reader alike; returns their index, their bounds
     (each frame's offset, then where the walk stopped) and each refusal in
     frame order as (record, message).
+    """
+    bounds = _frame_bounds(data, at)
+    index, refusals = _check_records(data, bounds[:-1], bounds[1:])
+    return index, bounds, refusals
+
+
+def _check_records(
+    data: bytes, heads: np.ndarray, ends: np.ndarray
+) -> tuple[LogIndex, list[tuple[int, str]]]:
+    """Index and check the submission frames of ``data`` whose headers sit
+    at ``heads`` and that end at ``ends``; returns their index and each
+    refusal in frame order as (record, message).
 
     The record rules run over all records at once as array operations, and
     each refused record is worded by the first rule it breaks.
     """
-    bounds = _frame_bounds(data, at)
-    heads, ends = bounds[:-1], bounds[1:]
     types, counts = column(data, "u1", heads + _TYPE_AND_COUNT)
     chained = types == wire.MSG_SUPER_SUBMISSION
     starts = heads + wire.HEADER_SIZE + chained
@@ -297,8 +309,7 @@ def check_frames(
     refused = np.flatnonzero(rules != _KEPT)
     refusals = [(i, _REFUSALS[rule]) for i, rule in zip(refused.tolist(), rules[refused].tolist())]
     layers = int(depths.max(initial=1))
-    index = LogIndex(data, starts, cursors, depths, layers, bool(chained.any()))
-    return index, bounds, refusals
+    return LogIndex(data, starts, cursors, depths, layers, bool(chained.any())), refusals
 
 
 def check_payload(payload: bytes, chained: bool) -> None:
@@ -311,10 +322,10 @@ def check_payload(payload: bytes, chained: bool) -> None:
         raise ValueError(_REFUSALS[rules[0]])
 
 
-def check_log(data: bytes) -> tuple[LogIndex, int]:
+def check_log(data: bytes) -> tuple[LogIndex, np.ndarray]:
     """Check the whole frames that open the submission log ``data`` in
-    place; returns their index and where they end: at the end of ``data``,
-    or where a frame cut short begins.
+    place; returns their index and bounds: each frame's offset, then where
+    they end, at the end of ``data`` or where a frame cut short begins.
 
     What stops the check raises as a record-by-record walk would: the first
     refused record in log order a ValueError worded as ingest words it, a
@@ -325,20 +336,55 @@ def check_log(data: bytes) -> tuple[LogIndex, int]:
     index, bounds, refusals = check_frames(data, 0)
     for _, refusal in refusals:
         raise ValueError(refusal)
-    stop = int(bounds[-1])
-    for msg_type, _, _ in wire.iter_frames(memoryview(data)[stop:]):
+    for msg_type, _, _ in wire.iter_frames(memoryview(data)[int(bounds[-1]) :]):
         raise wire.FrameError(f"unexpected record type {msg_type}")
-    return index, stop
+    return index, bounds
 
 
-def read_log(data: bytes) -> LogIndex:
+# A submission frame's version and type bytes, read as one little-endian word.
+_SUBMISSION_KINDS = tuple(
+    np.uint16(wire.VERSION | msg_type << 8)
+    for msg_type in (wire.MSG_SUBMISSION, wire.MSG_SUPER_SUBMISSION)
+)
+
+
+def _walks_whole(data: bytes, bounds: np.ndarray) -> bool:
+    """Whether ``bounds`` are what ``_frame_bounds(data, 0)`` returns when
+    its walk reaches the end of ``data``.  It checks the walk's steps as
+    array operations: the first frame at 0, each a submission header, each
+    frame ending where the next begins and the last at the end of ``data``."""
+    if len(bounds) == 0 or bounds[0] != 0 or bounds[-1] != len(data) or bounds.min() < 0:
+        return False
+    heads = bounds[:-1]
+    if len(heads) == 0:
+        return True
+    kinds = column(data, "<u2", heads)
+    lengths = column(data, "<u4", heads + 2)
+    return bool(
+        np.array_equal(heads + wire.HEADER_SIZE + lengths, bounds[1:])
+        and lengths.max() <= wire.MAX_PAYLOAD_SIZE
+        and ((kinds == _SUBMISSION_KINDS[0]) | (kinds == _SUBMISSION_KINDS[1])).all()
+    )
+
+
+def read_log(data: bytes, bounds: Optional[np.ndarray] = None) -> LogIndex:
     """Check every record of a submission log in place and index it.
+
+    ``bounds``, each frame's offset then the end of the last, as the log
+    recorded them (int64), stands in for the header walk when it is
+    exactly what the walk would find; otherwise the log is walked, so it
+    never changes an index or an error.
 
     A log fails as ``check_log`` fails, and one that ends inside a frame
     with FrameError ``truncated log record``.
     """
-    index, stop = check_log(data)
-    if stop != len(data):
+    if bounds is not None and _walks_whole(data, bounds):
+        index, refusals = _check_records(data, bounds[:-1], bounds[1:])
+        for _, refusal in refusals:
+            raise ValueError(refusal)
+        return index
+    index, bounds = check_log(data)
+    if bounds[-1] != len(data):
         raise wire.FrameError("truncated log record")
     return index
 

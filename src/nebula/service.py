@@ -13,7 +13,10 @@ recorded anywhere, and the stored log contains only the submission payloads
 A daemon answers each receive buffer at once.  The aggregation daemon checks
 each run of submission frames in it with the log reader's columnar check and
 logs each stretch of good records as one slice of the received bytes, so a
-million-submission ingest is a few calls per receive, not per frame.  Every
+million-submission ingest is a few calls per receive, not per frame.  The
+log keeps the bounds of the frames it holds, found by the check when it
+opens and recorded as it appends, and the seal decodes from those bounds:
+a log's frame headers are walked once, never again at the seal.  Every
 receive, the daemons' and the clients', asks for up to 1 MiB, so a stream is
 checked and logged a thousand or more frames at a time.  Replies leave
 exactly when the socket would block, with Nagle off, so a short batch never
@@ -36,6 +39,8 @@ import threading
 import traceback
 from pathlib import Path
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from . import aggregate, multidim, oprf, wire
 # ``Submission`` and ``SuperSubmission`` are unused here; bench/launch.py
@@ -190,20 +195,32 @@ class SealedError(Exception):
     """Ingestion already sealed; no further submissions accepted."""
 
 
+# Frames a submission log has room for before it copies their bounds to grow.
+_ROOM = 1 << 16
+
+
 class SubmissionLog:
-    """Append-only file of submission frames with an explicit seal barrier."""
+    """Append-only file of submission frames with an explicit seal barrier;
+    it keeps the bounds of the frames it holds, for the seal to read by."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._sealed = self.seal_marker.exists()
+        # Entries 0 .. _frames: each frame's file offset, then the end of the
+        # last.  Room for _ROOM frames is taken up front, so most logs never
+        # copy it to grow, and room not yet written is not resident.
+        self._bounds = np.empty(_ROOM + 1, np.int64)
+        self._bounds[0] = 0
+        self._frames = 0
         if self.path.exists():
             self._check()
         self._file = None if self._sealed else open(self.path, "ab")
 
     def _check(self) -> None:
         """Refuse a log holding what ingest would refuse, as ``read_log``
-        words it, and cut a trailing frame that a crash left short.
+        words it, record the bounds of its whole frames, and cut a trailing
+        frame that a crash left short.
 
         Records are only ever appended, so a frame that runs past the end of
         the file can only be the last write, cut off mid-way.  An unsealed
@@ -216,12 +233,25 @@ class SubmissionLog:
             # restart on a large log stays small in memory.
             while chunk := f.read(_RECV):
                 buf += chunk
-                _, done = check_log(buf)
+                _, bounds = check_log(buf)
+                self._note(bounds, end)
+                done = int(bounds[-1])
                 end, buf = end + done, buf[done:]
         if buf and self._sealed:
             raise wire.FrameError("truncated log record")
         if buf:
             os.truncate(self.path, end)
+
+    def _note(self, bounds: np.ndarray, shift: int) -> None:
+        """Record frames whose bounds are ``bounds + shift``, the first at
+        the end of those recorded."""
+        frames = self._frames + len(bounds) - 1
+        if frames >= len(self._bounds):
+            grown = np.empty(2 * frames, np.int64)
+            grown[: self._frames] = self._bounds[: self._frames]
+            self._bounds = grown
+        np.add(bounds, shift, out=self._bounds[self._frames : frames + 1])
+        self._frames = frames
 
     @property
     def seal_marker(self) -> Path:
@@ -231,14 +261,27 @@ class SubmissionLog:
     def sealed(self) -> bool:
         return self._sealed
 
-    def append(self, frames: bytes | memoryview) -> None:
-        """Append whole submission frames, already checked, as they are."""
+    @property
+    def bounds(self) -> np.ndarray:
+        """Each frame's file offset, then the end of the last, as
+        ``multidim.check_log`` returns them: a view, not a copy."""
+        with self._lock:
+            return self._bounds[: self._frames + 1]
+
+    def append(self, frames: bytes | memoryview, bounds: np.ndarray) -> None:
+        """Append whole submission frames, already checked, as they are.
+        ``bounds`` holds each frame's offset, then the end of the last, from
+        any origin: ``frames`` spans ``bounds[0]`` to ``bounds[-1]``.
+        Recorded under the write's lock, they stay in file order across
+        connections; a write that fails leaves bounds the seal finds stale
+        and walks past."""
         with self._lock:
             if self._sealed:
                 raise SealedError("submission log is sealed")
             if self._file is None:
                 raise ValueError("submission log is closed")
             self._file.write(frames)
+            self._note(bounds, self._bounds[self._frames] - bounds[0])
 
     def flush(self) -> None:
         """Hand appended records to the OS (no fsync): they then survive the
@@ -274,16 +317,19 @@ class SubmissionLog:
                 self._file = None
 
 
-def decode_log(data: bytes, params: DpParams) -> tuple[list[aggregate.HistogramReport], str]:
+def decode_log(
+    data: bytes, params: DpParams, bounds: Optional[np.ndarray] = None
+) -> tuple[list[aggregate.HistogramReport], str]:
     """Decode the bytes of a submission log; returns (reports, csv).
 
     The one decode entry for both transports: the daemon passes its sealed
-    log, the in-process simulation the frames it would have sent.  A plain
+    log and the frame bounds the log recorded (``read_log``'s ``bounds``),
+    the in-process simulation the frames it would have sent.  A plain
     submission is a one-layer record, so only the CSV grammar depends on the
     log: without SUPER_SUBMISSION records it is the plain single-attribute
     report; any SUPER_SUBMISSION makes it layered.
     """
-    index = read_log(data)
+    index = read_log(data, bounds)
     reports = multidim.decode_multidim(index, params.threshold, params)
     if index.chained:
         return reports, multidim.layered_reports_to_csv(reports)
@@ -293,14 +339,15 @@ def decode_log(data: bytes, params: DpParams) -> tuple[list[aggregate.HistogramR
 def seal_and_report(
     log: SubmissionLog, params: DpParams, report_path: str | Path | None
 ) -> tuple[list[aggregate.HistogramReport], Path]:
-    """Seal ``log``, decode it and write the report CSV; returns (reports, path).
+    """Seal ``log``, decode it from the frame bounds it recorded and write
+    the report CSV; returns (reports, path).
 
     A ``report_path`` of None puts the report next to the log as
     ``<log>.report.csv``, appended to the log's full name as the seal
     marker is.
     """
     log.seal()
-    reports, csv_text = decode_log(log.path.read_bytes(), params)
+    reports, csv_text = decode_log(log.path.read_bytes(), params, log.bounds)
     out = Path(report_path or log.path.with_suffix(log.path.suffix + ".report.csv"))
     # Written beside the report and renamed over it, so a crash mid-write
     # leaves the old report or none, never a partial one.
@@ -355,11 +402,11 @@ class AggregationServer(_BaseServer):
                 first = 0
                 for i, error in refusals:
                     if i > first:
-                        replies.append(self._log_frames(view[bounds[first] : bounds[i]], i - first))
+                        replies.append(self._log_frames(view, bounds[first : i + 1]))
                     replies.append(wire.error_frame(wire.ERR_MALFORMED, f"bad submission: {error}"))
                     first = i + 1
                 if first < frames:
-                    replies.append(self._log_frames(view[bounds[first] : at], frames - first))
+                    replies.append(self._log_frames(view, bounds[first:]))
                 frame = next(wire.iter_frames(view[at:]), None)
                 if frame is None:
                     return at
@@ -369,10 +416,12 @@ class AggregationServer(_BaseServer):
         finally:
             self.log.flush()
 
-    def _log_frames(self, frames: memoryview, count: int) -> bytes:
-        """Append ``count`` checked frames to the log; returns their replies."""
+    def _log_frames(self, view: memoryview, bounds: np.ndarray) -> bytes:
+        """Append the checked frames ``view[bounds[i] : bounds[i + 1]]`` to
+        the log; returns their replies."""
+        count = len(bounds) - 1
         try:
-            self.log.append(frames)
+            self.log.append(view[bounds[0] : bounds[-1]], bounds)
         except SealedError:
             return wire.error_frame(wire.ERR_SEALED, "log sealed") * count
         except Exception as exc:  # never crash the daemon

@@ -10,6 +10,7 @@ from nebula import service, wire
 from nebula.cli import main
 from nebula.params import params_from_config
 from nebula.service import SubmissionLog
+from test_log_index import frame_bounds
 
 
 def test_run_writes_outputs(tmp_path):
@@ -77,10 +78,11 @@ def _write_log(tmp_path):
     kp = oprf.keygen(b"\x51" * 32)
     rng = random.Random(0)
     r = value_randomness(b"cli-value", kp)
-    for _ in range(4):
-        log.append(wire.encode_frame(
-            wire.MSG_SUBMISSION, build_submission(b"cli-value", r, params, rng).to_bytes()
-        ))
+    frames = b"".join(
+        wire.encode_frame(wire.MSG_SUBMISSION, build_submission(b"cli-value", r, params, rng).to_bytes())
+        for _ in range(4)
+    )
+    log.append(frames, frame_bounds(frames))
     log.close()
     return cfg, log_path
 

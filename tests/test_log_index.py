@@ -12,13 +12,14 @@ on clean logs index the same records.
 import random
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from nebula import sharing, wire
+from nebula import multidim, sharing, wire
 from nebula.encode import CIPHERTEXT_AT, SHARE_END, TAG_SIZE, Submission, submission_end
-from nebula.multidim import MAX_ATTRIBUTES, SuperSubmission, check_frames, read_log
+from nebula.multidim import MAX_ATTRIBUTES, LogIndex, SuperSubmission, check_frames, read_log
 
 
 def check_record(data: bytes, msg_type: int, start: int, end: int) -> int:
@@ -112,12 +113,19 @@ def reference_read_log(data: bytes):
     return starts, layers, chained
 
 
+def frame_bounds(data: bytes) -> np.ndarray:
+    """Where each whole frame of ``data`` starts, then where the last ends,
+    by ``wire.iter_frames``: the bounds a submission log records for the
+    frames it holds."""
+    return np.array([0, *(end for _, _, end in wire.iter_frames(memoryview(data)))], np.int64)
+
+
 def outcome(read, data: bytes):
     try:
         result = read(data)
     except Exception as exc:  # the class and text are what is compared
         return type(exc), str(exc)
-    if read is read_log:
+    if isinstance(result, LogIndex):
         assert result.cursors.tolist() == [submission_end(data, s) for s in result.starts.tolist()]
         return result.starts.tolist(), result.layers, result.chained
     return result
@@ -294,7 +302,106 @@ _ZERO_X = wire.encode_frame(wire.MSG_SUBMISSION, _CLEAN[6:38] + bytes(16) + _CLE
 )
 def test_first_fault_in_log_order(log, error, message):
     assert outcome(read_log, log) == outcome(reference_read_log, log)
+    assert outcome(lambda data: read_log(data, length_bounds(data)), log) == outcome(read_log, log)
     if error is None:
         assert outcome(read_log, log) == ([], 1, False)
     else:
         assert outcome(read_log, log) == (error, message)
+
+
+# --- the frame offsets a log recorded, standing in for the header walk ------
+
+
+@st.composite
+def clean_logs(draw):
+    """A log of good records: plain, chained and one-layer chained frames."""
+    shapes = draw(st.lists(
+        st.tuples(st.booleans(), st.integers(1, MAX_ATTRIBUTES), st.integers(0, 24)), max_size=12
+    ))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return b"".join(
+        wire.encode_frame(
+            wire.MSG_SUPER_SUBMISSION if chained else wire.MSG_SUBMISSION,
+            record(rng, chained, depth, ct_len),
+        )
+        for chained, depth, ct_len in shapes
+    )
+
+
+def columns(index) -> tuple:
+    return (
+        index.data, index.starts.tolist(), index.cursors.tolist(), index.depths.tolist(),
+        index.starts.dtype, index.cursors.dtype, index.depths.dtype, index.layers, index.chained,
+    )
+
+
+@given(log=clean_logs())
+@settings(max_examples=300, deadline=None)
+def test_recorded_bounds_index_as_the_walk_does(log):
+    bounds = frame_bounds(log)
+    # The bounds pass the check, and they are what the walk finds.
+    assert multidim._walks_whole(log, bounds)
+    assert bounds.tolist() == check_frames(log, 0)[1].tolist()
+    assert columns(read_log(log, bounds)) == columns(read_log(log))
+
+
+STALE = ("drop", "shift", "extra", "longer", "shorter", "no_frames", "empty")
+
+
+def length_bounds(log: bytes) -> np.ndarray:
+    """Every header of ``log`` found by its length field alone, bad headers
+    too, then where the last frame ends: bounds that chain up, so only the
+    header check can refuse them."""
+    bounds = [0]
+    while bounds[-1] + wire.HEADER_SIZE <= len(log):
+        bounds.append(bounds[-1] + wire.HEADER_SIZE + struct.unpack_from("<I", log, bounds[-1] + 2)[0])
+    return np.array(bounds, np.int64)
+
+
+def stale_bounds(kind: str, log: bytes, bounds: np.ndarray, rng: random.Random) -> np.ndarray:
+    """A log's ``bounds`` made stale as ``kind`` says; the log holds at
+    least one frame."""
+    i = rng.randrange(len(bounds) - 1)  # a frame, not the end
+    if kind == "drop":
+        return np.delete(bounds, i)
+    if kind == "shift":
+        return bounds + np.where(np.arange(len(bounds)) == i, rng.choice([-1, 1]), 0)
+    if kind == "extra":
+        extra = rng.choice(sorted(set(range(1, len(log))) - set(bounds.tolist())))
+        return np.sort(np.append(bounds, extra))
+    if kind == "longer":  # the bounds of this log with one more frame
+        return np.append(bounds, bounds[-1] + rng.randrange(wire.HEADER_SIZE, 200))
+    if kind == "shorter":  # the bounds of this log without its last frame
+        return bounds[:-1]
+    if kind == "no_frames":  # the bounds of an empty log
+        return np.zeros(1, np.int64)
+    return np.empty(0, np.int64)
+
+
+@given(log=st.one_of(clean_logs(), faulty_logs()), kind=st.sampled_from(STALE), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=500, deadline=None)
+def test_stale_bounds_read_as_the_walk_reads(log, kind, seed):
+    # The walk's own bounds, then the same made stale: a torn or refused log
+    # fails with the walk's class and message, a clean one indexes the same.
+    _, bounds, _ = check_frames(log, 0)
+    expected = outcome(read_log, log)
+    assert outcome(lambda data: read_log(data, bounds), log) == expected
+    assert outcome(lambda data: read_log(data, length_bounds(data)), log) == expected
+    if len(bounds) == 1:
+        return
+    stale = stale_bounds(kind, log, bounds, random.Random(seed))
+    event(kind)
+    assert not multidim._walks_whole(log, stale)
+    assert outcome(lambda data: read_log(data, stale), log) == expected
+    if not isinstance(expected[1], str):
+        assert columns(read_log(log, stale)) == columns(read_log(log))
+
+
+def test_bounds_over_an_oversized_frame_read_as_the_walk_reads():
+    # A whole frame longer than any submission, its bounds recorded.
+    log = _CLEAN + header(wire.VERSION, wire.MSG_SUBMISSION, wire.MAX_PAYLOAD_SIZE + 1) + bytes(
+        wire.MAX_PAYLOAD_SIZE + 1
+    )
+    assert length_bounds(log).tolist() == [0, len(_CLEAN), len(log)]
+    assert outcome(lambda data: read_log(data, length_bounds(data)), log) == outcome(read_log, log)
+    assert outcome(read_log, log) == (wire.FrameError, "frame payload too large")

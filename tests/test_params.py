@@ -123,6 +123,42 @@ class TestDeriveParams:
             params_from_config(text.replace(old, new))
 
 
+def _params(**pinned) -> DpParams:
+    """Mechanism parameters that keep every rule, but those ``pinned``."""
+    fields = {"sampling_rate": 0.5, "threshold": 5, "tsdlap_scale": 1.0, "tsdlap_shift": 3}
+    return DpParams(budget=budget(), **(fields | pinned))
+
+
+# Each refusal of params.py that no other test words, and its message.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: DpBudget(1.0, 1.0, 1.0, 1e-8, 0.5), "delta_revealed must lie in (0, 1)"),
+        (lambda: DpBudget(1.0, 1e-8, 1.0, 0.0, 0.5), "delta_unrevealed must lie in (0, 1)"),
+        (lambda: DpBudget(1.0, 1e-8, 1.0, 1e-8, 0.0), "alpha must lie in (0, 1]"),
+        (lambda: DpBudget(1.0, 1e-8, 1.0, 1e-6, 0.5), "delta_unrevealed must not exceed delta_revealed"),
+        (lambda: _params(sampling_rate=1.5), "sampling_rate must lie in (0, 1]"),
+        (lambda: _params(tsdlap_scale=0.0), "tsdlap_scale must be positive"),
+        (lambda: _params(tsdlap_shift=-1), "tsdlap_shift must be a non-negative integer"),
+        (lambda: derive_params(budget(), overrides={"threshold": "five"}),
+         "threshold = 'five' is not a valid int"),
+        (lambda: derive_params(budget(), overrides={"treshold": 5}), "unknown override fields: ['treshold']"),
+        (lambda: tsdlap_pmf(0, 0.0, 15), "scale must be positive"),
+        (lambda: tsdlap_sample(random.Random(0), 1.0, -1), "shift must be non-negative"),
+        (lambda: params_from_config("# params\n\nthreshold 20\n"), "config line 3 is not 'key = value'"),
+    ],
+    ids=[
+        "delta_revealed", "delta_unrevealed", "alpha", "delta_order", "sampling_rate",
+        "tsdlap_scale", "tsdlap_shift", "not_valid", "unknown_override", "scale", "shift",
+        "config_line",
+    ],
+)
+def test_refusal_words(call, message):
+    with pytest.raises(ParameterError) as raised:
+        call()
+    assert str(raised.value) == message
+
+
 class TestBinomialRatio:
     def test_ratio_identity_exact(self):
         # Ratio of the two sampling likelihoods equals (1-p)k/(k-v), checked

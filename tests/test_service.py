@@ -8,8 +8,10 @@ import shutil
 import socket
 import stat
 import struct
+import sys
 import tempfile
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -19,7 +21,7 @@ from hypothesis.stateful import (
     RuleBasedStateMachine, initialize, invariant, precondition, rule,
 )
 
-from nebula import oprf, sharing, wire
+from nebula import multidim, oprf, service, sharing, wire
 from nebula.aggregate import decode_submissions, report_to_csv
 from nebula.encode import (
     CIPHERTEXT_AT, SHARE_END, KeyShare, Submission, build_submission, submission_end,
@@ -28,7 +30,7 @@ from nebula.harness import value_randomness
 from nebula.multidim import (
     SuperSubmission, decode_multidim, encode_multidim, layered_reports_to_csv, make_prefixes,
 )
-from nebula.params import DpBudget, derive_params
+from nebula.params import DpBudget, derive_params, params_to_config
 from nebula.service import (
     AggregationServer,
     RandomnessServer,
@@ -42,7 +44,7 @@ from nebula.service import (
     read_log,
     seal_and_report,
 )
-from test_log_index import check_record, refusal
+from test_log_index import check_record, frame_bounds, refusal
 
 PARAMS = derive_params(
     DpBudget(1.0, 1e-8, 1.0, 1e-8, 1 / 6),
@@ -264,6 +266,11 @@ class TestRandomnessEndpoint:
 def _log_of(subs) -> bytes:
     """The log bytes that hold ``subs`` as SUBMISSION records, in order."""
     return b"".join(wire.encode_frame(wire.MSG_SUBMISSION, s.to_bytes()) for s in subs)
+
+
+def _append(log: SubmissionLog, frames: bytes) -> None:
+    """Append whole ``frames`` to ``log`` as ingest does, with their offsets."""
+    log.append(frames, frame_bounds(frames))
 
 
 def _make_submissions(spec, seed=0):
@@ -588,7 +595,7 @@ def reference_ingest(server, stream: bytes) -> bytes:
                 replies.append(wire.error_frame(wire.ERR_MALFORMED, f"bad submission: {exc}"))
                 continue
             try:
-                server.log.append(wire.encode_frame(msg_type, payload))
+                _append(server.log, wire.encode_frame(msg_type, payload))
             except SealedError:
                 replies.append(wire.error_frame(wire.ERR_SEALED, "log sealed"))
             except ValueError as exc:  # the log is closed
@@ -801,9 +808,9 @@ class TestBatchIngest:
         writes = []
         append = SubmissionLog.append
 
-        def recording_append(log, frames):
+        def recording_append(log, frames, bounds):
             writes.append(bytes(frames))
-            append(log, frames)
+            append(log, frames, bounds)
 
         monkeypatch.setattr(SubmissionLog, "append", recording_append)
         try:
@@ -898,16 +905,16 @@ class TestLogLifecycle:
         log = SubmissionLog(tmp_path / "log.bin")
         log.seal()
         with pytest.raises(SealedError):
-            log.append(wire.encode_frame(wire.MSG_SUBMISSION, b"\x00"))
+            _append(log, wire.encode_frame(wire.MSG_SUBMISSION, b"\x00"))
 
     def test_append_after_close_raises(self, tmp_path):
         subs = _make_submissions({b"x": 1})
         log = SubmissionLog(tmp_path / "log.bin")
-        log.append(_log_of(subs))
+        _append(log, _log_of(subs))
         log.close()
         before = (tmp_path / "log.bin").read_bytes()
         with pytest.raises(ValueError, match="submission log is closed"):
-            log.append(_log_of(subs))
+            _append(log, _log_of(subs))
         assert (tmp_path / "log.bin").read_bytes() == before == _log_of(subs)
 
     def test_seal_after_stop_is_an_error_not_a_seal(self, tmp_path):
@@ -926,7 +933,7 @@ class TestLogLifecycle:
     def test_seal_syncs_directory_and_leaves_no_temporary_file(self, tmp_path, monkeypatch):
         subs = _make_submissions({b"x": 3, b"y": 1})
         log = SubmissionLog(tmp_path / "log.bin")
-        log.append(_log_of(subs))
+        _append(log, _log_of(subs))
         (tmp_path / "log.bin.report.csv").write_text("stale")
         synced = []
         fsync = os.fsync
@@ -952,7 +959,7 @@ class TestLogLifecycle:
     def test_decode_log_matches_in_process(self, tmp_path):
         subs = _make_submissions({b"x": 5, b"y": 2, b"z": 3})
         log = SubmissionLog(tmp_path / "log.bin")
-        log.append(_log_of(subs))
+        _append(log, _log_of(subs))
         log.seal()
         _, csv_text = decode_log((tmp_path / "log.bin").read_bytes(), PARAMS)
         assert csv_text == report_to_csv(decode_submissions(subs, 3, PARAMS))
@@ -1046,12 +1053,12 @@ class TestLogLifecycle:
         subs = _make_submissions({b"x": 5, b"w": 1})
         path = tmp_path / "log.bin"
         log = SubmissionLog(path)
-        log.append(_log_of(subs[:4]))
+        _append(log, _log_of(subs[:4]))
         log.close()
         with open(path, "r+b") as f:
             f.truncate(path.stat().st_size - 10)
         log = SubmissionLog(path)
-        log.append(_log_of(subs[4:5]))
+        _append(log, _log_of(subs[4:5]))
         log.seal()
         assert path.read_bytes() == _log_of(subs[:3] + subs[4:5])
         _, csv_text = decode_log(path.read_bytes(), PARAMS)
@@ -1086,7 +1093,7 @@ class TestLogLifecycle:
         subs = _make_submissions({b"x": 3})
         path = tmp_path / "log.bin"
         log = SubmissionLog(path)
-        log.append(_log_of(subs))
+        _append(log, _log_of(subs))
         log.close()
         raw = bytearray(path.read_bytes())
         raw[len(wire.encode_frame(wire.MSG_SUBMISSION, subs[0].to_bytes()))] = 16
@@ -1105,8 +1112,10 @@ class TestLogLifecycle:
         path.write_bytes(b"".join(frames))
         if sealed:
             (tmp_path / "log.bin.sealed").touch()
-        SubmissionLog(path).close()
+        opened = SubmissionLog(path)
+        opened.close()
         assert path.read_bytes() == b"".join(frames)
+        assert opened.bounds.tolist() == frame_bounds(b"".join(frames)).tolist()
         for bad, message in [
             (_BAD_RECORDS["x_zero"](), "zero x-coordinate"),
             (_BAD_RECORDS["unknown_record_type"](), "unexpected record type 6"),
@@ -1125,7 +1134,7 @@ class TestLogLifecycle:
         # frame is damage, not a crash mid-write, and is kept for a look.
         path = tmp_path / "log.bin"
         log = SubmissionLog(path)
-        log.append(_log_of(_make_submissions({b"x": 3})))
+        _append(log, _log_of(_make_submissions({b"x": 3})))
         log.seal()
         with open(path, "r+b") as f:
             f.truncate(path.stat().st_size - 10)
@@ -1318,3 +1327,126 @@ TestAggregationDaemonModel = AggregationDaemonModel.TestCase
 TestAggregationDaemonModel.settings = settings(
     max_examples=16, stateful_step_count=12, deadline=None
 )
+
+
+@pytest.fixture()
+def seal_walks(monkeypatch):
+    """The length of each buffer that ``multidim._frame_bounds`` walks while
+    ``service.decode_log`` runs, the seal's decode included."""
+    walks: list[int] = []
+    decoding = threading.Event()
+    frame_bounds, decode = multidim._frame_bounds, service.decode_log
+
+    def spy(data, at):
+        if decoding.is_set():
+            walks.append(len(data) - at)
+        return frame_bounds(data, at)
+
+    def traced(*args):
+        decoding.set()
+        try:
+            return decode(*args)
+        finally:
+            decoding.clear()
+
+    monkeypatch.setattr(multidim, "_frame_bounds", spy)
+    monkeypatch.setattr(service, "decode_log", traced)
+    return walks
+
+
+class TestSealFromRecordedBounds:
+    """The seal reads the log's frames from the bounds the log recorded as
+    it opened and appended, so it never walks their headers again, and it
+    reports what the walk would."""
+
+    def test_a_decode_without_bounds_walks_the_log(self, seal_walks):
+        # The spy sees the walk it must not see at a seal.
+        data = _frames(_model_payloads())
+        service.decode_log(data, PARAMS)
+        assert seal_walks == [len(data)]
+
+    @given(records=st.lists(_RECORDS, max_size=24))
+    @settings(max_examples=60, deadline=None)
+    def test_recorded_bounds_decode_as_the_walk_does(self, records):
+        data = _frames(records)
+        reports, csv_text = decode_log(data, PARAMS, frame_bounds(data))
+        assert (reports, csv_text) == decode_log(data, PARAMS)
+
+    def test_daemon_fed_by_concurrent_connections_seals_without_a_walk(
+        self, aggregation_server, tmp_path, seal_walks
+    ):
+        # More connections than cores, each handler thread switched out
+        # often: bounds recorded out of file order or lost would make the
+        # seal walk.
+        records = _model_payloads() * 30
+        stream = _frames(records)
+
+        def send(_):
+            with ServiceClient("127.0.0.1", aggregation_server.port) as client:
+                return client.submit_raw(stream, len(records))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(3) as pool:
+                assert list(pool.map(send, range(3), timeout=60)) == [(len(records), 0)] * 3
+        finally:
+            sys.setswitchinterval(interval)
+        with ServiceClient("127.0.0.1", aggregation_server.port) as client:
+            client.seal_and_decode()
+        assert seal_walks == []
+        log = aggregation_server.log.path.read_bytes()
+        assert len(log) == 3 * len(stream)
+        assert aggregation_server.log.bounds.tolist() == frame_bounds(log).tolist()
+        assert (tmp_path / "report.csv").read_text() == decode_log(log, PARAMS)[1]
+
+    def test_restarted_daemon_seals_without_a_walk(self, tmp_path, seal_walks):
+        # The first daemon's log loses the end of a last write; the second
+        # cuts it when the log opens, takes more and seals.
+        records = _model_payloads()
+        stream, path = _frames(records), tmp_path / "log.bin"
+        for restarted in (False, True):
+            server = AggregationServer(("127.0.0.1", 0), path, PARAMS, tmp_path / "report.csv")
+            server.start_background()
+            try:
+                with ServiceClient("127.0.0.1", server.port) as client:
+                    assert client.submit_raw(stream, len(records)) == (len(records), 0)
+                    if restarted:
+                        client.seal_and_decode()
+            finally:
+                server.stop()
+            if not restarted:
+                with open(path, "ab") as f:
+                    f.write(stream[:100])
+        assert seal_walks == []
+        assert path.read_bytes() == stream + stream
+        assert (tmp_path / "report.csv").read_text() == decode_log(stream + stream, PARAMS)[1]
+
+    def test_bounds_grow_past_the_room_taken_up_front(self, tmp_path, monkeypatch, seal_walks):
+        # Appends and the open check both outgrow a room of three frames.
+        monkeypatch.setattr(service, "_ROOM", 3)
+        records = _model_payloads()
+        path = tmp_path / "log.bin"
+        log = SubmissionLog(path)
+        for record in records:
+            _append(log, wire.encode_frame(*record))
+        assert log.bounds.tolist() == frame_bounds(_frames(records)).tolist()
+        log.close()
+        again = SubmissionLog(path)
+        _append(again, _frames(records))
+        _, out = seal_and_report(again, PARAMS, tmp_path / "report.csv")
+        assert seal_walks == []
+        assert again.bounds.tolist() == frame_bounds(path.read_bytes()).tolist()
+        assert out.read_text() == decode_log(path.read_bytes(), PARAMS)[1]
+
+    def test_offline_seal_and_decode_without_a_walk(self, tmp_path, seal_walks):
+        from nebula.cli import main
+
+        stream, path, cfg = _frames(_model_payloads()), tmp_path / "log.bin", tmp_path / "params.cfg"
+        path.write_bytes(stream)
+        cfg.write_text(params_to_config(PARAMS))
+        report = tmp_path / "report.csv"
+        argv = ["aggregation-server", "--log", str(path), "--params", str(cfg), "--report", str(report)]
+        assert main([*argv, "--seal-and-decode"]) == 0
+        assert seal_walks == []
+        assert report.read_text() == decode_log(stream, PARAMS)[1]
