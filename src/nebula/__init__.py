@@ -1,32 +1,6 @@
 """Private histogram estimation with client sampling, threshold secret
 sharing, dummy-data noise, and an untrusted verifiable-OPRF randomness
-server."""
+server.
 
-from .params import (
-    DpBudget,
-    DpParams,
-    ParameterError,
-    derive_params,
-    tsdlap_pmf,
-    tsdlap_sample,
-)
-from .encode import Submission, build_submission, participate
-from .aggregate import HistogramReport, decode_submissions
-from .multidim import SuperSubmission, decode_multidim, encode_multidim
-
-__all__ = [
-    "DpBudget",
-    "DpParams",
-    "ParameterError",
-    "derive_params",
-    "tsdlap_pmf",
-    "tsdlap_sample",
-    "Submission",
-    "build_submission",
-    "participate",
-    "HistogramReport",
-    "decode_submissions",
-    "SuperSubmission",
-    "decode_multidim",
-    "encode_multidim",
-]
+The package root exports nothing: import the module that holds a name, so
+that a process loads only the modules it uses."""

@@ -7,9 +7,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import harness, service
-from .params import DpBudget, ParameterError, derive_params, params_from_config, params_to_config
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="nebula")
@@ -63,6 +60,8 @@ def _fail(command: str, message: object) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from . import harness
+    from .params import DpBudget, ParameterError, derive_params, params_to_config
     overrides = {}
     if args.tau_override is not None:
         overrides["threshold"] = args.tau_override
@@ -126,42 +125,45 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # Each command imports what it runs, so a daemon starts on its own modules only.
     if args.command == "run":
         return _cmd_run(args)
     # Each daemon is built (its inputs read, its log opened, its socket
     # bound) before it serves, and a log opened before it is sealed, so no
     # error raised after that point is reported as bad input.
     if args.command == "randomness-server":
+        from . import net
         if args.key_seed_file is None:
             return _fail(args.command, "--key-seed-file (or NEBULA_KEY_SEED_FILE) required")
         try:
-            server = service.randomness_server(args.listen, args.key_seed_file)
+            server = net.randomness_server(args.listen, args.key_seed_file)
         except (OSError, ValueError) as exc:
             return _fail(args.command, exc)
-        service.serve(server)
+        net.serve(server)
         return 0
-    if args.command == "aggregation-server":
-        if args.log is None or args.params is None:
-            return _fail(args.command, "--log and --params (or env equivalents) required")
-        if not args.seal_and_decode:
-            try:
-                server = service.aggregation_server(args.listen, args.log, args.params, args.report)
-            except (OSError, ValueError) as exc:
-                return _fail(args.command, exc)
-            service.serve(server)
-            return 0
-        # Sealing is permanent, so a mistyped path must not seal a new log.
-        if not Path(args.log).is_file():
-            return _fail(args.command, f"--seal-and-decode: no log at {args.log}")
+    # The one command left: aggregation-server.
+    from . import net, service
+    from .params import params_from_config
+    if args.log is None or args.params is None:
+        return _fail(args.command, "--log and --params (or env equivalents) required")
+    if not args.seal_and_decode:
         try:
-            params = params_from_config(Path(args.params).read_text())
-            log = service.SubmissionLog(args.log)
+            server = service.aggregation_server(args.listen, args.log, args.params, args.report)
         except (OSError, ValueError) as exc:
             return _fail(args.command, exc)
-        _, out = service.seal_and_report(log, params, args.report)
-        print(f"report written to {out}")
+        net.serve(server)
         return 0
-    return 2
+    # Sealing is permanent, so a mistyped path must not seal a new log.
+    if not Path(args.log).is_file():
+        return _fail(args.command, f"--seal-and-decode: no log at {args.log}")
+    try:
+        params = params_from_config(Path(args.params).read_text())
+        log = service.SubmissionLog(args.log)
+    except (OSError, ValueError) as exc:
+        return _fail(args.command, exc)
+    _, out = service.seal_and_report(log, params, args.report)
+    print(f"report written to {out}")
+    return 0
 
 
 if __name__ == "__main__":

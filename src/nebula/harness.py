@@ -40,7 +40,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import aggregate, dummy, oprf, service, wire
+from . import aggregate, dummy, net, oprf, service, wire
 from .encode import Submission, build_submission, participate
 from .multidim import SuperSubmission, encode_multidim, geo_attributes, make_prefixes
 from .params import DpParams, params_to_config
@@ -428,7 +428,7 @@ def run_nebula(
             base = Path(stack.enter_context(tempfile.TemporaryDirectory()))
             pair = stack.enter_context(DaemonPair(params, DEFAULT_SERVER_SEED, base))
             distinct = sorted({x for xs in oprf_inputs for x in xs})
-            with service.ServiceClient("127.0.0.1", pair.randomness_port) as rc:
+            with net.ServiceClient("127.0.0.1", pair.randomness_port) as rc:
                 randomness = dict(zip(distinct, rc.oblivious_randomness(distinct, blind_rng)))
         else:
             keypair = oprf.keygen(DEFAULT_SERVER_SEED)
@@ -451,7 +451,7 @@ def run_nebula(
         frames = [wire.encode_frame(msg_type, m.to_bytes()) for m in messages]
 
         if transport == "daemons":
-            with service.ServiceClient("127.0.0.1", pair.aggregation_port) as ac:
+            with net.ServiceClient("127.0.0.1", pair.aggregation_port) as ac:
                 _, errors = ac.submit_raw(b"".join(frames), len(frames))
                 if errors:
                     raise RuntimeError(f"{errors} submissions rejected")

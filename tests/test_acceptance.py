@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nebula import dummy, harness, oprf, service, sharing, wire
+from nebula import dummy, harness, net, oprf, sharing, wire
 from nebula.aggregate import (
     decode_submissions,
     group_by_tag,
@@ -389,7 +389,7 @@ def test_criterion_13_scale_smoke(submission_payloads):
     with tempfile.TemporaryDirectory() as tmp:
         with harness.DaemonPair(params, b"\x71" * 32, Path(tmp)) as pair:
             t0 = time.perf_counter()
-            with service.ServiceClient(
+            with net.ServiceClient(
                 "127.0.0.1", pair.aggregation_port, timeout=300
             ) as client:
                 t_ingest = time.perf_counter()

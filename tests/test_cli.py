@@ -1,12 +1,16 @@
 """CLI surface tests: the run command, the offline seal-and-decode path and
 the daemons' start-up checks."""
 
+import os
 import random
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from nebula import service, wire
+from nebula import net, wire
 from nebula.cli import main
 from nebula.params import params_from_config
 from nebula.service import SubmissionLog
@@ -262,6 +266,48 @@ def test_randomness_server_refuses_missing_seed_file(tmp_path, capsys):
     assert "missing.seed" in _one_line(capsys)
 
 
+def test_randomness_server_refuses_no_seed_file(capsys, monkeypatch):
+    monkeypatch.delenv("NEBULA_KEY_SEED_FILE", raising=False)
+    rc = main(["randomness-server", "--listen", "127.0.0.1:0"])
+    assert rc == 2
+    assert _one_line(capsys) == (
+        "nebula randomness-server: --key-seed-file (or NEBULA_KEY_SEED_FILE) required\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "daemon, flags, unloaded",
+    [
+        # The OPRF daemon needs none of the decoder, the encoder or numpy.
+        ("randomness-server", ["--key-seed-file", "{tmp}/missing.seed"],
+         {"numpy", "nebula.aggregate", "nebula.multidim", "nebula.encode", "nebula.params",
+          "nebula.harness"}),
+        # The aggregation daemon decodes, but never simulates or builds dummies.
+        ("aggregation-server", ["--log", "{tmp}/absent/new.log", "--params", "{tmp}/params.cfg"],
+         {"nebula.harness", "nebula.dummy"}),
+    ],
+    ids=["randomness", "aggregation"],
+)
+def test_daemon_start_up_imports_only_what_it_serves(tmp_path, daemon, flags, unloaded):
+    # A start-up refusal runs every import the daemon makes before it would
+    # serve; a fresh interpreter shows what they loaded.
+    _write_log(tmp_path)
+    argv = [daemon, "--listen", "127.0.0.1:0", *(f.format(tmp=tmp_path) for f in flags)]
+    script = (
+        "import sys\n"
+        "from nebula.cli import main\n"
+        f"rc = main({argv!r})\n"
+        "print(rc, *sorted(sys.modules))\n"
+    )
+    src = str(Path(net.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    rc, *loaded = proc.stdout.split()
+    assert rc == "2" and proc.stderr.startswith(f"nebula {daemon}: "), proc.stderr
+    assert unloaded.isdisjoint(loaded)
+
+
 def test_aggregation_server_refuses_log_in_missing_directory(tmp_path, capsys):
     cfg, _ = _write_log(tmp_path)
     before = sorted(tmp_path.iterdir())
@@ -325,7 +371,7 @@ def test_randomness_server_refuses_unresolvable_host(tmp_path, capsys, monkeypat
     def server_bind(server):
         raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
 
-    monkeypatch.setattr(service.RandomnessServer, "server_bind", server_bind)
+    monkeypatch.setattr(net.RandomnessServer, "server_bind", server_bind)
     seed = tmp_path / "seed"
     seed.write_bytes(b"\x01" * 32)
     rc = main(["randomness-server", "--listen", "nowhere:0", "--key-seed-file", str(seed)])
@@ -377,7 +423,7 @@ def test_aggregation_server_refuses_log_holding_a_refused_record(
         (tmp_path / "log.bin.sealed").touch()
     before = {p: p.read_bytes() for p in tmp_path.iterdir()}
     # A daemon that starts returns at once instead of serving.
-    monkeypatch.setattr(service, "serve", lambda server: server.server_close())
+    monkeypatch.setattr(net, "serve", lambda server: server.server_close())
     flags = ["--seal-and-decode"] if seal else ["--listen", "127.0.0.1:0"]
     rc = main(["aggregation-server", "--log", str(log_path), "--params", str(cfg),
                "--report", str(tmp_path / "report.csv"), *flags])

@@ -23,8 +23,9 @@ from nebula.multidim import (
     layered_reports_to_csv,
     make_prefixes,
 )
+from nebula.net import ServiceClient
 from nebula.params import DpBudget, derive_params
-from nebula.service import AggregationServer, ServiceClient
+from nebula.service import AggregationServer
 
 
 def sha(data) -> str:

@@ -30,19 +30,10 @@ from nebula.harness import value_randomness
 from nebula.multidim import (
     SuperSubmission, decode_multidim, encode_multidim, layered_reports_to_csv, make_prefixes,
 )
+from nebula.net import _RECV, RandomnessServer, ServiceClient, ServiceError, parse_listen
 from nebula.params import DpBudget, derive_params, params_to_config
 from nebula.service import (
-    AggregationServer,
-    RandomnessServer,
-    SealedError,
-    ServiceClient,
-    ServiceError,
-    SubmissionLog,
-    _RECV,
-    decode_log,
-    parse_listen,
-    read_log,
-    seal_and_report,
+    AggregationServer, SealedError, SubmissionLog, decode_log, read_log, seal_and_report,
 )
 from test_log_index import check_record, frame_bounds, refusal
 
