@@ -244,7 +244,7 @@ def recover_group(
 
 
 def decode_submissions(
-    submissions: Iterable[Submission], threshold: int, params: Optional[DpParams] = None
+    submissions: Iterable[Submission], threshold: int, params: DpParams
 ) -> HistogramReport:
     """Single-attribute decode: the one-layer case of ``decode_multidim``,
     which also takes a ``multidim.read_log`` index in place of submissions."""

@@ -153,18 +153,20 @@ def main(argv: list[str] | None = None) -> int:
             return _fail(args.command, exc)
         net.serve(server)
         return 0
-    # Sealing is permanent, so a mistyped path must not seal a new log.
+    # Sealing is permanent, so a mistyped path must not seal a new log, nor
+    # a report path that cannot be written seal an old one.
     if not Path(args.log).is_file():
         return _fail(args.command, f"--seal-and-decode: no log at {args.log}")
     try:
+        report = service.report_file(args.log, args.report)
         params = params_from_config(Path(args.params).read_text())
         log = service.SubmissionLog(args.log)
     except (OSError, ValueError) as exc:
         return _fail(args.command, exc)
-    _, out = service.seal_and_report(log, params, args.report)
+    _, out = service.seal_and_report(log, params, report)
     print(f"report written to {out}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main())  # pragma: no cover - a spawned daemon's entry

@@ -72,11 +72,9 @@ def _sqrt_ratio_m1(u: int, v: int) -> tuple[bool, int]:
 
 
 def _sqrt_ratio(u: int, v: int) -> int:
-    """The non-negative square root of u/v (raises if u/v is not a square)."""
-    was_square, r = _sqrt_ratio_m1(u, v)
-    if not was_square:
-        raise ValueError("not a square")
-    return r
+    """The non-negative square root of u/v.  Only the import-time constants
+    call it, each on a square, and RFC 9496's test vectors pin them."""
+    return _sqrt_ratio_m1(u, v)[1]
 
 
 # a = -1, so a*d - 1 = -d - 1.  The standard constant is the odd root.

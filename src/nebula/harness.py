@@ -35,6 +35,7 @@ import tempfile
 import time
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -361,9 +362,8 @@ class ExperimentResult:
 
 # --- oblivious randomness with per-value caching ----------------------------
 
-_RANDOMNESS_CACHE: dict[tuple[bytes, bytes], bytes] = {}
 
-
+@lru_cache(maxsize=None)
 def value_randomness(value: bytes, keypair: oprf.ServerKeypair) -> bytes:
     """Randomness for a value under a fixed server key, cached per value.
 
@@ -372,12 +372,7 @@ def value_randomness(value: bytes, keypair: oprf.ServerKeypair) -> bytes:
     computes them once per distinct value.  The interactive path itself is
     exercised by the daemons transport and the protocol tests.
     """
-    key = (keypair.mpk.encode(), value)
-    r = _RANDOMNESS_CACHE.get(key)
-    if r is None:
-        r = oprf.evaluate_directly(value, keypair)
-        _RANDOMNESS_CACHE[key] = r
-    return r
+    return oprf.evaluate_directly(value, keypair)
 
 
 # --- the main simulation ----------------------------------------------------
@@ -509,8 +504,6 @@ def run_baseline_local(dataset: Dataset, eps: float, seed: int) -> ExperimentRes
         )
     n = len(dataset.records)
     counts = np.array([true_counts[v] for v in domain], dtype=np.float64)
-    if n == 0:
-        return ExperimentResult(errors={"local": 0.0}, seed=seed)
     scale = 2.0 / eps
     noise = rng.gamma(n, scale, size=len(domain)) - rng.gamma(n, scale, size=len(domain))
     est = np.maximum(counts + noise, 0.0)
@@ -521,8 +514,6 @@ def run_baseline_local(dataset: Dataset, eps: float, seed: int) -> ExperimentRes
 def _vector_error(true_counts: np.ndarray, est_counts: np.ndarray) -> float:
     tt = float(true_counts.sum())
     te = float(est_counts.sum())
-    if tt == 0 and te == 0:
-        return 0.0
     p = true_counts / tt if tt else np.zeros_like(true_counts)
     q = est_counts / te if te else np.zeros_like(est_counts)
     return float(np.abs(p - q).sum())
@@ -582,13 +573,12 @@ class DaemonPair:
         return self
 
     def __exit__(self, *exc) -> None:
+        # Neither daemon handles a signal, so SIGKILL ends it as SIGTERM
+        # would, and no daemon can outlast it.
         for proc in self._procs:
-            proc.terminate()
+            proc.kill()
         for proc in self._procs:
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                proc.kill()
+            proc.wait()
             proc.stdout.close()
 
 

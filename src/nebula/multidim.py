@@ -403,7 +403,7 @@ def _as_log(messages: Iterable[SuperSubmission | Submission]) -> bytes:
 def decode_multidim(
     records: LogIndex | Iterable[SuperSubmission | Submission],
     threshold: int,
-    params: Optional[DpParams] = None,
+    params: DpParams,
 ) -> list[HistogramReport]:
     """Layer-by-layer decoding; recursion halts at sub-threshold prefixes.
 
@@ -552,13 +552,16 @@ def geo_attributes(country: str, latitude: float, longitude: float) -> list[byte
     width with explicit sign, and their character streams interleaved
     (latitude char, longitude char, ...); the interleaved string is cut
     into two-character chunks and the first seven become attributes 2..8.
-    Earlier attributes give coarse location, later ones refine it.
+    Earlier attributes give coarse location, later ones refine it.  A
+    latitude outside [-90, 90] or a longitude outside [-180, 180], NaN
+    included, would not fit the widths and raises ValueError.
     """
+    if not -90 <= latitude <= 90:
+        raise ValueError(f"latitude {latitude} is not in [-90, 90]")
+    if not -180 <= longitude <= 180:
+        raise ValueError(f"longitude {longitude} is not in [-180, 180]")
     lat = f"{latitude:+08.3f}".replace(".", "")   # sign + 2 int + 3 frac = 7 chars
     lon = f"{longitude:+09.3f}".replace(".", "")  # sign + 3 int + 3 frac = 8 chars
     interleaved = "".join(a + b for a, b in zip(lat, lon)) + lon[len(lat):]
     chunks = [interleaved[i : i + 2] for i in range(0, len(interleaved), 2)]
-    attrs = [country.encode()] + [c.encode() for c in chunks[:7]]
-    if len(attrs) != 8:
-        raise ValueError("geographic encoding must produce 8 attributes")
-    return attrs
+    return [country.encode()] + [c.encode() for c in chunks[:7]]

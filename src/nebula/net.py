@@ -86,7 +86,7 @@ class _Handler(socketserver.BaseRequestHandler):
                 # Unrecoverable framing breakage: report and drop the connection.
                 replies.append(wire.error_frame(wire.ERR_MALFORMED, "bad frame"))
                 sock.sendall(b"".join(replies))
-        except (ConnectionError, TimeoutError):
+        except ConnectionError:
             pass
 
 

@@ -102,8 +102,6 @@ class BlindState:
 def keygen(seed: bytes) -> ServerKeypair:
     """Deterministic keypair from a 32-byte seed."""
     msk = hash_to_scalar(seed, DST_KEYGEN)
-    if msk == 0:  # pragma: no cover - probability ~2^-252
-        msk = 1
     return ServerKeypair(msk=msk, mpk=base_mult(msk))
 
 
@@ -124,8 +122,6 @@ def blind(x: bytes, rng, blind_scalar: int | None = None) -> tuple[GroupElement,
     r = blind_scalar if blind_scalar is not None else random_scalar(rng)
     if not 0 < r < ORDER:
         raise ValueError("blinding scalar out of range")
-    if h.is_identity():  # pragma: no cover - negligible
-        raise ValueError("value hashes to the identity")
     b = h * r
     return b, BlindState(blind_scalar=r, blinded=b)
 

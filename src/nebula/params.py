@@ -42,6 +42,7 @@ import math
 import random
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Mapping, Optional
 
 # L1 sensitivity of the sub-threshold multiplicity histogram under removal of
@@ -203,13 +204,7 @@ def _tsdlap_table(scale: float, shift: int) -> tuple[tuple[float, ...], tuple[fl
     weights = [math.exp(-abs(c - shift) / scale) for c in range(2 * shift + 1)]
     total = 1.0 + 2.0 * sum(math.exp(-c / scale) for c in range(1, shift + 1))
     pmf = tuple(w / total for w in weights)
-    cdf = []
-    acc = 0.0
-    for p in pmf:
-        acc += p
-        cdf.append(acc)
-    cdf[-1] = 1.0
-    return pmf, tuple(cdf)
+    return pmf, (*accumulate(pmf[:-1]), 1.0)
 
 
 def tsdlap_pmf(c: int, scale: float, shift: int) -> float:

@@ -186,19 +186,29 @@ def decode_log(
     return reports, aggregate.report_to_csv(reports[0])
 
 
+def report_file(log_path: str | Path, report_path: str | Path | None) -> Path:
+    """Where the report of the log at ``log_path`` is written: ``report_path``,
+    or for None ``<log>.report.csv``, appended to the log's full name as the
+    seal marker is.  A path whose directory does not exist, or that is a
+    directory, raises ValueError."""
+    out = Path(report_path or f"{Path(log_path)}.report.csv")
+    if not out.parent.is_dir():
+        raise ValueError(f"report {out}: no directory {out.parent}")
+    if out.is_dir():
+        raise ValueError(f"report {out} is a directory")
+    return out
+
+
 def seal_and_report(
     log: SubmissionLog, params: DpParams, report_path: str | Path | None
 ) -> tuple[list[aggregate.HistogramReport], Path]:
     """Seal ``log``, decode it from the frame bounds it recorded and write
-    the report CSV; returns (reports, path).
-
-    A ``report_path`` of None puts the report next to the log as
-    ``<log>.report.csv``, appended to the log's full name as the seal
-    marker is.
-    """
+    the report CSV to ``report_file(log.path, report_path)``; returns
+    (reports, path).  The seal is permanent, so a report path that cannot
+    be written raises ValueError before it."""
+    out = report_file(log.path, report_path)
     log.seal()
     reports, csv_text = decode_log(log.path.read_bytes(), params, log.bounds)
-    out = Path(report_path or log.path.with_suffix(log.path.suffix + ".report.csv"))
     # Written beside the report and renamed over it, so a crash mid-write
     # leaves the old report or none, never a partial one.
     partial = out.with_name(out.name + ".partial")
@@ -219,6 +229,8 @@ class AggregationServer(_BaseServer):
         params: DpParams,
         report_path: str | Path | None = None,
     ):
+        # Refused before the socket binds, as a path the seal could not use.
+        report_file(log_path, report_path)
         super().__init__(address)
         try:
             self.log = SubmissionLog(log_path)
@@ -296,7 +308,8 @@ def aggregation_server(
     listen: str, log_path: str, params_path: str, report_path: Optional[str]
 ) -> AggregationServer:
     """The aggregation daemon, bound with its log open but not yet serving;
-    a bad address, parameter file or log raises OSError or ValueError."""
+    a bad address, parameter file, log or report path raises OSError or
+    ValueError."""
     params = params_from_config(Path(params_path).read_text())
     return AggregationServer(parse_listen(listen), log_path, params, report_path)
 

@@ -430,3 +430,88 @@ def test_aggregation_server_refuses_log_holding_a_refused_record(
     assert rc == 2
     assert _one_line(capsys) == f"nebula aggregation-server: {message}\n"
     assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+# --- paths the daemons and the run command take once their input checks out --
+
+
+def test_run_skips_a_local_baseline_over_capacity(tmp_path, capsys, monkeypatch):
+    from nebula import harness
+
+    monkeypatch.setattr(harness, "MAX_ONE_HOT_DOMAIN", 3)
+    out = tmp_path / "out"
+    rc = main(["run", "--dataset", "synthetic:zipf,n=200,domain=5,seed=0", "--eps", "1",
+               "--tau-override", "3", "--shift-override", "2", "--seed", "0",
+               "--out", str(out), "--baselines"])
+    assert rc == 0
+    assert _one_line(capsys) == "local baseline skipped: one-hot domain 5 exceeds 3\n"
+    mechanisms = [line.split(",")[0] for line in (out / "errors.csv").read_text().splitlines()]
+    assert mechanisms == ["mechanism", "nebula", "central"]
+
+
+@pytest.mark.parametrize("daemon", ["randomness-server", "aggregation-server"])
+def test_daemon_serves_once_started(tmp_path, monkeypatch, daemon):
+    # ``net.serve`` stands in for the serving loop: the daemon reaches it
+    # bound, and a clean return exits 0.
+    cfg, _ = _write_log(tmp_path)
+    (tmp_path / "seed").write_bytes(b"\x01" * 32)
+    served = []
+    monkeypatch.setattr(net, "serve", served.append)
+    flags = (["--key-seed-file", str(tmp_path / "seed")] if daemon == "randomness-server"
+             else ["--log", str(tmp_path / "new.log"), "--params", str(cfg)])
+    assert main([daemon, "--listen", "127.0.0.1:0", *flags]) == 0
+    (server,) = served
+    try:
+        assert server.name == daemon.replace("-", " ") and server.port > 0
+    finally:
+        server.stop()
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_seal_and_decode_refuses_a_report_it_cannot_write(tmp_path, capsys, where):
+    # Sealing is permanent: a report that cannot be written must leave the
+    # log unsealed and open to submissions.
+    cfg, log_path = _write_log(tmp_path)
+    report = tmp_path / "nodir" / "report.csv"
+    if where == "directory":
+        report = tmp_path / "report.csv"
+        report.mkdir()
+    message = (f"report {report}: no directory {report.parent}" if where == "missing directory"
+               else f"report {report} is a directory")
+    before = sorted(tmp_path.iterdir())
+    rc = main(["aggregation-server", "--log", str(log_path), "--params", str(cfg),
+               "--report", str(report), "--seal-and-decode"])
+    assert rc == 2
+    assert _one_line(capsys) == f"nebula aggregation-server: {message}\n"
+    assert sorted(tmp_path.iterdir()) == before
+    log = SubmissionLog(log_path)
+    frame = wire.encode_frame(wire.MSG_SUBMISSION, next(wire.iter_frames(log_path.read_bytes()))[1])
+    log.append(frame, frame_bounds(frame))
+    log.close()
+    assert not log.sealed
+
+
+def test_aggregation_server_refuses_a_report_it_cannot_write(tmp_path, capsys, monkeypatch):
+    # A daemon that starts returns at once instead of serving.
+    monkeypatch.setattr(net, "serve", lambda server: server.stop())
+    cfg, _ = _write_log(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    report = tmp_path / "nodir" / "report.csv"
+    rc = main(["aggregation-server", "--listen", "127.0.0.1:0", "--log", str(tmp_path / "new.log"),
+               "--params", str(cfg), "--report", str(report)])
+    assert rc == 2
+    assert _one_line(capsys) == (
+        f"nebula aggregation-server: report {report}: no directory {report.parent}\n"
+    )
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_run_refuses_coordinates_out_of_range(tmp_path, capsys):
+    data = tmp_path / "geo.csv"
+    data.write_text("cc,lat,lon\nTR,41.0,29.0\nUS,123.456,-75.0\n")
+    out = tmp_path / "out"
+    rc = main(["run", "--dataset", str(data), "--geo-columns", "cc,lat,lon", "--eps", "1",
+               "--seed", "0", "--out", str(out)])
+    assert rc == 2
+    assert _one_line(capsys) == "nebula run: latitude 123.456 is not in [-90, 90]\n"
+    assert not out.exists()

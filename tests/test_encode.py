@@ -124,6 +124,11 @@ class TestMakeShare:
         for _ in range(200):
             assert make_share(b"\x07" * 32, b"\x08" * 32, 3, rng).x_coord != 0
 
+    @pytest.mark.parametrize("threshold", [0, -1])
+    def test_polynomial_needs_a_positive_threshold(self, threshold):
+        with pytest.raises(ValueError, match="^threshold must be at least 1$"):
+            sharing.polynomial_from_seeds(b"\x05" * 32, b"\x06" * 32, threshold)
+
 
 class TestInterpolateAtZero:
     @given(data=st.data(), t=st.integers(min_value=1, max_value=32))
@@ -258,7 +263,7 @@ class TestBuildSubmission:
         x = b"popular"
         r = oprf.evaluate_directly(x, kp)
         subs = [build_submission(x, r, params, rng) for _ in range(params.threshold)]
-        report = decode_submissions(subs, params.threshold)
+        report = decode_submissions(subs, params.threshold, params)
         assert report.revealed == {(x,): params.threshold}
 
     def test_distinct_values_distinct_tags(self, randomness_for):

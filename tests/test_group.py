@@ -323,3 +323,22 @@ def test_scalar_encoding():
         group.decode_scalar(group.ORDER.to_bytes(32, "little"))
     with pytest.raises(ValueError):
         group.scalar_inverse(0)
+
+
+@pytest.mark.parametrize("size", [0, 63, 65])
+def test_from_uniform_bytes_refuses_wrong_length(size):
+    with pytest.raises(ValueError, match="^uniform input must be 64 bytes$"):
+        group.GroupElement.from_uniform_bytes(bytes(size))
+
+
+def test_element_never_equals_a_non_element():
+    g = group.GENERATOR
+    assert g.__eq__(g.encode()) is NotImplemented
+    assert g != g.encode() and g != 1
+
+
+def test_equal_elements_hash_alike():
+    # One element built three ways: a product, a sum and a decoding.
+    two = group.base_mult(2)
+    same = {two, group.GENERATOR + group.GENERATOR, group.GroupElement.decode(two.encode())}
+    assert same == {two} and hash(two) == hash(two.encode())

@@ -357,3 +357,76 @@ class TestResultBookkeeping:
         assert "nebula,3,0.25" in text
         harness.write_plot_data(tmp_path / "plot.csv", [("s", 1.0, 0.5)])
         assert "series,x,y" in (tmp_path / "plot.csv").read_text()
+
+
+# --- refusals: each names its class and message -----------------------------
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Dataset(records=(), schema=(), source="?"), ValueError,
+         "schema must name at least one attribute"),
+        (lambda: hash_bin_dataset(synthetic_zipf(5, 3), 0), ValueError, "bits must lie in 1..32"),
+        (lambda: hash_bin_dataset(synthetic_zipf(5, 3), 33), ValueError, "bits must lie in 1..32"),
+        (lambda: synthetic_correlated(5, ()), ValueError, "need at least one level"),
+        (lambda: harness.parse_dataset_spec("zipf,n=5"), ValueError, "not a synthetic dataset spec"),
+        (lambda: load_dataset("synthetic:normal,n=5"), ValueError,
+         "unknown synthetic dataset kind 'normal'"),
+        (lambda: load_dataset("d.csv"), SchemaError, "CSV datasets need --columns or --geo-columns"),
+        (lambda: run_nebula(synthetic_zipf(5, 3), make_params(), 0, mode="chained"), ValueError,
+         "mode must be 'single' or 'multidim'"),
+        (lambda: run_nebula(synthetic_zipf(5, 3), make_params(), 0, transport="tcp"), ValueError,
+         "transport must be 'in_process' or 'daemons'"),
+    ],
+    ids=["no_schema", "bits_0", "bits_33", "no_levels", "not_synthetic", "unknown_kind",
+         "csv_without_columns", "mode", "transport"],
+)
+def test_refusals(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
+
+
+@pytest.mark.parametrize("baseline", [run_baseline_central, run_baseline_local])
+def test_baselines_of_an_empty_dataset_have_no_error(baseline):
+    ds = Dataset(records=(), schema=("v",), source="empty")
+    (error,) = baseline(ds, 1.0, seed=0).errors.values()
+    assert error == 0.0
+
+
+def test_run_nebula_refuses_a_rejected_submission(monkeypatch):
+    # A daemon that refused a submission would decode a different multiset
+    # than the in-process transport; the run stops instead.
+    monkeypatch.setattr(harness.net.ServiceClient, "submit_raw", lambda self, buf, n: (n - 2, 2))
+    ds = synthetic_zipf(50, 5, seed=1)
+    with pytest.raises(RuntimeError) as err:
+        run_nebula(ds, make_params(threshold=1, sampling_rate=1.0), 0, transport="daemons")
+    assert str(err.value) == "2 submissions rejected"
+
+
+def test_daemon_pair_start_up_failure_reaps_both_daemons(tmp_path):
+    # A report path that is a directory stops the aggregation daemon at
+    # start-up: its start-up line never comes, and neither daemon is left.
+    (tmp_path / "report.csv").mkdir()
+    pair = harness.DaemonPair(make_params(), harness.DEFAULT_SERVER_SEED, tmp_path)
+    try:
+        with pytest.raises(RuntimeError) as err:
+            pair.__enter__()
+        assert str(err.value) == "daemon exited during start-up"
+        assert [proc.poll() is not None for proc in pair._procs] == [True, True]
+        assert not pair.log_path.exists()
+    finally:
+        pair.__exit__()  # a no-op here; were the daemons started, it stops them
+
+
+def test_bound_port_gives_up_at_the_deadline():
+    read, write = os.pipe()
+    with open(read, "rb") as stdout:
+        proc = type("Daemon", (), {"stdout": stdout})
+        with pytest.raises(TimeoutError) as err:
+            harness._bound_port(proc, time.monotonic())
+        assert str(err.value) == "daemon did not report its port in time"
+        os.write(write, b"aggregation server listening on 127.0.0.1:4570\n")
+        assert harness._bound_port(proc, time.monotonic() + 5) == 4570
+    os.close(write)

@@ -59,6 +59,11 @@ class TestMakePrefixes:
         with pytest.raises(ValueError):
             make_prefixes([b"x"] * (MAX_ATTRIBUTES + 1))
 
+    def test_attribute_length_cap(self):
+        make_prefixes([b"x" * 0xFFFF])  # the longest a 2-byte length prefix holds
+        with pytest.raises(ValueError, match="^attribute too long$"):
+            make_prefixes([b"a", b"x" * 0x10000])
+
 
 class TestEncodeMultidim:
     def test_per_attribute_size_bound(self, shared_kp):
@@ -332,3 +337,34 @@ class TestGeoAttributes:
         north = geo_attributes("EC", 1.0, -78.0)
         south = geo_attributes("EC", -1.0, -78.0)
         assert north != south
+
+    @pytest.mark.parametrize(
+        "latitude, longitude, attrs",
+        [
+            (41.029717, 28.974420, b"TR ++ 00 40 12 08 39 07"),
+            (90, 180, b"TR ++ 00 91 08 00 00 00"),
+            (-90, -180, b"TR -- 00 91 08 00 00 00"),
+            (0.0, -0.0, b"TR +- 00 00 00 00 00 00"),
+        ],
+    )
+    def test_encodings_pinned_up_to_the_range_edges(self, latitude, longitude, attrs):
+        assert geo_attributes("TR", latitude, longitude) == attrs.split()
+
+    @pytest.mark.parametrize(
+        "latitude, longitude, message",
+        [
+            # Each of these encoded before without an error: the first as
+            # ++/10/20/30/..., the second one digit short, NaN as n0 and a0.
+            (123.456, 0.0, "latitude 123.456 is not in [-90, 90]"),
+            (12345, 0.0, "latitude 12345 is not in [-90, 90]"),
+            (float("nan"), 0.0, "latitude nan is not in [-90, 90]"),
+            (-90.001, 0.0, "latitude -90.001 is not in [-90, 90]"),
+            (0.0, 180.5, "longitude 180.5 is not in [-180, 180]"),
+            (0.0, float("-inf"), "longitude -inf is not in [-180, 180]"),
+            (0.0, float("nan"), "longitude nan is not in [-180, 180]"),
+        ],
+    )
+    def test_coordinates_out_of_range_refused(self, latitude, longitude, message):
+        with pytest.raises(ValueError) as err:
+            geo_attributes("US", latitude, longitude)
+        assert str(err.value) == message

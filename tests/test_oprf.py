@@ -5,7 +5,7 @@ import random
 import pytest
 
 from nebula import oprf
-from nebula.group import GENERATOR, GroupElement
+from nebula.group import GENERATOR, ORDER, GroupElement
 from test_group import window_base_mult
 
 
@@ -51,6 +51,11 @@ class TestBlind:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             oprf.blind(b"", random.Random(0))
+
+    @pytest.mark.parametrize("scalar", [0, ORDER, -1])
+    def test_blind_scalar_out_of_range_rejected(self, scalar):
+        with pytest.raises(ValueError, match="^blinding scalar out of range$"):
+            oprf.blind(b"value", None, blind_scalar=scalar)
 
 
 class TestEvaluate:

@@ -941,6 +941,71 @@ class TestLogLifecycle:
         ]
         assert out.read_text() == report_to_csv(decode_submissions(subs, 3, PARAMS))
 
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_seal_refuses_a_report_it_cannot_write(self, tmp_path, where):
+        # The seal is permanent, so the report path is checked before it:
+        # nothing is sealed, and the log keeps taking submissions.
+        report = tmp_path / "nodir" / "report.csv"
+        if where == "directory":
+            report = tmp_path / "report.csv"
+            report.mkdir()
+        message = (f"report {report}: no directory {report.parent}" if where == "missing directory"
+                   else f"report {report} is a directory")
+        subs = _make_submissions({b"x": 3})
+        log = SubmissionLog(tmp_path / "log.bin")
+        _append(log, _log_of(subs[:2]))
+        with pytest.raises(ValueError) as err:
+            seal_and_report(log, PARAMS, report)
+        assert str(err.value) == message
+        assert not log.sealed and not log.seal_marker.exists()
+        _append(log, _log_of(subs[2:]))
+        log.close()
+        assert (tmp_path / "log.bin").read_bytes() == _log_of(subs)
+
+    def test_daemon_refuses_a_report_it_cannot_write_at_start_up(self, tmp_path):
+        report = tmp_path / "nodir" / "report.csv"
+        with pytest.raises(ValueError) as err:
+            AggregationServer(("127.0.0.1", 0), tmp_path / "log.bin", PARAMS, report)
+        assert str(err.value) == f"report {report}: no directory {report.parent}"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_seal_frame_refuses_a_report_gone_since_start_up(self, tmp_path):
+        # The report's directory goes while the daemon runs: SEAL_DECODE
+        # answers an error and seals nothing, ingest goes on, and the seal
+        # succeeds once the directory is back.
+        (tmp_path / "reports").mkdir()
+        report = tmp_path / "reports" / "report.csv"
+        subs = _make_submissions({b"x": 3})
+        server = AggregationServer(("127.0.0.1", 0), tmp_path / "log.bin", PARAMS, report)
+        server.start_background()
+        try:
+            with ServiceClient("127.0.0.1", server.port) as client:
+                client.submit(subs[0].to_bytes())
+                (tmp_path / "reports").rmdir()
+                with pytest.raises(ServiceError) as err:
+                    client.seal_and_decode()
+                assert err.value.code == wire.ERR_INTERNAL
+                assert str(err.value) == (
+                    f"error {wire.ERR_INTERNAL}: report {report}: no directory {report.parent}"
+                )
+                assert not server.log.sealed and not server.log.seal_marker.exists()
+                for s in subs[1:]:
+                    client.submit(s.to_bytes())
+                (tmp_path / "reports").mkdir()
+                assert "revealed=1" in client.seal_and_decode()
+        finally:
+            server.stop()
+        assert report.read_text() == report_to_csv(decode_submissions(subs, 3, PARAMS))
+
+    def test_sealing_again_writes_the_same_report(self, tmp_path):
+        # A second SEAL_DECODE, or --seal-and-decode on a sealed log, finds
+        # the log sealed and decodes it again.
+        log = SubmissionLog(tmp_path / "log.bin")
+        _append(log, _log_of(_make_submissions({b"x": 3, b"y": 1})))
+        _, first = seal_and_report(log, PARAMS, tmp_path / "first.csv")
+        _, again = seal_and_report(SubmissionLog(tmp_path / "log.bin"), PARAMS, tmp_path / "again.csv")
+        assert again.read_text() == first.read_text()
+
     def test_seal_marker_survives_reopen(self, tmp_path):
         log = SubmissionLog(tmp_path / "log.bin")
         log.seal()
