@@ -9,23 +9,29 @@ operations.  Groups below the threshold contribute only their size, read
 from the group bounds, to the unrevealed-multiplicity histogram and are
 never parsed.
 
-Groups with at least ``threshold`` members are recovered in two steps.
+Groups with at least ``threshold`` members are recovered in three steps.
 ``select_points`` takes them in batches of whole groups, at most
 ``BATCH_MEMBERS`` members each, and per batch checks that every member
 carries its group's first member's ciphertext bytes and picks each group's
-first ``threshold`` distinct-x shares, all as array operations.
-``recover_group`` then decodes one group: it interpolates the key shares,
-derives the symmetric key from the field secret, decrypts the (single,
-byte-identical) ciphertext and checks that the key-seed header inside the
-plaintext re-derives the interpolated field secret.  A failed check marks
-the group malformed (cannot happen for honestly produced submissions; dummy
-groups never reach the threshold by construction).
+first ``threshold`` distinct-x shares, all as array operations; it hands
+over the chosen x and y as arrays of 8-byte words.  ``interpolate_groups``
+then finds the field secret of every taken group of a layer at once, as
+array operations over 26-bit limbs in passes of whole groups of at most
+``PASS_ENTRIES`` share-by-factor entries each, with one modular inversion
+per pass; ``sharing.interpolate_at_zero`` is its scalar reference.
+``recover_group`` last decodes one group from its ciphertext and secret: it
+derives the symmetric key, decrypts the (single, byte-identical) ciphertext
+and checks that the key-seed header inside the plaintext re-derives the
+secret.  A failed check marks the group malformed (cannot happen for
+honestly produced submissions; dummy groups never reach the threshold by
+construction).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Literal, Optional, Sequence
+from typing import Iterable, Literal, Optional, Sequence
 from urllib.parse import unquote_to_bytes
 
 import numpy as np
@@ -39,10 +45,9 @@ from .encode import (
     Submission,
     decrypt_with_key,
     key_from_field_secret,
-    submission_end,
 )
 from .params import DpParams, config_items
-from .sharing import FIELD_BYTES
+from .sharing import FIELD_BYTES, FIELD_PRIME
 
 @dataclass(frozen=True)
 class GroupRecovery:
@@ -73,6 +78,11 @@ class HistogramReport:
 # batches of whole branches, and recovery its groups into batches of whole
 # groups, of at most this many members each, so transient memory stays flat.
 BATCH_MEMBERS = 2048
+# The most share-by-factor entries one interpolation pass holds.  A taken
+# group of τ shares holds τ² of them, τ factors for each share, so a pass
+# takes max(1, PASS_ENTRIES // τ²) whole groups and its transient memory
+# stays flat however many groups a layer takes.
+PASS_ENTRIES = 10_240
 # Where the high and low words of a submission's x and y sit past its
 # start, as columns to broadcast against a row of starts.
 X_WORDS = TAG_SIZE + np.array([[0], [8]])
@@ -138,25 +148,32 @@ def whole_batches(bounds: np.ndarray) -> list[tuple[int, int]]:
 
 def select_points(
     data: bytes, starts: np.ndarray, bounds: np.ndarray, threshold: int
-) -> Iterator[Optional[list[tuple[int, int]]]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The points recovery interpolates, for each group of at least
     ``threshold`` members: ``starts[bounds[g] : bounds[g + 1]]`` are the
     offsets in ``data`` of group g's submissions.
 
-    A group gets the first ``threshold`` of its shares with pairwise-distinct
-    x, in (x, y) order, or None when a member's ciphertext differs from its
-    first member's or it has fewer distinct x.  Groups are taken in batches
-    of whole groups, each checked and selected as array operations; a
-    group's points are made only when it is reached.
+    A group is taken when every member carries its first member's
+    ciphertext and it has ``threshold`` shares with pairwise-distinct x; it
+    then gets the first ``threshold`` of them in (x, y) order.  Returns
+    whether each group is taken, then the x and the y of the taken groups'
+    shares as (high, low) big-endian words, each of shape
+    (2, taken groups, ``threshold``).  Groups are taken in batches of whole
+    groups, each checked and selected as array operations.
     """
+    empty = np.zeros((2, 0, threshold), np.uint64)
+    taken, x, y = [np.zeros(0, bool)], [empty], [empty]
     for lo, hi in whole_batches(bounds):
         batch = bounds[lo : hi + 1]
-        yield from _select_batch(data, starts[batch[0] : batch[-1]], batch - batch[0], threshold)
+        selected = _select_batch(data, starts[batch[0] : batch[-1]], batch - batch[0], threshold)
+        for parts, part in zip((taken, x, y), selected):
+            parts.append(part)
+    return np.concatenate(taken), np.concatenate(x, axis=1), np.concatenate(y, axis=1)
 
 
 def _select_batch(
     data: bytes, starts: np.ndarray, bounds: np.ndarray, threshold: int
-) -> Iterator[Optional[list[tuple[int, int]]]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``select_points`` over one batch of whole groups."""
     sizes = bounds[1:] - bounds[:-1]
     group = np.repeat(np.arange(len(sizes)), sizes)
@@ -206,36 +223,164 @@ def _select_batch(
     consistent = np.bincount(group[~same], minlength=len(sizes)) == 0
     taken = consistent & (rank[bounds[1:] - 1] >= threshold)
     chosen = np.flatnonzero(distinct & (rank <= threshold) & taken[group])
-    y_high, y_low = column(data, ">u8", starts[order[chosen]] + Y_WORDS)
-    xs = [h << 64 | l for h, l in zip(high[chosen].tolist(), low[chosen].tolist())]
-    ys = [h << 64 | l for h, l in zip(y_high.tolist(), y_low.tolist())]
     # Each taken group holds ``threshold`` consecutive chosen shares.
-    at = 0
-    for ok in taken.tolist():
-        if ok:
-            yield list(zip(xs[at : at + threshold], ys[at : at + threshold]))
-            at += threshold
-        else:
-            yield None
+    x = np.stack((high[chosen], low[chosen])).reshape(2, -1, threshold)
+    y = column(data, ">u8", starts[order[chosen]] + Y_WORDS).reshape(2, -1, threshold)
+    return taken, x, y
 
 
-def recover_group(
-    data: bytes, first: int, count: int, points: Optional[list[tuple[int, int]]]
-) -> GroupRecovery:
-    """Decode a tag group of ``count`` members, at least the threshold, from
-    the ``points`` that ``select_points`` chose for it; its first member's
-    submission sits at offset ``first`` of ``data``.
+# --- interpolation at zero over many groups at once ------------------------
+#
+# A field element is held as five 26-bit limbs in uint64, a 130-bit span,
+# limb k in row k of an array whose other axes run over elements, so each
+# array operation runs over a whole pass.  Reduction folds with
+# 2^130 = 4 * 2^128 ≡ 4 * 159 = 636 (mod p).  Bounds: ``_mul`` takes limbs
+# below 2^29, so a limb product is below 2^58 and a column sum of five below
+# 2^61, clear of 2^64; it returns limbs below 2^28.  So the sum of two
+# products is a valid input, and so is a difference taken against ``_FOUR_P``
+# (limbs below 2^28).  In the product tree, whose inputs all have limbs
+# below 2^28, column sums stay below 2^59.
+_LIMB = np.uint64(2**26 - 1)
+_SHIFT = np.uint64(26)
+_FOLD = np.uint64(636)
+# 4p as limbs that are each at least 2^26 - 2, above any limb of a canonical
+# element in the same place (its top limb is below 2^24), so that
+# x_j + 4p - x_i never takes a limb below zero.
+_FOUR_P = np.array(
+    [2**27 - 636, 2**27 - 2, 2**27 - 2, 2**27 - 2, 2**26 - 2], np.uint64
+).reshape(5, 1, 1)
 
-    Interpolates the key, decrypts the group's ciphertext and re-derives the
-    interpolated secret from the key-seed header; a group without points
-    failed the ciphertext check or has too few distinct x.
+
+def _limbs(words: np.ndarray) -> np.ndarray:
+    """The limbs, shape (5, ...), of the elements whose (high, low) words
+    are ``words[0]`` and ``words[1]``."""
+    high, low = words
+    return np.stack((
+        low & _LIMB,
+        low >> _SHIFT & _LIMB,
+        low >> np.uint64(52) | (high & np.uint64(2**14 - 1)) << np.uint64(12),
+        high >> np.uint64(14) & _LIMB,
+        high >> np.uint64(40),
+    ))
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products mod p of the elements whose limbs are ``a`` and ``b``, of
+    one shape (5, ...) whose element axes can be viewed as one."""
+    shape = a.shape
+    a, b = a.reshape(5, -1), b.reshape(5, -1)
+    # Column k sums limb i of a by limb k - i of b, row by row of a; column
+    # 9 starts empty and takes column 8's carry.
+    columns = np.empty((10, a.shape[1]), np.uint64)
+    np.multiply(a[0], b, out=columns[:5])
+    columns[5:] = 0
+    for i in range(1, 5):
+        columns[i : i + 5] += a[i] * b
+    # Carry each column into the next, then fold columns 5-9 onto 0-4.
+    carry = columns >> _SHIFT
+    columns &= _LIMB
+    columns[1:] += carry[:9]
+    limbs = columns[:5]
+    limbs += columns[5:] * _FOLD
+    # Carry once more; limb 4's carry folds onto limb 0.
+    carry = limbs >> _SHIFT
+    limbs &= _LIMB
+    limbs[1:] += carry[:4]
+    limbs[0] += carry[4] * _FOLD
+    return limbs.reshape(shape)
+
+
+def _ints(limbs: np.ndarray) -> list[int]:
+    """The values of the limb columns ``limbs``, shape (5, n)."""
+    return [
+        a + (b << 26) + (c << 52) + (d << 78) + (e << 104)
+        for a, b, c, d, e in zip(*limbs.tolist())
+    ]
+
+
+def interpolate_groups(x: np.ndarray, y: np.ndarray) -> list[int]:
+    """The constant term of each group's polynomial, as
+    ``sharing.interpolate_at_zero`` finds it from the group's points.
+
+    ``x`` and ``y`` hold each group's τ share coordinates as (high, low)
+    words, shape (2, groups, τ), as ``select_points`` gives them; each
+    group's x must be canonical, nonzero and pairwise distinct.  Groups are
+    interpolated in passes of whole groups of at most ``PASS_ENTRIES``
+    share-by-factor entries.
     """
-    if points is None:
+    groups, tau = x.shape[1:]
+    per_pass = max(1, PASS_ENTRIES // tau**2)
+    return [
+        secret
+        for at in range(0, groups, per_pass)
+        for secret in _interpolate_pass(x[:, at : at + per_pass], y[:, at : at + per_pass])
+    ]
+
+
+def _interpolate_pass(x: np.ndarray, y: np.ndarray) -> list[int]:
+    """``interpolate_groups`` over one pass.
+
+    The secret is ∏x · Σ y_i / d_i with d_i = x_i · ∏_{j≠i} (x_j − x_i).
+    Every d_i is one product-tree product over all (share i, group) columns
+    at once, ∏x rides along as a further column per group, and each group's
+    Σ y_i / d_i is summed as one fraction by a tree over its shares.  No d_i
+    is 0 mod p: ingest refuses a zero or non-canonical x and
+    ``select_points`` takes pairwise-distinct x, so every x_i and x_j − x_i
+    is nonzero mod the prime p.  The denominators of the pass then invert
+    together (Montgomery's trick), with one ``pow``.
+    """
+    groups, tau = x.shape[1:]
+    xs = _limbs(x).transpose(0, 2, 1)  # (5, τ shares, groups)
+    # factors[:, j, i·groups + g] is x_j − x_i of group g, or x_i where
+    # j == i; the columns past τ·groups of them hold x_j of each group.
+    factors = np.empty((5, tau, (tau + 1) * groups), np.uint64)
+    pairs = factors[:, :, : tau * groups].reshape(5, tau, tau, groups)  # a view
+    np.subtract((xs + _FOUR_P)[:, :, None], xs[:, None], out=pairs)
+    shares = np.arange(tau)
+    pairs[:, shares, shares] = xs
+    factors[:, :, tau * groups :] = xs
+    while factors.shape[1] > 1:
+        # The first half of the factors times the last, and a middle one kept.
+        half = factors.shape[1] // 2
+        product = _mul(factors[:, :half], factors[:, -half:])
+        factors = np.concatenate((product, factors[:, half:-half]), axis=1)
+    # Σ y_i / d_i as one fraction, summing pairs of fractions level by
+    # level: fractions[:, 0] holds numerators, fractions[:, 1] denominators.
+    d = factors[:, 0, : tau * groups].reshape(5, tau, groups)
+    fractions = np.stack((_limbs(y).transpose(0, 2, 1), d), axis=1)
+    while fractions.shape[2] > 1:
+        half = fractions.shape[2] // 2
+        # n/d + n'/d' = (n·d' + d·n') / (d·d')
+        cross = _mul(fractions[:, [0, 1, 1], :half], fractions[:, [1, 0, 1], -half:])
+        fractions = fractions[:, :, : fractions.shape[2] - half].copy()  # keeps a middle one
+        np.add(cross[:, 0], cross[:, 1], out=fractions[:, 0, :half])
+        fractions[:, 1, :half] = cross[:, 2]
+    products = _ints(factors[:, 0, tau * groups :])
+    nums, dens = _ints(fractions[:, 0, 0]), _ints(fractions[:, 1, 0])
+    # before[g] is den_0 ... den_{g-1}; ``inverse`` is 1 / (den_0 ... den_g).
+    before = list(itertools.accumulate(dens, lambda a, b: a * b % FIELD_PRIME, initial=1))
+    inverse = pow(before.pop(), -1, FIELD_PRIME)
+    secrets = [0] * groups
+    for g in reversed(range(groups)):
+        secrets[g] = products[g] * nums[g] * before[g] * inverse % FIELD_PRIME
+        inverse = inverse * dens[g] % FIELD_PRIME
+    return secrets
+
+
+def recover_group(ciphertext: bytes, count: int, secret: Optional[int]) -> GroupRecovery:
+    """Decode a tag group of ``count`` members, at least the threshold, from
+    the ``ciphertext`` its members carry and the field ``secret`` that
+    ``interpolate_groups`` found for it.
+
+    Derives the key, decrypts the ciphertext and re-derives the secret from
+    the key-seed header; a group without a secret was not taken: it failed
+    the ciphertext check or has too few distinct x.
+    """
+    if secret is None:
         return GroupRecovery(status="malformed", count=count)
-    secret = sharing.interpolate_at_zero(points)
     key = key_from_field_secret(secret)
     try:
-        r1, value = decrypt_with_key(key, data[first + CIPHERTEXT_AT : submission_end(data, first)])
+        r1, value = decrypt_with_key(key, ciphertext)
     except (InvalidTag, ValueError):
         return GroupRecovery(status="malformed", count=count)
     if sharing.secret_from_key_seed(r1) != secret:

@@ -28,8 +28,10 @@ the layer above, cut into batches of whole branches of at most
 ``aggregate.BATCH_MEMBERS`` members.  Each batch decrypts its members'
 blobs at their cursors into one buffer, under one AEAD per branch, checks
 that buffer's records in one pass, groups it by branch and tag in one
-sort and recovers its groups in one batched call, so the per-member work
-runs per batch, not per branch.
+sort and selects its groups' points in one batched call, so the
+per-member work runs per batch, not per branch.  The taken groups of
+every batch of a layer are then interpolated in one call, and each group
+is decrypted from its secret.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .aggregate import (
     HistogramReport,
     column,
     group_by_tag,
+    interpolate_groups,
     recover_group,
     reports_from_csv,
     reports_to_csv,
@@ -449,7 +452,10 @@ def decode_multidim(
                 )
                 for lo, hi in whole_batches(runs)
             )
-        frontier, next_branches = [], []
+        # Per batch: group, count the sub-threshold groups and select the
+        # points of the others; then interpolate every taken group of the
+        # layer in one call and recover each group from its secret.
+        selected, xs, ys, ciphertexts = [], [], [], []
         for buf, starts, batch_branch_of, batch_cursors, batch_depths in batches:
             order, bounds = group_by_tag(buf, starts, batch_branch_of)
             sizes = bounds[1:] - bounds[:-1]
@@ -463,14 +469,26 @@ def decode_multidim(
             sizes = sizes[~below]
             bounds = np.concatenate(([0], np.cumsum(sizes)))
             firsts = above[bounds[:-1]]
+            taken, x, y = select_points(buf, starts[above], bounds, threshold)
+            xs.append(x)
+            ys.append(y)
+            # Recovery reads only each taken group's one ciphertext: those are
+            # kept until the layer is interpolated, not the batch's buffer.
+            ciphertexts += [
+                buf[first + CIPHERTEXT_AT : submission_end(buf, first)]
+                for first in starts[firsts[taken]].tolist()
+            ]
+            selected.append((batch_branch_of[firsts], sizes, taken, above, batch_cursors, batch_depths))
+        secrets = interpolate_groups(np.concatenate(xs, axis=1), np.concatenate(ys, axis=1))
+        opened = zip(ciphertexts, secrets)
+        frontier, next_branches = [], []
+        for branch_ids, sizes, taken, above, batch_cursors, batch_depths in selected:
             recovered = np.zeros(len(sizes), bool)
-            for group, (first, branch, count, points) in enumerate(zip(
-                starts[firsts].tolist(),
-                batch_branch_of[firsts].tolist(),
-                sizes.tolist(),
-                select_points(buf, starts[above], bounds, threshold),
-            )):
-                outcome = recover_group(buf, first, count, points)
+            for group, (branch, count, ok) in enumerate(
+                zip(branch_ids.tolist(), sizes.tolist(), taken.tolist())
+            ):
+                ciphertext, secret = next(opened) if ok else (b"", None)
+                outcome = recover_group(ciphertext, count, secret)
                 if outcome.status == "recovered":
                     child = branches[branch][0] + (outcome.value,)
                     report.revealed[child] = report.revealed.get(child, 0) + count
@@ -479,8 +497,8 @@ def decode_multidim(
                 else:
                     report.malformed_groups += 1
             if layer < len(reports):  # the last layer opens no other
-                taken = above[np.repeat(recovered, sizes)]
-                frontier.append((batch_cursors[taken], batch_depths[taken], sizes[recovered]))
+                members = above[np.repeat(recovered, sizes)]
+                frontier.append((batch_cursors[members], batch_depths[members], sizes[recovered]))
         if layer == len(reports) or not next_branches:
             break
         # Recovered groups' members, group by group, are the next frontier.

@@ -22,6 +22,7 @@ from nebula import dummy, harness, net, oprf, sharing, wire
 from nebula.aggregate import (
     decode_submissions,
     group_by_tag,
+    interpolate_groups,
     recover_group,
     report_from_csv,
     report_to_csv,
@@ -227,8 +228,10 @@ def test_criterion_07_threshold_hiding():
         order, bounds = group_by_tag(index.data, index.starts, np.zeros(tau, np.intp))
         assert bounds.tolist() == [0, tau]
         starts = index.starts[order]
-        [points] = select_points(index.data, starts, bounds, tau)
-        outcome = recover_group(index.data, int(starts[0]), tau, points)
+        taken, x, y = select_points(index.data, starts, bounds, tau)
+        assert taken.tolist() == [True]  # distinct x and one ciphertext
+        [secret] = interpolate_groups(x, y)
+        outcome = recover_group(ct, tau, secret)
         assert outcome.status == "malformed"
         fails += 1
     _report(

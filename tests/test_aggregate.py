@@ -4,6 +4,7 @@ import heapq
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from urllib.parse import unquote_to_bytes
 
@@ -19,6 +20,7 @@ from nebula.aggregate import (
     decode_submissions,
     encode_value_field,
     group_by_tag,
+    interpolate_groups,
     recover_group,
     report_from_csv,
     report_to_csv,
@@ -27,6 +29,7 @@ from nebula.aggregate import (
     select_points,
 )
 from nebula.encode import (
+    CIPHERTEXT_AT,
     SHARE_END,
     TAG_SIZE,
     ZERO_NONCE,
@@ -78,8 +81,26 @@ def recover(subs, threshold):
     [group] = groups_of(index.data, index.starts)
     starts = index.starts[group]
     assert len(starts) >= threshold
-    [points] = select_points(index.data, starts, np.array([0, len(starts)]), threshold)
-    return recover_group(index.data, int(starts[0]), len(starts), points)
+    _, x, y = select_points(index.data, starts, np.array([0, len(starts)]), threshold)
+    [secret] = interpolate_groups(x, y) or [None]
+    first = int(starts[0])
+    ciphertext = index.data[first + CIPHERTEXT_AT : submission_end(index.data, first)]
+    return recover_group(ciphertext, len(starts), secret)
+
+
+def words_of(rows):
+    """The (high, low) words, shape (2, groups, τ), of rows of integers."""
+    words = [[[v >> 64 for v in row] for row in rows], [[v & (2**64 - 1) for v in row] for row in rows]]
+    return np.array(words, np.uint64).reshape(2, len(rows), -1)
+
+
+def points_of(selected):
+    """``select_points``' result as each group's points, or None for a group
+    it did not take."""
+    taken, x, y = selected
+    xs, ys = ((w[0].astype(object) << 64 | w[1].astype(object)).tolist() for w in (x, y))
+    chosen = iter(zip(xs, ys))
+    return [list(zip(*next(chosen))) if ok else None for ok in taken.tolist()]
 
 
 class TestGroupByTag:
@@ -256,11 +277,11 @@ def check_share_selection(shares, threshold):
                 break
     assert select_shares(index.data, index.starts, threshold) == expected
     bounds = np.array([0, len(shares)])
-    [points] = select_points(index.data, index.starts, bounds, threshold)
+    [points] = points_of(select_points(index.data, index.starts, bounds, threshold))
     assert points == (expected if len(expected) == threshold else None)
     if len(expected) < threshold:
-        # Too few distinct x: the (consistent) group cannot be interpolated.
-        assert recover_group(index.data, int(index.starts[0]), len(shares), points).status == "malformed"
+        # Too few distinct x: the (consistent) group has no secret.
+        assert recover_group(b"ct", len(shares), None).status == "malformed"
 
 
 # x values whose high words agree in all but the lowest bits, so they tie in
@@ -341,10 +362,77 @@ class TestSelectShares:
         bounds = np.cumsum([0] + [len(members) for members in groups])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(aggregate, "BATCH_MEMBERS", batch)
-            points = list(select_points(index.data, index.starts, bounds, threshold))
+            points = points_of(select_points(index.data, index.starts, bounds, threshold))
         assert points == [
             reference_points(index.data, index.starts[lo:hi].tolist(), threshold)
             for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+
+
+# x at the field's edges: the limb and word boundaries and the largest element.
+FIELD_EDGES = (1, 2**64 - 1, 2**64, 2**127, sharing.FIELD_PRIME - 1)
+
+
+def random_groups(rng, groups, tau, edges):
+    """``groups`` groups of τ points: pairwise-distinct nonzero x, the first
+    ``edges`` of them drawn from FIELD_EDGES, and y of 0, an edge or any
+    element, so whole groups of zero y occur at small τ."""
+    rows_x, rows_y = [], []
+    for _ in range(groups):
+        xs = rng.sample(FIELD_EDGES, min(edges, tau))
+        while len(xs) < tau:
+            x = rng.randrange(1, sharing.FIELD_PRIME)
+            if x not in xs:
+                xs.append(x)
+        rng.shuffle(xs)
+        rows_x.append(xs)
+        rows_y.append([rng.choice((0, rng.choice(FIELD_EDGES), rng.randrange(sharing.FIELD_PRIME)))
+                       for _ in range(tau)])
+    return rows_x, rows_y
+
+
+class TestInterpolateGroups:
+    @given(
+        tau=st.integers(1, 24),
+        count=st.sampled_from(("one", "pass - 1", "pass", "pass + 1")),
+        edges=st.integers(0, len(FIELD_EDGES)),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_scalar_reference(self, tau, count, edges, seed):
+        """Group counts on both sides of a pass boundary give each group the
+        secret ``sharing.interpolate_at_zero`` finds from its points."""
+        per_pass = max(1, aggregate.PASS_ENTRIES // tau**2)
+        groups = {"one": 1, "pass - 1": max(1, per_pass - 1), "pass": per_pass,
+                  "pass + 1": per_pass + 1}[count]
+        xs, ys = random_groups(random.Random(seed), groups, tau, edges)
+        assert interpolate_groups(words_of(xs), words_of(ys)) == [
+            sharing.interpolate_at_zero(list(zip(x, y))) for x, y in zip(xs, ys)
+        ]
+
+    @pytest.mark.parametrize("y", [0, 1, 2**64, sharing.FIELD_PRIME - 1])
+    def test_constant_polynomial(self, y):
+        # Every x at an edge, one y throughout: the polynomial is constant.
+        xs = [list(FIELD_EDGES), list(reversed(FIELD_EDGES))]
+        ys = [[y] * len(FIELD_EDGES)] * 2
+        assert interpolate_groups(words_of(xs), words_of(ys)) == [y, y]
+
+    def test_memory_is_bounded_by_the_pass(self):
+        """A layer of 2,000 taken groups at τ = 20 is interpolated in passes
+        of 25 groups, whose transient stays near 1.7 MB; as one pass it
+        would take about 75 times that."""
+        tau, groups = 20, 2000
+        xs, ys = random_groups(random.Random(11), groups, tau, 2)
+        x, y = words_of(xs), words_of(ys)
+        tracemalloc.start()
+        try:
+            secrets = interpolate_groups(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
+        assert secrets[::97] == [
+            sharing.interpolate_at_zero(list(zip(xs[g], ys[g]))) for g in range(0, groups, 97)
         ]
 
 
@@ -368,6 +456,18 @@ class TestBuildReport:
         noised = decode_submissions(subs + list(batch.submissions), 4, params)
         assert noised.revealed == base.revealed
         assert noised.malformed_groups == 0
+
+    def test_no_group_is_taken(self, randomness_for):
+        # Both groups reach the threshold, but one carries a foreign
+        # ciphertext and the other too few distinct x: the layer has no
+        # group to interpolate.
+        params = make_params(3)
+        a, b = (make_submissions({v: 3}, params, randomness_for) for v in (b"a", b"b"))
+        a[1] = Submission(ciphertext=a[1].ciphertext + b"!", share=a[1].share, tag=a[1].tag)
+        b[1] = Submission(ciphertext=b[1].ciphertext, share=b[0].share, tag=b[1].tag)
+        report = decode_submissions(a + b, 3, params)
+        assert report.revealed == {}
+        assert report.malformed_groups == 2
 
     def test_report_invariants(self, randomness_for):
         params = make_params(3)

@@ -17,6 +17,13 @@ from nebula.service import SubmissionLog
 from test_log_index import frame_bounds
 
 
+@pytest.fixture
+def no_serving(monkeypatch):
+    """A daemon that starts stops at once instead of serving, so a start-up
+    that should have been refused fails its test rather than hanging it."""
+    monkeypatch.setattr(net, "serve", lambda server: server.stop())
+
+
 def test_run_writes_outputs(tmp_path):
     out = tmp_path / "out"
     rc = main(
@@ -241,7 +248,7 @@ def test_run_refuses_empty_single_attribute_value(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("listen", ["nope", "127.0.0.1:70000"])
-def test_randomness_server_refuses_bad_listen(tmp_path, capsys, listen):
+def test_randomness_server_refuses_bad_listen(tmp_path, capsys, listen, no_serving):
     seed = tmp_path / "seed"
     seed.write_bytes(b"\x01" * 32)
     rc = main(["randomness-server", "--listen", listen, "--key-seed-file", str(seed)])
@@ -249,7 +256,7 @@ def test_randomness_server_refuses_bad_listen(tmp_path, capsys, listen):
     assert listen in _one_line(capsys)
 
 
-def test_aggregation_server_refuses_bad_listen(tmp_path, capsys):
+def test_aggregation_server_refuses_bad_listen(tmp_path, capsys, no_serving):
     cfg, _ = _write_log(tmp_path)
     log_path = tmp_path / "new.log"
     rc = main(["aggregation-server", "--listen", "127.0.0.1:70000", "--log", str(log_path),
@@ -259,14 +266,14 @@ def test_aggregation_server_refuses_bad_listen(tmp_path, capsys):
     assert not log_path.exists()
 
 
-def test_randomness_server_refuses_missing_seed_file(tmp_path, capsys):
+def test_randomness_server_refuses_missing_seed_file(tmp_path, capsys, no_serving):
     seed = tmp_path / "missing.seed"
     rc = main(["randomness-server", "--listen", "127.0.0.1:0", "--key-seed-file", str(seed)])
     assert rc == 2
     assert "missing.seed" in _one_line(capsys)
 
 
-def test_randomness_server_refuses_no_seed_file(capsys, monkeypatch):
+def test_randomness_server_refuses_no_seed_file(capsys, monkeypatch, no_serving):
     monkeypatch.delenv("NEBULA_KEY_SEED_FILE", raising=False)
     rc = main(["randomness-server", "--listen", "127.0.0.1:0"])
     assert rc == 2
@@ -308,7 +315,7 @@ def test_daemon_start_up_imports_only_what_it_serves(tmp_path, daemon, flags, un
     assert unloaded.isdisjoint(loaded)
 
 
-def test_aggregation_server_refuses_log_in_missing_directory(tmp_path, capsys):
+def test_aggregation_server_refuses_log_in_missing_directory(tmp_path, capsys, no_serving):
     cfg, _ = _write_log(tmp_path)
     before = sorted(tmp_path.iterdir())
     log_path = tmp_path / "absent" / "new.log"
@@ -319,7 +326,7 @@ def test_aggregation_server_refuses_log_in_missing_directory(tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == before
 
 
-def test_aggregation_server_refuses_incomplete_params(tmp_path, capsys):
+def test_aggregation_server_refuses_incomplete_params(tmp_path, capsys, no_serving):
     cfg = tmp_path / "params.cfg"
     cfg.write_text("eps_revealed = 1.0\n")
     log_path = tmp_path / "new.log"
@@ -344,7 +351,7 @@ def test_seal_and_decode_refuses_incomplete_params(tmp_path, capsys):
 # --- start-up failures: also one line and exit status 2 ---------------------
 
 
-def test_randomness_server_refuses_busy_port(tmp_path, capsys):
+def test_randomness_server_refuses_busy_port(tmp_path, capsys, no_serving):
     seed = tmp_path / "seed"
     seed.write_bytes(b"\x01" * 32)
     with socket.create_server(("127.0.0.1", 0)) as busy:
@@ -354,7 +361,7 @@ def test_randomness_server_refuses_busy_port(tmp_path, capsys):
     assert "Address already in use" in _one_line(capsys)
 
 
-def test_aggregation_server_refuses_busy_port(tmp_path, capsys):
+def test_aggregation_server_refuses_busy_port(tmp_path, capsys, no_serving):
     cfg, _ = _write_log(tmp_path)
     log_path = tmp_path / "new.log"
     with socket.create_server(("127.0.0.1", 0)) as busy:
@@ -366,7 +373,7 @@ def test_aggregation_server_refuses_busy_port(tmp_path, capsys):
     assert not log_path.exists()
 
 
-def test_randomness_server_refuses_unresolvable_host(tmp_path, capsys, monkeypatch):
+def test_randomness_server_refuses_unresolvable_host(tmp_path, capsys, monkeypatch, no_serving):
     # The failed lookup is simulated: a real one would query a resolver.
     def server_bind(server):
         raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
@@ -380,7 +387,7 @@ def test_randomness_server_refuses_unresolvable_host(tmp_path, capsys, monkeypat
 
 
 @pytest.mark.parametrize("seal", [False, True])
-def test_aggregation_server_refuses_log_with_bad_first_header(tmp_path, capsys, seal):
+def test_aggregation_server_refuses_log_with_bad_first_header(tmp_path, capsys, seal, no_serving):
     cfg, log_path = _write_log(tmp_path)
     log_path.write_bytes(wire.HEADER.pack(9, wire.MSG_SUBMISSION, 0) + log_path.read_bytes())
     before = {p: p.read_bytes() for p in tmp_path.iterdir()}
@@ -413,7 +420,7 @@ def _zero_x(log: bytes) -> bytes:
          "torn_tail_sealed"],
 )
 def test_aggregation_server_refuses_log_holding_a_refused_record(
-    tmp_path, capsys, monkeypatch, refused, sealed, message, seal
+    tmp_path, capsys, refused, sealed, message, seal, no_serving
 ):
     # The log is checked when it opens, sealed or not, so nothing is sealed,
     # cut or decoded: a seal cannot fail on what the log holds.
@@ -422,8 +429,6 @@ def test_aggregation_server_refuses_log_holding_a_refused_record(
     if sealed:
         (tmp_path / "log.bin.sealed").touch()
     before = {p: p.read_bytes() for p in tmp_path.iterdir()}
-    # A daemon that starts returns at once instead of serving.
-    monkeypatch.setattr(net, "serve", lambda server: server.server_close())
     flags = ["--seal-and-decode"] if seal else ["--listen", "127.0.0.1:0"]
     rc = main(["aggregation-server", "--log", str(log_path), "--params", str(cfg),
                "--report", str(tmp_path / "report.csv"), *flags])
@@ -491,9 +496,7 @@ def test_seal_and_decode_refuses_a_report_it_cannot_write(tmp_path, capsys, wher
     assert not log.sealed
 
 
-def test_aggregation_server_refuses_a_report_it_cannot_write(tmp_path, capsys, monkeypatch):
-    # A daemon that starts returns at once instead of serving.
-    monkeypatch.setattr(net, "serve", lambda server: server.stop())
+def test_aggregation_server_refuses_a_report_it_cannot_write(tmp_path, capsys, no_serving):
     cfg, _ = _write_log(tmp_path)
     before = sorted(tmp_path.iterdir())
     report = tmp_path / "nodir" / "report.csv"
