@@ -19,19 +19,20 @@ then finds the field secret of every taken group of a layer at once, as
 array operations over 26-bit limbs in passes of whole groups of at most
 ``PASS_ENTRIES`` share-by-factor entries each, with one modular inversion
 per pass; ``sharing.interpolate_at_zero`` is its scalar reference.
-``recover_group`` last decodes one group from its ciphertext and secret: it
-derives the symmetric key, decrypts the (single, byte-identical) ciphertext
-and checks that the key-seed header inside the plaintext re-derives the
-secret.  A failed check marks the group malformed (cannot happen for
-honestly produced submissions; dummy groups never reach the threshold by
-construction).
+``recover_group`` last decodes a taken group from its ciphertext and
+secret: it derives the key, decrypts the (single, byte-identical)
+ciphertext and returns ``(value, key)`` if the key-seed header inside
+re-derives the secret, else None.  A group not taken or not decoded is
+malformed (cannot happen for honestly produced submissions; dummy groups
+never reach the threshold by construction).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 from urllib.parse import unquote_to_bytes
 
 import numpy as np
@@ -49,13 +50,6 @@ from .encode import (
 from .params import DpParams, config_items
 from .sharing import FIELD_BYTES, FIELD_PRIME
 
-@dataclass(frozen=True)
-class GroupRecovery:
-    status: Literal["recovered", "malformed"]
-    count: int
-    value: Optional[bytes] = None
-    key: Optional[bytes] = None  # symmetric key, kept for layered decoding
-
 
 @dataclass
 class HistogramReport:
@@ -66,7 +60,7 @@ class HistogramReport:
     """
 
     revealed: dict[tuple[bytes, ...], int] = field(default_factory=dict)
-    unrevealed_multiplicities: dict[int, int] = field(default_factory=dict)
+    unrevealed_multiplicities: dict[int, int] = field(default_factory=Counter)
     malformed_groups: int = 0
     params_used: Optional[DpParams] = None
     # False for inner layers of the multi-attribute decoding, where no dummy
@@ -367,25 +361,20 @@ def _interpolate_pass(x: np.ndarray, y: np.ndarray) -> list[int]:
     return secrets
 
 
-def recover_group(ciphertext: bytes, count: int, secret: Optional[int]) -> GroupRecovery:
-    """Decode a tag group of ``count`` members, at least the threshold, from
-    the ``ciphertext`` its members carry and the field ``secret`` that
-    ``interpolate_groups`` found for it.
+def recover_group(ciphertext: bytes, secret: int) -> Optional[tuple[bytes, bytes]]:
+    """Decode a taken group from the ``ciphertext`` its members carry and
+    the field ``secret`` that ``interpolate_groups`` found for it.
 
-    Derives the key, decrypts the ciphertext and re-derives the secret from
-    the key-seed header; a group without a secret was not taken: it failed
-    the ciphertext check or has too few distinct x.
+    Derives the key and decrypts the ciphertext; returns ``(value, key)``
+    when it opens and its key-seed header re-derives the secret, else None:
+    the group is malformed.  The key opens the group's deeper layers.
     """
-    if secret is None:
-        return GroupRecovery(status="malformed", count=count)
     key = key_from_field_secret(secret)
     try:
         r1, value = decrypt_with_key(key, ciphertext)
     except (InvalidTag, ValueError):
-        return GroupRecovery(status="malformed", count=count)
-    if sharing.secret_from_key_seed(r1) != secret:
-        return GroupRecovery(status="malformed", count=count)
-    return GroupRecovery(status="recovered", count=count, value=value, key=key)
+        return None
+    return (value, key) if sharing.secret_from_key_seed(r1) == secret else None
 
 
 def decode_submissions(

@@ -59,6 +59,20 @@ def _fail(command: str, message: object) -> int:
     return 2
 
 
+def _unencodable(record: tuple[bytes, ...], schema: tuple[str, ...], chained: bool) -> str | None:
+    """Why the encoder cannot take ``record``, or None.  A single-attribute
+    record is itself the OPRF input, which must be non-empty; each encrypted
+    value, the flattened record or if ``chained`` each attribute, must fit."""
+    from . import encode, harness, multidim
+    if len(record) > multidim.MAX_ATTRIBUTES:
+        return f"{len(record)} attributes, over the limit of {multidim.MAX_ATTRIBUTES}"
+    if not chained and record == (b"",):
+        return f"column {schema[0]!r} is empty"
+    size = max(map(len, record if chained else (harness.record_value(record),)))
+    if size > encode.MAX_VALUE_SIZE:
+        return f"a {size}-byte value, over the limit of {encode.MAX_VALUE_SIZE} bytes"
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     from . import harness
     from .params import DpBudget, ParameterError, derive_params, params_to_config
@@ -85,10 +99,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:  # a dataset spec or --bin-bits that cannot apply
         return _fail("run", exc)
-    # A single-attribute record is itself the OPRF input, which must be non-empty.
-    if not args.multidim and dataset.num_attributes == 1 and (b"",) in dataset.records:
-        row = dataset.records.index((b"",)) + 1
-        return _fail("run", f"column {dataset.schema[0]!r} is empty in record {row}")
+    # Every record must be encodable, whichever ones the seed samples: each
+    # distinct record is checked once, and a refusal names its first record.
+    for record in dict.fromkeys(dataset.records):
+        if refusal := _unencodable(record, dataset.schema, args.multidim):
+            return _fail("run", f"record {dataset.records.index(record) + 1}: {refusal}")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -29,9 +29,9 @@ the layer above, cut into batches of whole branches of at most
 blobs at their cursors into one buffer, under one AEAD per branch, checks
 that buffer's records in one pass, groups it by branch and tag in one
 sort and selects its groups' points in one batched call, so the
-per-member work runs per batch, not per branch.  The taken groups of
-every batch of a layer are then interpolated in one call, and each group
-is decrypted from its secret.
+per-member work runs per batch, not per branch.  The layer's taken groups
+form one table, interpolated in one call and recovered group by group;
+one mask over its members gives the next layer's frontier.
 """
 
 from __future__ import annotations
@@ -441,69 +441,64 @@ def decode_multidim(
             carried = np.flatnonzero(depths >= layer)
             cursors, depths, branch_of = cursors[carried], depths[carried], branch_of[carried]
             runs = np.searchsorted(branch_of, np.arange(len(branches) + 1))
+            frontier, keys = (cursors, depths, branch_of), [key for _, key in branches]
             batches = (
-                _unwrap(
-                    index.data,
-                    (cursors, depths, branch_of),
-                    runs[lo : hi + 1],
-                    [key for _, key in branches[lo:hi]],
-                    layer,
-                    report,
-                )
+                _unwrap(index.data, frontier, runs[lo : hi + 1], keys[lo:hi], layer, report)
                 for lo, hi in whole_batches(runs)
             )
         # Per batch: group, count the sub-threshold groups and select the
-        # points of the others; then interpolate every taken group of the
-        # layer in one call and recover each group from its secret.
-        selected, xs, ys, ciphertexts = [], [], [], []
+        # points of the others.  The taken groups of the layer form one table:
+        # branch ids, sizes, ciphertexts, points and, for a layer that opens
+        # another, their members' cursors and depths.
+        branch_ids, sizes, ciphertexts, xs, ys, member_cursors, member_depths = ([] for _ in range(7))
         for buf, starts, batch_branch_of, batch_cursors, batch_depths in batches:
             order, bounds = group_by_tag(buf, starts, batch_branch_of)
-            sizes = bounds[1:] - bounds[:-1]
-            below = sizes < threshold
-            hist = report.unrevealed_multiplicities
-            for count, groups in enumerate(np.bincount(sizes[below]).tolist()):
-                if groups:
-                    hist[count] = hist.get(count, 0) + groups
+            counts = bounds[1:] - bounds[:-1]
+            below = counts < threshold
+            report.unrevealed_multiplicities.update(counts[below].tolist())
             # The members of groups at or above the threshold, group by group.
-            above = order[np.repeat(~below, sizes)]
-            sizes = sizes[~below]
-            bounds = np.concatenate(([0], np.cumsum(sizes)))
-            firsts = above[bounds[:-1]]
+            above = order[np.repeat(~below, counts)]
+            counts = counts[~below]
+            bounds = np.concatenate(([0], np.cumsum(counts)))
             taken, x, y = select_points(buf, starts[above], bounds, threshold)
-            xs.append(x)
-            ys.append(y)
+            report.malformed_groups += len(taken) - int(np.count_nonzero(taken))
+            firsts = above[bounds[:-1][taken]]
+            branch_ids.append(batch_branch_of[firsts])
+            sizes.append(counts[taken])
             # Recovery reads only each taken group's one ciphertext: those are
             # kept until the layer is interpolated, not the batch's buffer.
             ciphertexts += [
                 buf[first + CIPHERTEXT_AT : submission_end(buf, first)]
-                for first in starts[firsts[taken]].tolist()
+                for first in starts[firsts].tolist()
             ]
-            selected.append((batch_branch_of[firsts], sizes, taken, above, batch_cursors, batch_depths))
-        secrets = interpolate_groups(np.concatenate(xs, axis=1), np.concatenate(ys, axis=1))
-        opened = zip(ciphertexts, secrets)
-        frontier, next_branches = [], []
-        for branch_ids, sizes, taken, above, batch_cursors, batch_depths in selected:
-            recovered = np.zeros(len(sizes), bool)
-            for group, (branch, count, ok) in enumerate(
-                zip(branch_ids.tolist(), sizes.tolist(), taken.tolist())
-            ):
-                ciphertext, secret = next(opened) if ok else (b"", None)
-                outcome = recover_group(ciphertext, count, secret)
-                if outcome.status == "recovered":
-                    child = branches[branch][0] + (outcome.value,)
-                    report.revealed[child] = report.revealed.get(child, 0) + count
-                    next_branches.append((child, outcome.key))
-                    recovered[group] = True
-                else:
-                    report.malformed_groups += 1
+            xs.append(x)
+            ys.append(y)
             if layer < len(reports):  # the last layer opens no other
-                members = above[np.repeat(recovered, sizes)]
-                frontier.append((batch_cursors[members], batch_depths[members], sizes[recovered]))
+                members = above[np.repeat(taken, counts)]
+                member_cursors.append(batch_cursors[members])
+                member_depths.append(batch_depths[members])
+        # Interpolate the table's groups in one call, then recover each.
+        secrets = interpolate_groups(np.concatenate(xs, axis=1), np.concatenate(ys, axis=1))
+        opened = list(map(recover_group, ciphertexts, secrets))
+        recovered = np.array([group is not None for group in opened], bool)
+        sizes, next_branches = np.concatenate(sizes), []
+        for branch, count, (value, key) in zip(
+            np.concatenate(branch_ids)[recovered].tolist(),
+            sizes[recovered].tolist(),
+            filter(None, opened),
+        ):
+            child = branches[branch][0] + (value,)
+            report.revealed[child] = report.revealed.get(child, 0) + count
+            next_branches.append((child, key))
+        report.malformed_groups += len(opened) - len(next_branches)
         if layer == len(reports) or not next_branches:
             break
         # Recovered groups' members, group by group, are the next frontier.
-        cursors, depths, sizes = (np.concatenate(columns) for columns in zip(*frontier))
-        branch_of = np.repeat(np.arange(len(sizes)), sizes)
+        members = np.repeat(recovered, sizes)
+        cursors, depths = (
+            np.concatenate(columns)[members] for columns in (member_cursors, member_depths)
+        )
+        branch_of = np.repeat(np.arange(len(next_branches)), sizes[recovered])
         branches = next_branches
     return reports
 

@@ -36,7 +36,9 @@ from nebula.encode import (
     KeyShare,
     Submission,
     build_submission,
+    encryption_key,
     key_from_field_secret,
+    parse_randomness,
     submission_end,
 )
 from nebula.sharing import FIELD_BYTES
@@ -76,16 +78,19 @@ def groups_of(data, starts, branches=None):
 
 def recover(subs, threshold):
     """Recover the single tag group ``subs`` must form as the decoder does:
-    ``select_points`` chooses its points and ``recover_group`` the rest."""
+    ``select_points`` chooses its points and ``recover_group`` the rest.
+    Returns ``(value, key)``, or None for a malformed group."""
     index = index_of(subs)
     [group] = groups_of(index.data, index.starts)
     starts = index.starts[group]
     assert len(starts) >= threshold
-    _, x, y = select_points(index.data, starts, np.array([0, len(starts)]), threshold)
-    [secret] = interpolate_groups(x, y) or [None]
+    [taken], x, y = select_points(index.data, starts, np.array([0, len(starts)]), threshold)
+    if not taken:
+        return None
+    [secret] = interpolate_groups(x, y)
     first = int(starts[0])
     ciphertext = index.data[first + CIPHERTEXT_AT : submission_end(index.data, first)]
-    return recover_group(ciphertext, len(starts), secret)
+    return recover_group(ciphertext, secret)
 
 
 def words_of(rows):
@@ -149,10 +154,13 @@ class TestRecoverGroup:
     def test_exactly_threshold_recovers(self, randomness_for):
         params = make_params(5)
         subs = make_submissions({b"value": 5}, params, randomness_for)
-        outcome = recover(subs, 5)
-        assert outcome.status == "recovered"
-        assert outcome.value == b"value"
-        assert outcome.count == 5
+        value, key = recover(subs, 5)
+        assert value == b"value"
+        # The key that wraps the value's deeper layers.
+        assert key == encryption_key(parse_randomness(randomness_for(b"value")).r1)
+        report = decode_submissions(subs, 5, params)
+        assert report.revealed == {(b"value",): 5}
+        assert report.malformed_groups == 0
 
     def test_below_threshold_unrevealed(self, randomness_for):
         # A group under the threshold is never recovered: only its size counts.
@@ -181,8 +189,10 @@ class TestRecoverGroup:
             )
             for _ in range(5)
         ]
-        outcome = recover(subs, 5)
-        assert outcome.status == "malformed"
+        assert recover(subs, 5) is None
+        report = decode_submissions(subs, 5, make_params(5))
+        assert report.revealed == {}
+        assert report.malformed_groups == 1
 
     def test_mixed_ciphertexts_malformed(self, randomness_for):
         params = make_params(3)
@@ -192,7 +202,11 @@ class TestRecoverGroup:
             share=good[0].share,
             tag=good[0].tag,
         )
-        assert recover(good + [evil], 3).status == "malformed"
+        assert recover(good + [evil], 3) is None
+        # At the threshold, one foreign ciphertext leaves the group untaken.
+        report = decode_submissions(good[:2] + [evil], 3, params)
+        assert report.revealed == {}
+        assert report.malformed_groups == 1
 
     @pytest.mark.parametrize("honest_header", [True, False])
     def test_header_must_rederive_the_secret(self, honest_header):
@@ -213,15 +227,20 @@ class TestRecoverGroup:
             x = sharing.random_nonzero_element(rng)
             share = KeyShare(x, sharing.polynomial_eval(coeffs, x))
             subs.append(Submission(ciphertext=ct, share=share, tag=tag))
-        outcome = recover(subs, 3)
-        assert outcome.status == ("recovered" if honest_header else "malformed")
+        opened = recover(subs, 3)
+        assert (opened is not None) == honest_header
+        report = decode_submissions(subs, 3, make_params(3))
+        assert report.revealed == ({(b"forged",): 3} if honest_header else {})
+        assert report.malformed_groups == (0 if honest_header else 1)
 
     def test_surplus_members_all_counted(self, randomness_for):
         params = make_params(4)
         subs = make_submissions({b"value": 9}, params, randomness_for)
-        outcome = recover(subs, 4)
-        assert outcome.status == "recovered"
-        assert outcome.count == 9
+        value, _ = recover(subs, 4)
+        assert value == b"value"
+        report = decode_submissions(subs, 4, params)
+        assert report.revealed == {(b"value",): 9}
+        assert report.malformed_groups == 0
 
 
 def select_shares(data, starts, threshold):
@@ -280,8 +299,10 @@ def check_share_selection(shares, threshold):
     [points] = points_of(select_points(index.data, index.starts, bounds, threshold))
     assert points == (expected if len(expected) == threshold else None)
     if len(expected) < threshold:
-        # Too few distinct x: the (consistent) group has no secret.
-        assert recover_group(b"ct", len(shares), None).status == "malformed"
+        # Too few distinct x: the (consistent) group is malformed.
+        report = decode_submissions(index, threshold, make_params(threshold))
+        assert report.revealed == {}
+        assert report.malformed_groups == 1
 
 
 # x values whose high words agree in all but the lowest bits, so they tie in

@@ -247,6 +247,46 @@ def test_run_refuses_empty_single_attribute_value(tmp_path, capsys):
     assert not out.exists()
 
 
+_NINE = ",".join(f"c{i}" for i in range(9))
+_EIGHT = ",".join(f"c{i}" for i in range(8))
+
+
+@pytest.mark.parametrize(
+    "name, text, flags, message",
+    [
+        ("nine.csv", f"{_NINE}\n" + ",".join("a" * 9) + "\n", ["--columns", _NINE],
+         "record 1: 9 attributes, over the limit of 8"),
+        ("words.txt", "apple pear " + "x" * 400 + "\n", [],
+         "record 3: a 400-byte value, over the limit of 256 bytes"),
+        # Flattened, 8 attributes of 40 bytes take 8 x (2 + 40) = 336 bytes.
+        ("wide.csv", f"{_EIGHT}\n" + "a,b,c,d,e,f,g,h\n" + ",".join(["y" * 40] * 8) + "\n",
+         ["--columns", _EIGHT], "record 2: a 336-byte value, over the limit of 256 bytes"),
+        # With --multidim each attribute is encrypted alone.
+        ("deep.csv", "a,b\nx,y\nx," + "z" * 300 + "\n", ["--columns", "a,b", "--multidim"],
+         "record 2: a 300-byte value, over the limit of 256 bytes"),
+    ],
+)
+def test_run_refuses_a_record_it_cannot_encode(tmp_path, capsys, name, text, flags, message):
+    # Refused whichever records the seed samples, before anything is written.
+    data = tmp_path / name
+    data.write_text(text)
+    out = tmp_path / "out"
+    rc = main(["run", "--dataset", str(data), *flags, "--eps", "1",
+               "--seed", "1", "--out", str(out)])
+    assert rc == 2
+    assert _one_line(capsys) == f"nebula run: {message}\n"
+    assert not out.exists()
+
+
+def test_run_multidim_encrypts_each_attribute_alone(tmp_path):
+    # 8 attributes of 40 bytes fit as 8 values, not as one flattened value.
+    data = tmp_path / "wide.csv"
+    data.write_text(f"{_EIGHT}\n" + (",".join(["y" * 40] * 8) + "\n") * 20)
+    rc = main(["run", "--dataset", str(data), "--columns", _EIGHT, "--multidim",
+               "--eps", "1", "--tau-override", "2", "--seed", "1", "--out", str(tmp_path / "out")])
+    assert rc == 0
+
+
 @pytest.mark.parametrize("listen", ["nope", "127.0.0.1:70000"])
 def test_randomness_server_refuses_bad_listen(tmp_path, capsys, listen, no_serving):
     seed = tmp_path / "seed"
