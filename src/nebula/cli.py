@@ -93,6 +93,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     geo = tuple(args.geo_columns.split(",")) if args.geo_columns else None
     if geo is not None and len(geo) != 3:
         return _fail("run", "--geo-columns needs exactly country,lat,lon")
+    if geo is not None and columns is not None:
+        return _fail("run", "--columns and --geo-columns cannot be given together")
     try:
         dataset = harness.load_dataset(
             args.dataset, columns=columns, geo_columns=geo, bin_bits=args.bin_bits

@@ -17,21 +17,22 @@ which shows whether the deeper tags (attributes) match below a prefix that
 stayed under the threshold, and the reused Poly1305 one-time key makes
 a forged tag possible (README.md, "Known privacy gap"; ROADMAP open item 12).
 
-Decoding reads a submission log's bytes in place.  ``read_log`` finds the
-frames from the bounds the log recorded, checked against their headers as
-array operations, and walks the headers only when it has none that check.
-It checks every record as array operations over the log and keeps columns
-of offsets: each record's layer-1 submission and a cursor at its first
-wrapped blob; no record becomes an object.  A layer's frontier is columns
-(cursor, depth, branch id) over every member of every branch recovered in
-the layer above, cut into batches of whole branches of at most
-``aggregate.BATCH_MEMBERS`` members.  Each batch decrypts its members'
-blobs at their cursors into one buffer, under one AEAD per branch, checks
-that buffer's records in one pass, groups it by branch and tag in one
-sort and selects its groups' points in one batched call, so the
-per-member work runs per batch, not per branch.  The layer's taken groups
-form one table, interpolated in one call and recovered group by group;
-one mask over its members gives the next layer's frontier.
+Every record is checked through one entry, ``check_frames``: ingest, the
+log's check when it opens, the log reader and both ``from_bytes`` parsers
+call it.  It takes the frames from the bounds a log recorded when they check
+against the headers as array operations, else from one header walk, then
+checks every record as array operations and keeps columns of offsets: each
+record's layer-1 submission and a cursor at its first wrapped blob; no
+record becomes an object.  Decoding reads the log's bytes in place.  A
+layer's frontier is columns (cursor, depth, branch id) over every member of
+every branch recovered in the layer above, cut into batches of whole
+branches of at most ``aggregate.BATCH_MEMBERS`` members.  Each batch
+decrypts its members' blobs at their cursors into one buffer, under one AEAD
+per branch, checks that buffer's records in one pass, groups it by branch
+and tag in one sort and selects its groups' points in one batched call, so
+the per-member work runs per batch, not per branch.  The layer's taken
+groups form one table, interpolated in one call and recovered group by
+group; one mask over its members gives the next layer's frontier.
 """
 
 from __future__ import annotations
@@ -281,69 +282,6 @@ def _breaks_rules(
     return rules, cursors
 
 
-def check_frames(
-    data: bytes, at: int
-) -> tuple[LogIndex, np.ndarray, list[tuple[int, str]]]:
-    """Walk and check the whole submission frames that open ``data[at:]``,
-    for ingest and the log reader alike; returns their index, their bounds
-    (each frame's offset, then where the walk stopped) and each refusal in
-    frame order as (record, message).
-    """
-    bounds = _frame_bounds(data, at)
-    index, refusals = _check_records(data, bounds[:-1], bounds[1:])
-    return index, bounds, refusals
-
-
-def _check_records(
-    data: bytes, heads: np.ndarray, ends: np.ndarray
-) -> tuple[LogIndex, list[tuple[int, str]]]:
-    """Index and check the submission frames of ``data`` whose headers sit
-    at ``heads`` and that end at ``ends``; returns their index and each
-    refusal in frame order as (record, message).
-
-    The record rules run over all records at once as array operations, and
-    each refused record is worded by the first rule it breaks.
-    """
-    types, counts = column(data, "u1", heads + _TYPE_AND_COUNT)
-    chained = types == wire.MSG_SUPER_SUBMISSION
-    starts = heads + wire.HEADER_SIZE + chained
-    depths = np.where(chained, counts, np.uint8(1))
-    rules, cursors = _breaks_rules(data, starts, depths, ends, chained)
-    refused = np.flatnonzero(rules != _KEPT)
-    refusals = [(i, _REFUSALS[rule]) for i, rule in zip(refused.tolist(), rules[refused].tolist())]
-    layers = int(depths.max(initial=1))
-    return LogIndex(data, starts, cursors, depths, layers, bool(chained.any())), refusals
-
-
-def check_payload(payload: bytes, chained: bool) -> None:
-    """Refuse one record's payload, a SUPER_SUBMISSION's if ``chained``, as
-    ingest would: ValueError worded by the first rule it breaks."""
-    depths = np.array([payload[0] if chained and payload else 1], np.uint8)
-    ends, flags = np.array([len(payload)]), np.array([chained])
-    rules, _ = _breaks_rules(payload, np.array([int(chained)]), depths, ends, flags)
-    if rules[0] != _KEPT:
-        raise ValueError(_REFUSALS[rules[0]])
-
-
-def check_log(data: bytes) -> tuple[LogIndex, np.ndarray]:
-    """Check the whole frames that open the submission log ``data`` in
-    place; returns their index and bounds: each frame's offset, then where
-    they end, at the end of ``data`` or where a frame cut short begins.
-
-    What stops the check raises as a record-by-record walk would: the first
-    refused record in log order a ValueError worded as ingest words it, a
-    whole frame past the last record a FrameError worded from its header
-    alone (the frame walker's error for a bad header, else ``unexpected
-    record type N``).
-    """
-    index, bounds, refusals = check_frames(data, 0)
-    for _, refusal in refusals:
-        raise ValueError(refusal)
-    for msg_type, _, _ in wire.iter_frames(memoryview(data)[int(bounds[-1]) :]):
-        raise wire.FrameError(f"unexpected record type {msg_type}")
-    return index, bounds
-
-
 # A submission frame's version and type bytes, read as one little-endian word.
 _SUBMISSION_KINDS = tuple(
     np.uint16(wire.VERSION | msg_type << 8)
@@ -351,12 +289,16 @@ _SUBMISSION_KINDS = tuple(
 )
 
 
-def _walks_whole(data: bytes, bounds: np.ndarray) -> bool:
+def _walks_whole(data: bytes, bounds: Optional[np.ndarray]) -> bool:
     """Whether ``bounds`` are what ``_frame_bounds(data, 0)`` returns when
-    its walk reaches the end of ``data``.  It checks the walk's steps as
-    array operations: the first frame at 0, each a submission header, each
-    frame ending where the next begins and the last at the end of ``data``."""
-    if len(bounds) == 0 or bounds[0] != 0 or bounds[-1] != len(data) or bounds.min() < 0:
+    its walk reaches the end of ``data``; never for None.  It checks the
+    walk's steps as array operations: the first frame at 0, each a
+    submission header, each frame ending where the next begins and the last
+    at the end of ``data``."""
+    if (
+        bounds is None or len(bounds) == 0
+        or bounds[0] != 0 or bounds[-1] != len(data) or bounds.min() < 0
+    ):
         return False
     heads = bounds[:-1]
     if len(heads) == 0:
@@ -370,23 +312,75 @@ def _walks_whole(data: bytes, bounds: np.ndarray) -> bool:
     )
 
 
-def read_log(data: bytes, bounds: Optional[np.ndarray] = None) -> LogIndex:
-    """Check every record of a submission log in place and index it.
+def check_frames(
+    data: bytes, at: int, recorded: Optional[np.ndarray]
+) -> tuple[LogIndex, np.ndarray, list[tuple[int, str]]]:
+    """Check the whole submission frames that open ``data[at:]``: the one
+    entry to the record rules, for ingest, the log reader, the log's check
+    when it opens and the ``from_bytes`` parsers.  Returns their index,
+    their bounds (each frame's offset, then where the walk stopped) and each
+    refusal in frame order as (record, message).
 
-    ``bounds``, each frame's offset then the end of the last, as the log
-    recorded them (int64), stands in for the header walk when it is
-    exactly what the walk would find; otherwise the log is walked, so it
-    never changes an index or an error.
+    ``recorded`` is None, or the bounds a log recorded for the whole of
+    ``data`` from offset 0 (int64); ingest never has any.  They stand in
+    for the header walk when they are exactly what it would find; otherwise
+    the headers are walked, so stale bounds never change an index or an
+    error.  The record rules run over all records at once as array
+    operations, and each refused record is worded by the first rule it
+    breaks.
+    """
+    bounds = recorded if _walks_whole(data, recorded) else _frame_bounds(data, at)
+    heads = bounds[:-1]
+    types, counts = column(data, "u1", heads + _TYPE_AND_COUNT)
+    chained = types == wire.MSG_SUPER_SUBMISSION
+    starts = heads + wire.HEADER_SIZE + chained
+    depths = np.where(chained, counts, np.uint8(1))
+    rules, cursors = _breaks_rules(data, starts, depths, bounds[1:], chained)
+    refused = np.flatnonzero(rules != _KEPT)
+    refusals = [(i, _REFUSALS[rule]) for i, rule in zip(refused.tolist(), rules[refused].tolist())]
+    layers = int(depths.max(initial=1))
+    return LogIndex(data, starts, cursors, depths, layers, bool(chained.any())), bounds, refusals
+
+
+def check_payload(payload: bytes, chained: bool) -> None:
+    """Refuse one record's payload, a SUPER_SUBMISSION's if ``chained``,
+    exactly as ingest would: framed as a client frames it, so one over
+    ``wire.MAX_PAYLOAD_SIZE`` raises ``wire.encode_frame``'s FrameError,
+    then checked as a one-frame log, so a refused record raises ValueError
+    worded by the first rule it breaks."""
+    msg_type = wire.MSG_SUPER_SUBMISSION if chained else wire.MSG_SUBMISSION
+    check_log(wire.encode_frame(msg_type, payload), None)
+
+
+def check_log(data: bytes, recorded: Optional[np.ndarray]) -> tuple[LogIndex, np.ndarray]:
+    """Check the whole frames that open the submission log ``data`` in
+    place, from the bounds it ``recorded`` as ``check_frames`` takes them;
+    returns their index and bounds: each frame's offset, then where they
+    end, at the end of ``data`` or where a frame cut short begins.
+
+    What stops the check raises as a record-by-record walk would: the first
+    refused record in log order a ValueError worded as ingest words it, a
+    whole frame past the last record a FrameError worded from its header
+    alone (the frame walker's error for a bad header, else ``unexpected
+    record type N``).
+    """
+    index, bounds, refusals = check_frames(data, 0, recorded)
+    for _, refusal in refusals:
+        raise ValueError(refusal)
+    for msg_type, _, _ in wire.iter_frames(memoryview(data)[int(bounds[-1]) :]):
+        raise wire.FrameError(f"unexpected record type {msg_type}")
+    return index, bounds
+
+
+def read_log(data: bytes, bounds: Optional[np.ndarray] = None) -> LogIndex:
+    """Check every record of a submission log in place and index it, from
+    the ``bounds`` the log recorded (each frame's offset then the end of the
+    last, int64) when they check, as ``check_frames`` takes them.
 
     A log fails as ``check_log`` fails, and one that ends inside a frame
     with FrameError ``truncated log record``.
     """
-    if bounds is not None and _walks_whole(data, bounds):
-        index, refusals = _check_records(data, bounds[:-1], bounds[1:])
-        for _, refusal in refusals:
-            raise ValueError(refusal)
-        return index
-    index, bounds = check_log(data)
+    index, bounds = check_log(data, bounds)
     if bounds[-1] != len(data):
         raise wire.FrameError("truncated log record")
     return index

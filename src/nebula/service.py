@@ -83,7 +83,7 @@ class SubmissionLog:
             # restart on a large log stays small in memory.
             while chunk := f.read(_RECV):
                 buf += chunk
-                _, bounds = check_log(buf)
+                _, bounds = check_log(buf, None)
                 self._note(bounds, end)
                 done = int(bounds[-1])
                 end, buf = end + done, buf[done:]
@@ -256,7 +256,7 @@ class AggregationServer(_BaseServer):
                 # Check before persisting so the log never holds garbage: each
                 # refused record gets its ERROR, each stretch of good records
                 # around them is logged as it was received, from ``buf`` itself.
-                _, bounds, refusals = check_frames(buf, at)
+                _, bounds, refusals = check_frames(buf, at, None)
                 frames, at = len(bounds) - 1, int(bounds[-1])
                 first = 0
                 for i, error in refusals:

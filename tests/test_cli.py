@@ -558,3 +558,15 @@ def test_run_refuses_coordinates_out_of_range(tmp_path, capsys):
     assert rc == 2
     assert _one_line(capsys) == "nebula run: latitude 123.456 is not in [-90, 90]\n"
     assert not out.exists()
+
+
+def test_run_refuses_columns_with_geo_columns(tmp_path, capsys):
+    # --geo-columns picks the attributes, so a --columns beside it would be ignored.
+    data = tmp_path / "geo.csv"
+    data.write_text("age,country,lat,lon\n30,TR,41.0,29.0\n")
+    out = tmp_path / "out"
+    rc = main(["run", "--dataset", str(data), "--columns", "age", "--geo-columns", "country,lat,lon",
+               "--eps", "1", "--seed", "0", "--out", str(out)])
+    assert rc == 2
+    assert _one_line(capsys) == "nebula run: --columns and --geo-columns cannot be given together\n"
+    assert not out.exists()

@@ -9,11 +9,14 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nebula import oprf, sharing
+from nebula import oprf, sharing, wire
 from nebula.encode import (
+    CIPHERTEXT_AT,
     HEADER_SIZE,
     MAX_VALUE_SIZE,
+    TAG_SIZE,
     ZERO_NONCE,
+    KeyShare,
     Submission,
     build_submission,
     decrypt_with_key,
@@ -277,6 +280,25 @@ class TestBuildSubmission:
         r = oprf.evaluate_directly(b"roundtrip", kp)
         sub = build_submission(b"roundtrip", r, params, rng)
         assert Submission.from_bytes(sub.to_bytes()) == sub
+
+    @staticmethod
+    def _payload(size):
+        # A submission that keeps the rules, its ciphertext making it ``size`` bytes.
+        return Submission(bytes(size - CIPHERTEXT_AT), KeyShare(1, 2), bytes(TAG_SIZE)).to_bytes()
+
+    def test_largest_frame_payload_parses(self):
+        payload = self._payload(wire.MAX_PAYLOAD_SIZE)
+        assert len(payload) == wire.MAX_PAYLOAD_SIZE
+        assert Submission.from_bytes(payload).to_bytes() == payload
+
+    def test_payload_over_the_frame_limit_refused_as_framing_refuses_it(self):
+        # Ingest never receives such a payload, so the parser refuses it too.
+        payload = self._payload(wire.MAX_PAYLOAD_SIZE + 1)
+        with pytest.raises(wire.FrameError) as framed:
+            wire.encode_frame(wire.MSG_SUBMISSION, payload)
+        with pytest.raises(wire.FrameError) as parsed:
+            Submission.from_bytes(payload)
+        assert (type(parsed.value), str(parsed.value)) == (type(framed.value), str(framed.value))
 
     def test_no_identifier_bytes(self, params, kp):
         # The submission consists solely of tag, share point, ciphertext;

@@ -259,7 +259,7 @@ def test_each_record_refused_as_the_record_walk_refuses(log):
     # Ingest's check words each refused record, and each ``from_bytes``
     # refuses its payload, with the reference's exception class and message.
     records = walked_records(log)
-    _, bounds, refusals = check_frames(log, 0)
+    _, bounds, refusals = check_frames(log, 0, None)
     assert len(bounds) - 1 == len(records)
     expected = [
         (i, refusal(lambda p: check_record(p, msg_type, 0, len(p)), payload))
@@ -341,7 +341,7 @@ def test_recorded_bounds_index_as_the_walk_does(log):
     bounds = frame_bounds(log)
     # The bounds pass the check, and they are what the walk finds.
     assert multidim._walks_whole(log, bounds)
-    assert bounds.tolist() == check_frames(log, 0)[1].tolist()
+    assert bounds.tolist() == check_frames(log, 0, None)[1].tolist()
     assert columns(read_log(log, bounds)) == columns(read_log(log))
 
 
@@ -383,7 +383,7 @@ def stale_bounds(kind: str, log: bytes, bounds: np.ndarray, rng: random.Random) 
 def test_stale_bounds_read_as_the_walk_reads(log, kind, seed):
     # The walk's own bounds, then the same made stale: a torn or refused log
     # fails with the walk's class and message, a clean one indexes the same.
-    _, bounds, _ = check_frames(log, 0)
+    _, bounds, _ = check_frames(log, 0, None)
     expected = outcome(read_log, log)
     assert outcome(lambda data: read_log(data, bounds), log) == expected
     assert outcome(lambda data: read_log(data, length_bounds(data)), log) == expected

@@ -5,8 +5,15 @@ import time
 
 import pytest
 
-from nebula import oprf
-from nebula.encode import TAG_SIZE, parse_randomness, submission_wire_size
+from nebula import oprf, wire
+from nebula.encode import (
+    CIPHERTEXT_AT,
+    TAG_SIZE,
+    KeyShare,
+    Submission,
+    parse_randomness,
+    submission_wire_size,
+)
 from nebula.harness import value_randomness
 from nebula.multidim import (
     MAX_ATTRIBUTES,
@@ -113,7 +120,7 @@ class TestEncodeMultidim:
     def test_key_chain_unlocks_every_layer(self, shared_kp):
         from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
-        from nebula.encode import Submission, encryption_key, parse_randomness
+        from nebula.encode import encryption_key
 
         params = make_params(20)
         rng = random.Random(3)
@@ -139,6 +146,26 @@ class TestEncodeMultidim:
         rng = random.Random(4)
         super_sub = encode_record([b"one", b"two", b"three"], params, shared_kp, rng)
         assert SuperSubmission.from_bytes(super_sub.to_bytes()) == super_sub
+
+    @staticmethod
+    def _payload(size):
+        # A one-layer record that keeps the rules, its ciphertext making it ``size`` bytes.
+        layer1 = Submission(bytes(size - 1 - CIPHERTEXT_AT), KeyShare(1, 2), bytes(TAG_SIZE))
+        return SuperSubmission(layer1, ()).to_bytes()
+
+    def test_largest_frame_payload_parses(self):
+        payload = self._payload(wire.MAX_PAYLOAD_SIZE)
+        assert len(payload) == wire.MAX_PAYLOAD_SIZE
+        assert SuperSubmission.from_bytes(payload).to_bytes() == payload
+
+    def test_payload_over_the_frame_limit_refused_as_framing_refuses_it(self):
+        # Ingest never receives such a payload, so the parser refuses it too.
+        payload = self._payload(wire.MAX_PAYLOAD_SIZE + 1)
+        with pytest.raises(wire.FrameError) as framed:
+            wire.encode_frame(wire.MSG_SUPER_SUBMISSION, payload)
+        with pytest.raises(wire.FrameError) as parsed:
+            SuperSubmission.from_bytes(payload)
+        assert (type(parsed.value), str(parsed.value)) == (type(framed.value), str(framed.value))
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP open item 12")
