@@ -75,7 +75,7 @@ def _unencodable(record: tuple[bytes, ...], schema: tuple[str, ...], chained: bo
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from . import harness
-    from .params import DpBudget, ParameterError, derive_params, params_to_config
+    from .params import DpBudget, derive_params, params_to_config
     overrides = {}
     if args.tau_override is not None:
         overrides["threshold"] = args.tau_override
@@ -83,32 +83,30 @@ def _cmd_run(args: argparse.Namespace) -> int:
         overrides["tsdlap_shift"] = args.shift_override
     eps_unrevealed = args.eps if args.eps_unrevealed is None else args.eps_unrevealed
     delta_unrevealed = args.delta if args.delta_unrevealed is None else args.delta_unrevealed
+    columns = args.columns.split(",") if args.columns else None
+    geo = tuple(args.geo_columns.split(",")) if args.geo_columns else None
+    # Every input is read and checked, and --out made last, before the run
+    # writes anything, so bad input is one line on stderr and no --out.
     try:
         budget = DpBudget(args.eps, args.delta, eps_unrevealed, delta_unrevealed, args.alpha)
         params = derive_params(budget, overrides)
-    except ParameterError as exc:
-        return _fail("run", exc)
-
-    columns = args.columns.split(",") if args.columns else None
-    geo = tuple(args.geo_columns.split(",")) if args.geo_columns else None
-    if geo is not None and len(geo) != 3:
-        return _fail("run", "--geo-columns needs exactly country,lat,lon")
-    if geo is not None and columns is not None:
-        return _fail("run", "--columns and --geo-columns cannot be given together")
-    try:
+        if geo is not None and len(geo) != 3:
+            raise ValueError("--geo-columns needs exactly country,lat,lon")
+        if geo is not None and columns is not None:
+            raise ValueError("--columns and --geo-columns cannot be given together")
         dataset = harness.load_dataset(
             args.dataset, columns=columns, geo_columns=geo, bin_bits=args.bin_bits
         )
-    except ValueError as exc:  # a dataset spec or --bin-bits that cannot apply
+        # Every record must be encodable, whichever ones the seed samples:
+        # each distinct record is checked once, and a refusal names its
+        # first record.
+        for record in dict.fromkeys(dataset.records):
+            if refusal := _unencodable(record, dataset.schema, args.multidim):
+                raise ValueError(f"record {dataset.records.index(record) + 1}: {refusal}")
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
         return _fail("run", exc)
-    # Every record must be encodable, whichever ones the seed samples: each
-    # distinct record is checked once, and a refusal names its first record.
-    for record in dict.fromkeys(dataset.records):
-        if refusal := _unencodable(record, dataset.schema, args.multidim):
-            return _fail("run", f"record {dataset.records.index(record) + 1}: {refusal}")
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "params.cfg").write_text(params_to_config(params))
 
     mode = "multidim" if args.multidim else "single"

@@ -158,34 +158,32 @@ def load_csv_attributes(
     """One record per CSV row with the requested columns, in order.
 
     ``geo_columns`` (country, latitude, longitude) switches to the geographic
-    coarse-graining encoding: 8 attributes per record.
+    coarse-graining encoding: 8 attributes per record.  A row with fewer
+    fields than the header raises SchemaError naming its line.
     """
+    wanted, schema = (columns, tuple(columns)) if geo_columns is None else (geo_columns, _GEO_SCHEMA)
+    records = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            schema = tuple(columns) if geo_columns is None else _GEO_SCHEMA
+        rows = csv.reader(fh)
+        header = next(rows, None)
+        if header is None:
             return Dataset(records=(), schema=schema, source=str(path))
-        wanted = list(geo_columns) if geo_columns is not None else list(columns)
-        missing = [c for c in wanted if c not in reader.fieldnames]
+        # A repeated column name reads its last column, as csv.DictReader does.
+        where = {name: i for i, name in enumerate(header)}
+        missing = [c for c in wanted if c not in where]
         if missing:
             raise SchemaError(f"columns not in {path}: {missing}")
-        records = []
-        if geo_columns is not None:
-            country_col, lat_col, lon_col = geo_columns
-            for row in reader:
-                records.append(
-                    tuple(
-                        geo_attributes(
-                            row[country_col],
-                            float(row[lat_col]),
-                            float(row[lon_col]),
-                        )
-                    )
+        for row in filter(None, rows):  # blank lines skipped, as csv.DictReader does
+            if len(row) < len(header):
+                raise SchemaError(
+                    f"{path} line {rows.line_num}: {len(row)} fields, under the header's {len(header)}"
                 )
-            return Dataset(records=tuple(records), schema=_GEO_SCHEMA, source=str(path))
-        for row in reader:
-            records.append(tuple(row[c].encode() for c in columns))
-    return Dataset(records=tuple(records), schema=tuple(columns), source=str(path))
+            values = [row[where[c]] for c in wanted]
+            records.append(
+                tuple(v.encode() for v in values) if geo_columns is None
+                else tuple(geo_attributes(values[0], float(values[1]), float(values[2])))
+            )
+    return Dataset(records=tuple(records), schema=schema, source=str(path))
 
 
 _GEO_SCHEMA = ("country", "g1", "g2", "g3", "g4", "g5", "g6", "g7")
@@ -265,13 +263,19 @@ def parse_dataset_spec(spec: str) -> Dataset:
     """
     if not spec.startswith("synthetic:"):
         raise ValueError("not a synthetic dataset spec")
-    body = spec[len("synthetic:") :]
-    kind, _, rest = body.partition(",")
-    kv = {}
-    for part in rest.split(","):
-        if part:
-            key, _, value = part.partition("=")
-            kv[key] = value
+    kind, _, rest = spec[len("synthetic:") :].partition(",")
+    keys = {"zipf": ("n", "domain", "skew", "seed"), "chain": ("n", "branching", "skew", "seed")}
+    if kind not in keys:
+        raise ValueError(f"unknown synthetic dataset kind {kind!r}")
+    # A typo must not fall back to a default, nor a repeat override a value.
+    kv: dict[str, str] = {}
+    for part in filter(None, rest.split(",")):
+        key, _, value = part.partition("=")
+        if key not in keys[kind]:
+            raise ValueError(f"synthetic:{kind}: unknown key {key!r}")
+        if key in kv:
+            raise ValueError(f"synthetic:{kind}: repeated key {key!r}")
+        kv[key] = value
     if kind == "zipf":
         return synthetic_zipf(
             n_records=int(kv.get("n", "100000")),
@@ -279,15 +283,13 @@ def parse_dataset_spec(spec: str) -> Dataset:
             skew=float(kv.get("skew", "1.0")),
             seed=int(kv.get("seed", "0")),
         )
-    if kind == "chain":
-        branching = tuple(int(x) for x in kv.get("branching", "4x3x3x3x3").split("x"))
-        return synthetic_correlated(
-            n_records=int(kv.get("n", "30000")),
-            branching=branching,
-            skew=float(kv.get("skew", "1.0")),
-            seed=int(kv.get("seed", "0")),
-        )
-    raise ValueError(f"unknown synthetic dataset kind {kind!r}")
+    branching = tuple(int(x) for x in kv.get("branching", "4x3x3x3x3").split("x"))
+    return synthetic_correlated(
+        n_records=int(kv.get("n", "30000")),
+        branching=branching,
+        skew=float(kv.get("skew", "1.0")),
+        seed=int(kv.get("seed", "0")),
+    )
 
 
 def load_dataset(

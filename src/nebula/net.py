@@ -140,8 +140,9 @@ class RandomnessServer(_BaseServer):
     name = "randomness server"
 
     def __init__(self, address: tuple[str, int], key_seed: bytes):
-        super().__init__(address)
+        # Before the socket binds, so a refused seed leaves none open.
         self.keypair = oprf.keygen(key_seed)
+        super().__init__(address)
 
     def dispatch(self, buf: bytes, replies: list[bytes]) -> int:
         end = 0

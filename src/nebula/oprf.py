@@ -100,7 +100,10 @@ class BlindState:
 
 
 def keygen(seed: bytes) -> ServerKeypair:
-    """Deterministic keypair from a 32-byte seed."""
+    """Deterministic keypair from a 32-byte seed.  The seed is hashed under a
+    public DST, so any other length raises ValueError: a short seed is a guessable key."""
+    if len(seed) != 32:
+        raise ValueError(f"key seed must be 32 bytes, not {len(seed)}")
     msk = hash_to_scalar(seed, DST_KEYGEN)
     return ServerKeypair(msk=msk, mpk=base_mult(msk))
 

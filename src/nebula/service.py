@@ -45,10 +45,6 @@ class SealedError(Exception):
     """Ingestion already sealed; no further submissions accepted."""
 
 
-# Frames a submission log has room for before it copies their bounds to grow.
-_ROOM = 1 << 16
-
-
 class SubmissionLog:
     """Append-only file of submission frames with an explicit seal barrier;
     it keeps the bounds of the frames it holds, for the seal to read by."""
@@ -57,12 +53,11 @@ class SubmissionLog:
         self.path = Path(path)
         self._lock = threading.Lock()
         self._sealed = self.seal_marker.exists()
-        # Entries 0 .. _frames: each frame's file offset, then the end of the
-        # last.  Room for _ROOM frames is taken up front, so most logs never
-        # copy it to grow, and room not yet written is not resident.
-        self._bounds = np.empty(_ROOM + 1, np.int64)
-        self._bounds[0] = 0
-        self._frames = 0
+        # [0], then the frame ends of each checked chunk and each append as
+        # file offsets, as the checks return them; ``bounds`` joins them.
+        # ``_end`` is the file offset where the last recorded frame ends.
+        self._bounds = [np.zeros(1, np.int64)]
+        self._end = 0
         if self.path.exists():
             self._check()
         self._file = None if self._sealed else open(self.path, "ab")
@@ -77,31 +72,25 @@ class SubmissionLog:
         log drops it; a sealed log, flushed whole before its marker, is
         refused.
         """
-        end, buf = 0, b""  # file offset of ``buf``: just past the last whole frame
+        buf = b""  # starts at file offset ``_end``: just past the last whole frame
         with open(self.path, "rb") as f:
             # A receive's worth at a time, as ingest checks a stream, so a
             # restart on a large log stays small in memory.
             while chunk := f.read(_RECV):
                 buf += chunk
                 _, bounds = check_log(buf, None)
-                self._note(bounds, end)
-                done = int(bounds[-1])
-                end, buf = end + done, buf[done:]
+                self._note(bounds, self._end)
+                buf = buf[int(bounds[-1]) :]
         if buf and self._sealed:
             raise wire.FrameError("truncated log record")
         if buf:
-            os.truncate(self.path, end)
+            os.truncate(self.path, self._end)
 
     def _note(self, bounds: np.ndarray, shift: int) -> None:
         """Record frames whose bounds are ``bounds + shift``, the first at
         the end of those recorded."""
-        frames = self._frames + len(bounds) - 1
-        if frames >= len(self._bounds):
-            grown = np.empty(2 * frames, np.int64)
-            grown[: self._frames] = self._bounds[: self._frames]
-            self._bounds = grown
-        np.add(bounds, shift, out=self._bounds[self._frames : frames + 1])
-        self._frames = frames
+        self._bounds.append(bounds[1:] + shift)
+        self._end = int(bounds[-1] + shift)
 
     @property
     def seal_marker(self) -> Path:
@@ -114,9 +103,12 @@ class SubmissionLog:
     @property
     def bounds(self) -> np.ndarray:
         """Each frame's file offset, then the end of the last, as
-        ``multidim.check_log`` returns them: a view, not a copy."""
+        ``multidim.check_log`` returns them: what the log recorded, joined
+        into one array that it keeps until it records more."""
         with self._lock:
-            return self._bounds[: self._frames + 1]
+            if len(self._bounds) > 1:
+                self._bounds = [np.concatenate(self._bounds)]
+            return self._bounds[0]
 
     def append(self, frames: bytes | memoryview, bounds: np.ndarray) -> None:
         """Append whole submission frames, already checked, as they are.
@@ -131,7 +123,7 @@ class SubmissionLog:
             if self._file is None:
                 raise ValueError("submission log is closed")
             self._file.write(frames)
-            self._note(bounds, self._bounds[self._frames] - bounds[0])
+            self._note(bounds, self._end - bounds[0])
 
     def flush(self) -> None:
         """Hand appended records to the OS (no fsync): they then survive the

@@ -570,3 +570,60 @@ def test_run_refuses_columns_with_geo_columns(tmp_path, capsys):
     assert rc == 2
     assert _one_line(capsys) == "nebula run: --columns and --geo-columns cannot be given together\n"
     assert not out.exists()
+
+
+_SHORT_ROW = "cc,lat,lon,word\nTR,41.0,29.0,a\nUS,40.7\n"
+
+
+@pytest.mark.parametrize(
+    "dataset, flags, message",
+    [
+        ("{tmp}/missing.txt", [], "No such file or directory: '{tmp}/missing.txt'"),
+        ("{tmp}/data", [], "Is a directory: '{tmp}/data'"),
+        # A row short of its header's fields names its line, whichever
+        # columns the run reads.
+        ("{tmp}/data/short.csv", ["--columns", "word"],
+         "{tmp}/data/short.csv line 3: 2 fields, under the header's 4"),
+        ("{tmp}/data/short.csv", ["--geo-columns", "cc,lat,lon"],
+         "{tmp}/data/short.csv line 3: 2 fields, under the header's 4"),
+        # A typo must not run on a default, nor a repeat on its last value.
+        ("synthetic:zipf,n=200,domian=3", [], "synthetic:zipf: unknown key 'domian'"),
+        ("synthetic:chain,n=200,branching=2x2,n=300", [], "synthetic:chain: repeated key 'n'"),
+    ],
+    ids=["missing", "directory", "short_row_columns", "short_row_geo", "unknown_key", "repeated_key"],
+)
+def test_run_refuses_a_dataset_it_cannot_read(tmp_path, capsys, dataset, flags, message):
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "short.csv").write_text(_SHORT_ROW)
+    out = tmp_path / "out"
+    rc = main(["run", "--dataset", dataset.format(tmp=tmp_path), *flags, "--eps", "1",
+               "--seed", "0", "--out", str(out)])
+    assert rc == 2
+    assert _one_line(capsys).endswith(message.format(tmp=tmp_path) + "\n")
+    assert not out.exists()
+
+
+def test_run_refuses_an_out_that_is_a_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("kept")
+    rc = main(["run", "--dataset", "synthetic:zipf,n=200,domain=5,seed=0", "--eps", "1",
+               "--seed", "0", "--out", str(out)])
+    assert rc == 2
+    assert _one_line(capsys).endswith(f"File exists: '{out}'\n")
+    assert out.read_text() == "kept"
+
+
+@pytest.mark.parametrize("size", [0, 31, 33])
+def test_randomness_server_refuses_a_seed_not_of_32_bytes(tmp_path, capsys, size, no_serving):
+    # The key is a public hash of its seed: a short seed is a guessable key.
+    seed = tmp_path / "seed"
+    seed.write_bytes(b"\x01" * size)
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    rc = main(["randomness-server", "--listen", f"127.0.0.1:{port}", "--key-seed-file", str(seed)])
+    assert rc == 2
+    assert _one_line(capsys) == f"nebula randomness-server: key seed must be 32 bytes, not {size}\n"
+    # Refused before the socket binds: the port is free again at once.
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", port))

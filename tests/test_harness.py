@@ -88,6 +88,14 @@ class TestLoaders:
         with pytest.raises(SchemaError):
             load_csv_attributes(f, ["a", "nope"])
 
+    def test_short_row_refused_and_blank_line_skipped(self, tmp_path):
+        f = tmp_path / "data.csv"
+        f.write_text("a,b\n1,2\n\n3,4\n")
+        assert load_csv_attributes(f, ["b"]).records == ((b"2",), (b"4",))
+        f.write_text("a,b\n1,2\n\n3\n")
+        with pytest.raises(SchemaError, match="line 4: 1 fields, under the header's 2$"):
+            load_csv_attributes(f, ["a"])
+
     def test_geo_mode_eight_attributes(self, tmp_path):
         f = tmp_path / "geo.csv"
         f.write_text("cc,lat,lon\nTR,41.029717,28.974420\nUS,40.7,-74.0\n")

@@ -29,6 +29,11 @@ class TestKeygen:
     def test_public_commitment_matches_secret(self, kp):
         assert window_base_mult(kp.msk).encode() == kp.mpk.encode()
 
+    @pytest.mark.parametrize("size", [0, 31, 33])
+    def test_seed_not_of_32_bytes_refused(self, size):
+        with pytest.raises(ValueError, match=f"^key seed must be 32 bytes, not {size}$"):
+            oprf.keygen(b"\x01" * size)
+
 
 class TestBlind:
     def test_fresh_blindings_differ(self, kp):

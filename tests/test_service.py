@@ -1478,9 +1478,8 @@ class TestSealFromRecordedBounds:
         assert path.read_bytes() == stream + stream
         assert (tmp_path / "report.csv").read_text() == decode_log(stream + stream, PARAMS)[1]
 
-    def test_bounds_grow_past_the_room_taken_up_front(self, tmp_path, monkeypatch, seal_walks):
-        # Appends and the open check both outgrow a room of three frames.
-        monkeypatch.setattr(service, "_ROOM", 3)
+    def test_bounds_recorded_frame_by_frame_and_at_reopen(self, tmp_path, seal_walks):
+        # One append per frame, then the open check and one more append.
         records = _model_payloads()
         path = tmp_path / "log.bin"
         log = SubmissionLog(path)
@@ -1494,6 +1493,31 @@ class TestSealFromRecordedBounds:
         assert seal_walks == []
         assert again.bounds.tolist() == frame_bounds(path.read_bytes()).tolist()
         assert out.read_text() == decode_log(path.read_bytes(), PARAMS)[1]
+
+    def test_frame_cut_short_across_the_last_read_is_cut_at_open(self, tmp_path, seal_walks):
+        # The log's last receive-sized read holds no whole frame: a crash
+        # cut short the frame that began in the read before.  The open check
+        # records a chunk with no frames, and an append after it must still
+        # land at the end of the whole frames.
+        frames = _interleaved(_maximum_frames(16))
+        ends = list(itertools.accumulate(map(len, frames)))
+        i = next(i for i, end in enumerate(ends) if end > _RECV + 1)
+        whole = b"".join(frames[:i])
+        assert len(whole) < _RECV
+        torn, path = whole + frames[i][: _RECV + 1 - len(whole)], tmp_path / "log.bin"
+        path.write_bytes(torn)
+        opened = SubmissionLog(path)
+        opened.close()
+        assert path.read_bytes() == whole
+        assert opened.bounds.tolist() == frame_bounds(whole).tolist()
+        path.write_bytes(torn)
+        log, more = SubmissionLog(path), _frames(_model_payloads())
+        _append(log, more)
+        _, out = seal_and_report(log, PARAMS, tmp_path / "report.csv")
+        assert seal_walks == []
+        assert path.read_bytes() == whole + more
+        assert log.bounds.tolist() == frame_bounds(whole + more).tolist()
+        assert out.read_text() == decode_log(whole + more, PARAMS)[1]
 
     def test_offline_seal_and_decode_without_a_walk(self, tmp_path, seal_walks):
         from nebula.cli import main
