@@ -264,31 +264,27 @@ def parse_dataset_spec(spec: str) -> Dataset:
     if not spec.startswith("synthetic:"):
         raise ValueError("not a synthetic dataset spec")
     kind, _, rest = spec[len("synthetic:") :].partition(",")
-    keys = {"zipf": ("n", "domain", "skew", "seed"), "chain": ("n", "branching", "skew", "seed")}
-    if kind not in keys:
+    if kind not in ("zipf", "chain"):
         raise ValueError(f"unknown synthetic dataset kind {kind!r}")
     # A typo must not fall back to a default, nor a repeat override a value.
     kv: dict[str, str] = {}
     for part in filter(None, rest.split(",")):
         key, _, value = part.partition("=")
-        if key not in keys[kind]:
-            raise ValueError(f"synthetic:{kind}: unknown key {key!r}")
         if key in kv:
             raise ValueError(f"synthetic:{kind}: repeated key {key!r}")
         kv[key] = value
+    n = kv.pop("n", "100000" if kind == "zipf" else "30000")
+    skew, seed = kv.pop("skew", "1.0"), kv.pop("seed", "0")
+    shape = kv.pop("domain", "5000") if kind == "zipf" else kv.pop("branching", "4x3x3x3x3")
+    if kv:
+        raise ValueError(f"synthetic:{kind}: unknown key {next(iter(kv))!r}")
     if kind == "zipf":
-        return synthetic_zipf(
-            n_records=int(kv.get("n", "100000")),
-            domain_size=int(kv.get("domain", "5000")),
-            skew=float(kv.get("skew", "1.0")),
-            seed=int(kv.get("seed", "0")),
-        )
-    branching = tuple(int(x) for x in kv.get("branching", "4x3x3x3x3").split("x"))
+        return synthetic_zipf(n_records=int(n), domain_size=int(shape), skew=float(skew), seed=int(seed))
     return synthetic_correlated(
-        n_records=int(kv.get("n", "30000")),
-        branching=branching,
-        skew=float(kv.get("skew", "1.0")),
-        seed=int(kv.get("seed", "0")),
+        n_records=int(n),
+        branching=tuple(int(x) for x in shape.split("x")),
+        skew=float(skew),
+        seed=int(seed),
     )
 
 

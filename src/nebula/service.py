@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import os
 import threading
+from array import array
 from pathlib import Path
 from typing import Optional
 
@@ -53,11 +54,9 @@ class SubmissionLog:
         self.path = Path(path)
         self._lock = threading.Lock()
         self._sealed = self.seal_marker.exists()
-        # [0], then the frame ends of each checked chunk and each append as
-        # file offsets, as the checks return them; ``bounds`` joins them.
-        # ``_end`` is the file offset where the last recorded frame ends.
-        self._bounds = [np.zeros(1, np.int64)]
-        self._end = 0
+        # 0, then where each recorded frame ends, as file offsets: 8 bytes a
+        # frame however the frames come, as ``array`` grows in place.
+        self._bounds = array("q", [0])
         if self.path.exists():
             self._check()
         self._file = None if self._sealed else open(self.path, "ab")
@@ -72,25 +71,24 @@ class SubmissionLog:
         log drops it; a sealed log, flushed whole before its marker, is
         refused.
         """
-        buf = b""  # starts at file offset ``_end``: just past the last whole frame
+        buf = b""  # starts just past the last whole frame recorded
         with open(self.path, "rb") as f:
             # A receive's worth at a time, as ingest checks a stream, so a
             # restart on a large log stays small in memory.
             while chunk := f.read(_RECV):
                 buf += chunk
                 _, bounds = check_log(buf, None)
-                self._note(bounds, self._end)
+                self._note(bounds, self._bounds[-1])
                 buf = buf[int(bounds[-1]) :]
         if buf and self._sealed:
             raise wire.FrameError("truncated log record")
         if buf:
-            os.truncate(self.path, self._end)
+            os.truncate(self.path, self._bounds[-1])
 
     def _note(self, bounds: np.ndarray, shift: int) -> None:
         """Record frames whose bounds are ``bounds + shift``, the first at
         the end of those recorded."""
-        self._bounds.append(bounds[1:] + shift)
-        self._end = int(bounds[-1] + shift)
+        self._bounds.frombytes((bounds[1:] + shift).tobytes())
 
     @property
     def seal_marker(self) -> Path:
@@ -103,12 +101,11 @@ class SubmissionLog:
     @property
     def bounds(self) -> np.ndarray:
         """Each frame's file offset, then the end of the last, as
-        ``multidim.check_log`` returns them: what the log recorded, joined
-        into one array that it keeps until it records more."""
+        ``multidim.check_log`` returns them: a view, not a copy.  While one
+        is held the log cannot grow, so an append fails as a failed write
+        does."""
         with self._lock:
-            if len(self._bounds) > 1:
-                self._bounds = [np.concatenate(self._bounds)]
-            return self._bounds[0]
+            return np.frombuffer(self._bounds, np.int64)
 
     def append(self, frames: bytes | memoryview, bounds: np.ndarray) -> None:
         """Append whole submission frames, already checked, as they are.
@@ -123,7 +120,7 @@ class SubmissionLog:
             if self._file is None:
                 raise ValueError("submission log is closed")
             self._file.write(frames)
-            self._note(bounds, self._end - bounds[0])
+            self._note(bounds, self._bounds[-1] - bounds[0])
 
     def flush(self) -> None:
         """Hand appended records to the OS (no fsync): they then survive the

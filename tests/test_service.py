@@ -11,6 +11,7 @@ import struct
 import sys
 import tempfile
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -1518,6 +1519,23 @@ class TestSealFromRecordedBounds:
         assert path.read_bytes() == whole + more
         assert log.bounds.tolist() == frame_bounds(whole + more).tolist()
         assert out.read_text() == decode_log(whole + more, PARAMS)[1]
+
+    def test_bounds_of_one_frame_appends_cost_eight_bytes_a_frame(self, tmp_path):
+        # A request/response client sends one frame per receive, so each
+        # append may record a single frame; its bounds must not cost more
+        # than the frame's end does.
+        frame, count = wire.encode_frame(*_model_payloads()[0]), 20_000
+        bounds, log = frame_bounds(frame), SubmissionLog(tmp_path / "log.bin")
+        tracemalloc.start()
+        try:
+            for _ in range(count):
+                log.append(frame, bounds)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        log.close()
+        assert held < 16 * count
+        assert log.bounds.tolist() == list(range(0, len(frame) * count + 1, len(frame)))
 
     def test_offline_seal_and_decode_without_a_walk(self, tmp_path, seal_walks):
         from nebula.cli import main
